@@ -87,13 +87,14 @@ class Dessin:
     @cached_property
     def rho2(self) -> tuple[int, ...]:
         """The derived face permutation rho0^{-1} o rho1^{-1}."""
-        bad = [v for v in self.violations() if v.code.endswith("not-bijection")]
+        bad = [v for v in self._violations
+               if v.code.endswith("not-bijection")]
         if bad:
             raise InvalidDessinError(bad)
         return perms.compose(perms.inverse(self.rho0), perms.inverse(self.rho1))
 
-    def violations(self) -> list[Violation]:
-        """All violated dessin invariants, empty for a valid dessin."""
+    @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
         out = []
         for name, p in (("rho0", self.rho0), ("rho1", self.rho1)):
             if not perms.is_permutation(p):
@@ -133,15 +134,21 @@ class Dessin:
             out.append(Violation(
                 "not-transitive", dart,
                 f"dart {dart} is not reachable from dart 0"))
-        return out
+        return tuple(out)
+
+    def violations(self) -> list[Violation]:
+        """All violated dessin invariants, empty for a valid dessin.
+
+        The check runs once per dessin; every call returns a fresh list.
+        """
+        return list(self._violations)
 
     def is_valid(self) -> bool:
-        return not self.violations()
+        return not self._violations
 
     def require_valid(self) -> None:
-        bad = self.violations()
-        if bad:
-            raise InvalidDessinError(bad)
+        if self._violations:
+            raise InvalidDessinError(self._violations)
 
     def _generator(self, kind: CellKind) -> tuple[int, ...]:
         if kind == CellKind.VERTEX:
@@ -209,32 +216,110 @@ class Dessin:
             r1[sigma[x]] = sigma[self.rho1[x]]
         return Dessin(self.n_darts, r0, r1)
 
-    def _code_from(self, start: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        label = {start: 0}
-        order = [start]
-        i = 0
-        while i < len(order):
-            x = order[i]
-            i += 1
-            for y in (self.rho0[x], self.rho1[x]):
-                if y not in label:
-                    label[y] = len(order)
-                    order.append(y)
-        n = self.n_darts
-        r0 = [0] * n
-        r1 = [0] * n
-        for x in range(n):
-            r0[label[x]] = label[self.rho0[x]]
-            r1[label[x]] = label[self.rho1[x]]
-        return tuple(r0), tuple(r1)
-
     @cached_property
+    def _canonical(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], int]:
+        """The canonical code and the automorphism count, from one
+        pruned search over the start darts."""
+        self.require_valid()
+        n = self.n_darts
+        rho0, rho1 = self.rho0, self.rho1
+        label = [-1] * n
+        # union-find over darts: its classes are the orbits of the group
+        # generated by the automorphisms found so far
+        parent = list(range(n))
+        size = [1] * n
+        evaluated = [False] * n  # per root: the class holds a tried start
+
+        def find(x: int) -> int:
+            root = x
+            while parent[root] != root:
+                root = parent[root]
+            while parent[x] != root:
+                parent[x], x = root, parent[x]
+            return root
+
+        best_r0: list[int] = []
+        best_r1: list[int] = []
+        best_order: list[int] = []
+        for s in range(n):
+            if evaluated[find(s)]:
+                continue
+            # breadth-first relabeling from s; r0[i] is final as soon as
+            # dart order[i] is dequeued, so compare it on the fly
+            label[s] = 0
+            order = [s]
+            r0 = []
+            r1 = []
+            tied = bool(best_order)
+            larger = False
+            for i in range(n):
+                x = order[i]
+                y = rho0[x]
+                ly = label[y]
+                if ly < 0:
+                    ly = label[y] = len(order)
+                    order.append(y)
+                if tied and ly != best_r0[i]:
+                    if ly > best_r0[i]:
+                        larger = True
+                        break
+                    tied = False
+                r0.append(ly)
+                y = rho1[x]
+                ly = label[y]
+                if ly < 0:
+                    ly = label[y] = len(order)
+                    order.append(y)
+                r1.append(ly)
+            for x in order:
+                label[x] = -1
+            evaluated[find(s)] = True
+            if larger:
+                continue
+            if not tied or r1 < best_r1:
+                best_r0, best_r1, best_order = r0, r1, order
+            elif r1 == best_r1:
+                # equal codes: best_order[k] -> order[k] is an automorphism
+                for x, y in zip(best_order, order):
+                    x, y = find(x), find(y)
+                    if x != y:
+                        if size[x] < size[y]:
+                            x, y = y, x
+                        parent[y] = x
+                        size[x] += size[y]
+                        evaluated[x] = evaluated[x] or evaluated[y]
+        return (tuple(best_r0), tuple(best_r1)), size[find(best_order[0])]
+
+    @property
     def canonical_code(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Lexicographically smallest breadth-first relabeling of
         (rho0, rho1) over all starting darts.  Equal codes characterize
-        isomorphic dessins."""
-        self.require_valid()
-        return min(self._code_from(s) for s in range(self.n_darts))
+        isomorphic dessins.
+
+        The relabeling from start dart s numbers darts in the order a
+        breadth-first search from s first reaches them, following rho0
+        before rho1 from each dart, and the code is the pair of relabeled
+        image tuples, compared rho0 first.  The search streams the rho0
+        images of each start and abandons it at the first position where
+        it exceeds the best code so far.  Two starts with equal codes
+        give an automorphism; the starts in one orbit of the
+        automorphisms found so far give one code, so only the first of
+        them is tried (McKay & Piperno, "Practical graph isomorphism
+        II", 2014).  The starts that reach the code are one orbit of the
+        automorphism group, and their number is
+        :meth:`automorphism_count`, which the same search computes.
+        """
+        return self._canonical[0]
+
+    def automorphism_count(self) -> int:
+        """Order of the automorphism group: the number of start darts
+        whose relabeling gives the canonical code.
+
+        Automorphisms of a connected map act freely on the darts, so the
+        count divides ``n_darts``, and the dessin is regular exactly when
+        the count equals ``n_darts``.
+        """
+        return self._canonical[1]
 
 
 def is_isomorphic(d1: Dessin, d2: Dessin) -> bool:

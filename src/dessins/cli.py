@@ -8,6 +8,7 @@ validation), 2 usage or I/O error.  All failures print a single
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections import Counter
 
@@ -192,6 +193,8 @@ def cmd_transform(args) -> int:
             x, y = float(parts[0]), float(parts[1])
         except ValueError:
             _fail("bad-point", f"line {lineno}: not numeric: {stripped!r}")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            _fail("bad-point", f"line {lineno}: not finite: {stripped!r}")
         big = triangle_to_square(complex(x, y))
         rows.append(f"{_fmt(x)},{_fmt(y)},{_fmt(big.real)},{_fmt(big.imag)}")
     _write_text(args.out, "\n".join(rows) + "\n" if rows else "")

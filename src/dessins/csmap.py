@@ -52,6 +52,11 @@ class OutsideImageError(ValueError):
     """The point to invert lies outside the closed image triangle."""
 
 
+def _require_finite(name: str, value: complex) -> None:
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} = {value} is not finite")
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     node_count: int = 48
@@ -229,11 +234,13 @@ def incomplete_cs_integral(a: float, b: float, t,
     """I(a, b; t) along the straight segment from 0 to t.
 
     The endpoint t = 1 is allowed (the integral converges to the
-    complete value); real t > 1 raises CutCrossingError.
+    complete value); real t > 1 raises CutCrossingError, and a t with
+    an infinite or NaN part raises ValueError.
     """
     cfg = cfg or DEFAULT_CONFIG
     _check_exponents(a, b)
     t = complex(t)
+    _require_finite("t", t)
     if t == 0:
         return 0j
     if t.imag == 0.0 and t.real > 1.0:
@@ -267,7 +274,11 @@ def complete_beta(a: float, b: float,
 
 
 def cs_map(spec: CsMapSpec, t, cfg: QuadratureConfig | None = None) -> complex:
-    """prefactor * I(a, b; t) / B(a, b): the normalized coordinate."""
+    """prefactor * I(a, b; t) / B(a, b): the normalized coordinate.
+
+    Raises the errors of :func:`incomplete_cs_integral`: CutCrossingError
+    for real t > 1 and ValueError for non-finite t.
+    """
     cfg = cfg or DEFAULT_CONFIG
     return spec.prefactor * incomplete_cs_integral(spec.a, spec.b, t, cfg) \
         / complete_beta(spec.a, spec.b, cfg)
@@ -276,9 +287,12 @@ def cs_map(spec: CsMapSpec, t, cfg: QuadratureConfig | None = None) -> complex:
 def cs_map_derivative(spec: CsMapSpec, t,
                       cfg: QuadratureConfig | None = None) -> complex:
     """Closed-form derivative prefactor * t^(a-1) (1-t)^(b-1) / B(a, b),
-    with the same branch convention as the map itself."""
+    with the same branch convention as the map itself.  Raises
+    ValueError at t = 0, at t = 1 and for non-finite t, and
+    CutCrossingError for real t > 1."""
     cfg = cfg or DEFAULT_CONFIG
     t = complex(t)
+    _require_finite("t", t)
     if t == 0 or t == 1:
         raise ValueError(f"derivative is singular at t = {t}")
     if t.imag == 0.0 and t.real > 1.0:
@@ -384,10 +398,13 @@ def invert_cs_map(spec: CsMapSpec, z,
     """Solve cs_map(spec, t) = z for t in the closed lower half-plane.
 
     The returned t satisfies |cs_map(t) - z| <= 1e-10 * max(1, |z|).
-    Points outside the closed image triangle raise OutsideImageError.
+    Points outside the closed image triangle raise OutsideImageError, a
+    z with an infinite or NaN part raises ValueError, and a Newton
+    iteration that does not settle raises NonConvergenceError.
     """
     cfg = cfg or DEFAULT_CONFIG
     z = complex(z)
+    _require_finite("z", z)
     tri = image_triangle(spec, cfg)
     diam = max(abs(p - q) for p in tri for q in tri)
     if not _inside_triangle(z, tri, 1e-9 * diam):
@@ -438,7 +455,8 @@ def invert_cs_map(spec: CsMapSpec, z,
 def triangle_to_square(z, cfg: QuadratureConfig | None = None) -> complex:
     """Conformal change of coordinate from the triangle-shaped image of
     TRIANGLE_COORD to the half-square image of SQUARE_COORD, fixing 0
-    and 1 and matching the maps' shared parameter t."""
+    and 1 and matching the maps' shared parameter t.  Raises the errors
+    of :func:`invert_cs_map`."""
     cfg = cfg or DEFAULT_CONFIG
     t = invert_cs_map(TRIANGLE_COORD, z, cfg)
     return cs_map(SQUARE_COORD, t, cfg)

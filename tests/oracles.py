@@ -7,6 +7,7 @@ quadrature), so agreement between the two is meaningful evidence.
 """
 
 import math
+from collections import deque
 from fractions import Fraction
 
 
@@ -68,6 +69,32 @@ def reachable_from_zero(perms_list, n) -> set:
                     nxt.append(p[x])
         frontier = nxt
     return seen
+
+
+def start_codes(rho0, rho1) -> list:
+    """The breadth-first relabeling code of (rho0, rho1) from every
+    start dart, in start order.
+
+    From a start, darts are labeled in the order a queue-driven search
+    first meets them, trying rho0 before rho1 at each dart; the code is
+    the pair of image tuples read in label order.  The canonical code is
+    the minimum over all starts, and the starts reaching it are the
+    images of one start under the automorphisms.
+    """
+    codes = []
+    for start in range(len(rho0)):
+        label = {start: 0}
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            for y in (rho0[x], rho1[x]):
+                if y not in label:
+                    label[y] = len(label)
+                    queue.append(y)
+        by_label = sorted(label, key=label.__getitem__)
+        codes.append((tuple(label[rho0[x]] for x in by_label),
+                      tuple(label[rho1[x]] for x in by_label)))
+    return codes
 
 
 def gamma_beta(a: float, b: float) -> float:

@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dessins import permutations as perms
 from dessins.cartography import (CellIndex, CellKind, Dessin,
                                  InvalidDessinError, is_isomorphic)
 from dessins.catalog import (octahedron, one_square_torus, origami,
-                             random_dessin, square_torus_grid, tetrahedron)
+                             random_dessin, random_origami,
+                             square_torus_grid, tetrahedron)
 
 import oracles
 
@@ -77,6 +80,33 @@ class TestViolations:
     def test_require_valid_raises(self):
         with pytest.raises(InvalidDessinError):
             Dessin(4, (1, 0, 3, 2), (1, 0, 3, 2)).require_valid()
+
+    def test_invalid_raises_on_every_call(self):
+        # validity is computed once; the verdict must not wear off
+        bad = Dessin(4, (1, 0, 3, 2), (1, 0, 3, 2))
+        for _ in range(2):
+            with pytest.raises(InvalidDessinError):
+                bad.require_valid()
+            with pytest.raises(InvalidDessinError):
+                bad.cells(CellKind.VERTEX)
+            with pytest.raises(InvalidDessinError):
+                _ = bad.canonical_code
+            with pytest.raises(InvalidDessinError):
+                bad.automorphism_count()
+            with pytest.raises(InvalidDessinError):
+                is_isomorphic(bad, bad)
+            assert not bad.is_valid()
+
+    def test_violations_list_is_a_copy(self):
+        bad = Dessin(4, (1, 2, 3, 0), (0, 3, 1, 2))
+        first = bad.violations()
+        expected = list(first)
+        first.clear()
+        assert bad.violations() == expected
+        good = one_square_torus()
+        good.violations().append("junk")
+        assert good.violations() == []
+        assert good.is_valid()
 
 
 class TestCells:
@@ -203,3 +233,62 @@ class TestIsomorphism:
     def test_relabeled_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             one_square_torus().relabeled((0, 0, 1, 2))
+
+
+@st.composite
+def small_dessins(draw):
+    """Valid dessins of at most 40 darts: random maps, random origamis
+    and torus grids (whose automorphism groups are large), each possibly
+    relabeled."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(("dessin", "origami", "grid")))
+    if kind == "dessin":
+        d = random_dessin(2 * draw(st.integers(1, 20)), rng)
+    elif kind == "origami":
+        d = random_origami(draw(st.integers(1, 10)), rng)
+    else:
+        w = draw(st.integers(1, 10))
+        d = square_torus_grid(w, draw(st.integers(1, 10 // w)))
+    if draw(st.booleans()):
+        d = d.relabeled(perms.random_permutation(d.n_darts, rng))
+    return d
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+class TestCanonicalCodeProperties:
+    @PROPERTY
+    @given(small_dessins())
+    def test_matches_oracle(self, d):
+        codes = oracles.start_codes(d.rho0, d.rho1)
+        best = min(codes)
+        assert d.canonical_code == best
+        assert d.automorphism_count() == codes.count(best)
+        assert d.n_darts % d.automorphism_count() == 0
+
+    @PROPERTY
+    @given(small_dessins(), st.data())
+    def test_relabeling_keeps_code(self, d, data):
+        sigma = data.draw(st.permutations(range(d.n_darts)))
+        r = d.relabeled(sigma)
+        assert r.canonical_code == d.canonical_code
+        assert r.automorphism_count() == d.automorphism_count()
+        assert is_isomorphic(d, r)
+
+    def test_rho0_tie_broken_by_rho1(self):
+        # several starts give the minimal relabeled rho0 but differ on
+        # rho1; only the starts equal on both are automorphic
+        d = Dessin(6, (4, 3, 1, 2, 5, 0), (2, 3, 0, 1, 5, 4))
+        codes = oracles.start_codes(d.rho0, d.rho1)
+        best = min(codes)
+        assert len({r1 for r0, r1 in codes if r0 == best[0]}) > 1
+        assert d.canonical_code == best
+        assert d.automorphism_count() == codes.count(best) == 2
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_square_grids_are_regular(self, k):
+        d = square_torus_grid(k, k)
+        assert d.automorphism_count() == d.n_darts
+        sigma = perms.random_permutation(d.n_darts, random.Random(k))
+        assert d.relabeled(sigma).automorphism_count() == d.n_darts

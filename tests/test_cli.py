@@ -243,3 +243,11 @@ class TestTransform:
         code, _, err = run(capsys, ["transform", str(src)])
         assert code == 1
         assert err.startswith("bad-point: line 1:")
+
+    @pytest.mark.parametrize("row", ["nan,nan", "0.5,-inf", "inf,0"])
+    def test_non_finite_row(self, capsys, tmp_path, row):
+        src = tmp_path / "points.csv"
+        src.write_text(f"0.5,-0.1\n{row}\n")
+        code, _, err = run(capsys, ["transform", str(src)])
+        assert code == 1
+        assert err.startswith("bad-point: line 2: not finite")

@@ -10,9 +10,13 @@ neither of which shares code with the package quadrature.
 import cmath
 import math
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dessins.csmap import (
     CsMapSpec,
@@ -356,3 +360,59 @@ class TestTriangleToSquare:
     def test_outside_triangle_rejected(self):
         with pytest.raises(OutsideImageError):
             triangle_to_square(0.5 + 0.5j)
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Fail the enclosed block with TimeoutError once ``seconds`` of
+    wall time have passed, so a non-terminating call cannot hang the
+    suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"call ran longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+_NON_FINITE_FLOAT = st.sampled_from((math.inf, -math.inf, math.nan))
+NON_FINITE = st.one_of(
+    _NON_FINITE_FLOAT,
+    st.builds(complex, _NON_FINITE_FLOAT, _ANY_FLOAT),
+    st.builds(complex, _ANY_FLOAT, _NON_FINITE_FLOAT))
+CALL_LIMIT_S = 0.5
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("t", [complex(0.0, math.inf), -math.inf,
+                                   math.nan, complex(0.5, math.nan)])
+    def test_forward_map_rejects_promptly(self, t):
+        for spec in ALL_SPECS:
+            with time_limit(CALL_LIMIT_S):
+                with pytest.raises(ValueError, match="not finite"):
+                    cs_map(spec, t)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(ALL_SPECS), NON_FINITE)
+    def test_t_rejected(self, spec, t):
+        with time_limit(CALL_LIMIT_S):
+            with pytest.raises(ValueError, match="not finite"):
+                incomplete_cs_integral(spec.a, spec.b, t)
+            with pytest.raises(ValueError, match="not finite"):
+                cs_map(spec, t)
+            with pytest.raises(ValueError, match="not finite"):
+                cs_map_derivative(spec, t)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(ALL_SPECS), NON_FINITE)
+    def test_z_rejected(self, spec, z):
+        with time_limit(CALL_LIMIT_S):
+            with pytest.raises(ValueError, match="not finite"):
+                invert_cs_map(spec, z)
+            with pytest.raises(ValueError, match="not finite"):
+                triangle_to_square(z)
