@@ -19,10 +19,12 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import permutations as perms
-from .cartography import CellKind, Dessin
+import numpy as np
+
+from .cartography import CellKind, substitute
 from .metric import FaceDegreeMismatch
-from .tiling import Shade, TricoloredDessin, VertexLabel, tricolored_from_labels
+from .tiling import (Shade, TricoloredDessin, label_codes,
+                     tricolored_from_codes)
 
 
 class InconsistentPassportError(ValueError):
@@ -53,22 +55,18 @@ class Passport:
 def passport(t: TricoloredDessin) -> Passport:
     """Passport of a tricolored dessin: degree = number of white faces,
     local degree at a vertex = (incident face count) / 2."""
-    d = t.base
-    n_white = sum(1 for s in t.face_shade if s == Shade.WHITE)
+    n_white = t.face_shade.count(Shade.WHITE)
     n_black = len(t.face_shade) - n_white
     if n_white != n_black:
         raise ValueError(
             f"{n_white} white and {n_black} black faces; "
             "shades do not checkerboard")
-    parts: dict[VertexLabel, list[int]] = {lab: [] for lab in VertexLabel}
-    for i, orbit in enumerate(d.cells(CellKind.VERTEX)):
-        if len(orbit) % 2:
-            raise ValueError(f"vertex {i} has odd incident face count")
-        parts[t.vertex_label[i]].append(len(orbit) // 2)
-    return Passport(n_white,
-                    parts[VertexLabel.ZERO],
-                    parts[VertexLabel.ONE],
-                    parts[VertexLabel.INFINITY])
+    size = t.base.cell_arrays(CellKind.VERTEX).size
+    odd = np.flatnonzero(size % 2)
+    if len(odd):
+        raise ValueError(f"vertex {odd[0]} has odd incident face count")
+    codes = label_codes(t.vertex_label)
+    return Passport(n_white, *(size[codes == c] // 2 for c in range(3)))
 
 
 def riemann_hurwitz_genus(p: Passport) -> int:
@@ -147,6 +145,18 @@ def barycentric_rational(b0):
     return val
 
 
+# Dart substitution tables (see cartography.substitute); per old dart e:
+# triangle (origin, mid, center) is 6e -> 6e+2 -> 6e+5, triangle
+# (mid, end, center) is 6e+1 -> 6e+4 of the next side -> its 6e+3
+_BARYCENTRIC_RHO1 = (("rho1", 1), ("rho1", 0), ("e", 3), ("e", 2),
+                     ("e", 5), ("e", 4))
+_BARYCENTRIC_RHO2 = (("e", 2), ("rho2", 4), ("e", 5), ("e", 1),
+                     ("rho2_inv", 3), ("e", 0))
+# label code (0 zero, 1 one, 2 infinity) of a new vertex read at its
+# smallest dart 6e + r: old vertex, edge midpoint or face center
+_LABEL_CODE_OF_REMAINDER = np.array([2, 1, 1, 0, 2, 0])
+
+
 def barycentric_subdivide(t) -> TricoloredDessin:
     """Barycentric subdivision of a triangulated dessin.
 
@@ -161,38 +171,11 @@ def barycentric_subdivide(t) -> TricoloredDessin:
     """
     base = t.base if isinstance(t, TricoloredDessin) else t
     base.require_valid()
-    for i, face in enumerate(base.cells(CellKind.FACE)):
-        if len(face) != 3:
-            raise FaceDegreeMismatch(
-                f"face {i} has {len(face)} sides, expected 3")
-    n = base.n_darts
-    rho2 = base.rho2
-    rho2_inv = perms.inverse(rho2)
-    r1 = [0] * (6 * n)
-    r2 = [0] * (6 * n)
-    for e in range(n):
-        # triangle (origin, mid, center) then (mid, end, center)
-        r2[6 * e] = 6 * e + 2
-        r2[6 * e + 2] = 6 * e + 5
-        r2[6 * e + 5] = 6 * e
-        r2[6 * e + 1] = 6 * rho2[e] + 4
-        r2[6 * e + 4] = 6 * rho2_inv[e] + 3
-        r2[6 * e + 3] = 6 * e + 1
-        r1[6 * e] = 6 * base.rho1[e] + 1
-        r1[6 * e + 1] = 6 * base.rho1[e]
-        r1[6 * e + 2] = 6 * e + 3
-        r1[6 * e + 3] = 6 * e + 2
-        r1[6 * e + 4] = 6 * e + 5
-        r1[6 * e + 5] = 6 * e + 4
-    r0 = perms.compose(r1, perms.inverse(r2))
-    out = Dessin(6 * n, r0, r1)
-    _LABEL_OF_REMAINDER = {
-        0: VertexLabel.INFINITY, 4: VertexLabel.INFINITY,
-        1: VertexLabel.ONE, 2: VertexLabel.ONE,
-        3: VertexLabel.ZERO, 5: VertexLabel.ZERO,
-    }
-    labels = [
-        _LABEL_OF_REMAINDER[orbit[0] % 6]
-        for orbit in out.cells(CellKind.VERTEX)
-    ]
-    return tricolored_from_labels(out, labels)
+    size = base.cell_arrays(CellKind.FACE).size
+    bad = np.flatnonzero(size != 3)
+    if len(bad):
+        raise FaceDegreeMismatch(
+            f"face {bad[0]} has {size[bad[0]]} sides, expected 3")
+    out = substitute(base, 6, _BARYCENTRIC_RHO1, _BARYCENTRIC_RHO2)
+    remainder = out.cell_arrays(CellKind.VERTEX).smallest % 6
+    return tricolored_from_codes(out, _LABEL_CODE_OF_REMAINDER[remainder])

@@ -7,6 +7,11 @@ relation rho2 rho1 rho0 = id (rightmost factor first), i.e.
 rho2 = rho0^{-1} o rho1^{-1}.  Vertices, edges and faces are the orbits
 of rho0, rho1 and rho2; rho2 moves a dart forward along the boundary of
 the face lying to its left.
+
+Internally every dessin also holds its permutations as numpy index
+arrays; validation, cells and the dart-substitution operators
+(:func:`substitute`) work on those, and the public tuples stay the
+per-dart interface.
 """
 
 from __future__ import annotations
@@ -14,6 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
+
+import numpy as np
 
 from . import permutations as perms
 
@@ -53,6 +61,28 @@ class InvalidDessinError(ValueError):
         super().__init__("; ".join(str(v) for v in self.violations))
 
 
+class Cells(NamedTuple):
+    """Cells of one kind as arrays: ``id[x]`` is the dense cell id of
+    dart x, and cell i has smallest dart ``smallest[i]`` and ``size[i]``
+    darts.  Ids number the cells by their smallest dart."""
+
+    id: np.ndarray
+    smallest: np.ndarray
+    size: np.ndarray
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def inverse_array(p: np.ndarray) -> np.ndarray:
+    """Inverse of a permutation given as an index array."""
+    inv = np.empty_like(p)
+    inv[p] = np.arange(len(p), dtype=p.dtype)
+    return inv
+
+
 def _check_images(name: str, images, n: int) -> None:
     if len(images) != n:
         raise ValueError(f"{name} has {len(images)} entries, expected {n}")
@@ -61,6 +91,68 @@ def _check_images(name: str, images, n: int) -> None:
             raise ValueError(f"{name}[{i}] is not an integer")
         if not 0 <= y < n:
             raise ValueError(f"{name}[{i}] = {y} out of range 0..{n - 1}")
+
+
+def _image_array(name: str, images: tuple, n: int) -> np.ndarray:
+    """``images`` as an index array, after the checks of
+    :func:`_check_images`; the per-entry loop runs only to name the
+    first bad entry when the whole-array check fails."""
+    if len(images) == n and set(map(type, images)) <= {int}:
+        try:
+            arr = np.fromiter(images, np.intp, n)
+        except OverflowError:
+            pass
+        else:
+            if arr.min() >= 0 and arr.max() < n:
+                return _frozen(arr)
+    _check_images(name, images, n)
+    return _frozen(np.array([int(y) for y in images], dtype=np.intp))
+
+
+def _cycle_minima(p: np.ndarray) -> np.ndarray:
+    """Per element, the smallest element of its cycle under ``p``, by
+    pointer doubling: after k rounds m[x] is the minimum over the 2^k
+    elements x, p(x), ..., and a round that changes nothing means the
+    windows already cover every cycle."""
+    m = np.arange(len(p))
+    while True:
+        m_next = np.minimum(m, m[p])
+        if np.array_equal(m_next, m):
+            return m
+        m = m_next
+        p = p[p]
+
+
+def _component_minima(f: np.ndarray, u: np.ndarray,
+                      v: np.ndarray) -> np.ndarray:
+    """Per element, the smallest element of its connected component in
+    the graph with edges u[i] -- v[i], by hook-and-jump.  ``f`` is a
+    forest of pointers to roots with f[x] <= x (the identity, or orbit
+    minima of one permutation).  Each round every root with an edge to
+    a smaller root hooks under the smallest such root, then all
+    pointers jump to their roots; it ends when no edge joins two
+    roots."""
+    while True:
+        fu = f[u]
+        fv = f[v]
+        apart = fu != fv
+        if not apart.any():
+            return f
+        f = f.copy()
+        np.minimum.at(f, np.maximum(fu, fv)[apart], np.minimum(fu, fv)[apart])
+        while True:
+            ff = f[f]
+            if np.array_equal(ff, f):
+                break
+            f = ff
+
+
+def _cells_of(m: np.ndarray) -> Cells:
+    """Cells from the per-element cycle minima ``m``."""
+    is_min = m == np.arange(len(m))
+    ids = (np.cumsum(is_min) - 1)[m]
+    return Cells(_frozen(ids), _frozen(np.flatnonzero(is_min)),
+                 _frozen(np.bincount(ids)))
 
 
 @dataclass(frozen=True)
@@ -78,29 +170,43 @@ class Dessin:
             raise ValueError("n_darts must be a positive integer")
         rho0 = tuple(rho0)
         rho1 = tuple(rho1)
-        _check_images("rho0", rho0, n_darts)
-        _check_images("rho1", rho1, n_darts)
+        r0 = _image_array("rho0", rho0, n_darts)
+        r1 = _image_array("rho1", rho1, n_darts)
         object.__setattr__(self, "n_darts", n_darts)
         object.__setattr__(self, "rho0", rho0)
         object.__setattr__(self, "rho1", rho1)
+        object.__setattr__(self, "_r0", r0)
+        object.__setattr__(self, "_r1", r1)
 
     @cached_property
-    def rho2(self) -> tuple[int, ...]:
-        """The derived face permutation rho0^{-1} o rho1^{-1}."""
+    def _r2(self) -> np.ndarray:
+        """rho2 as an index array: rho2[x] = rho0^{-1}[rho1^{-1}[x]]."""
         bad = [v for v in self._violations
                if v.code.endswith("not-bijection")]
         if bad:
             raise InvalidDessinError(bad)
-        return perms.compose(perms.inverse(self.rho0), perms.inverse(self.rho1))
+        return _frozen(inverse_array(self._r0)[inverse_array(self._r1)])
+
+    @cached_property
+    def rho2(self) -> tuple[int, ...]:
+        """The derived face permutation rho0^{-1} o rho1^{-1}."""
+        return tuple(self._r2.tolist())
+
+    @cached_property
+    def _vertex_minima(self) -> np.ndarray:
+        """Per dart, the smallest dart of its rho0 orbit."""
+        return _frozen(_cycle_minima(self._r0))
 
     @cached_property
     def _violations(self) -> tuple[Violation, ...]:
+        n = self.n_darts
+        darts = np.arange(n)
         out = []
-        for name, p in (("rho0", self.rho0), ("rho1", self.rho1)):
-            if not perms.is_permutation(p):
+        for name, p in (("rho0", self._r0), ("rho1", self._r1)):
+            if not (np.bincount(p, minlength=n) == 1).all():
                 seen: dict[int, int] = {}
                 dart = None
-                for x, y in enumerate(p):
+                for x, y in enumerate(p.tolist()):
                     if y in seen:
                         dart = x
                         break
@@ -108,20 +214,26 @@ class Dessin:
                 out.append(Violation(
                     f"{name}-not-bijection", dart,
                     f"{name} is not a bijection"))
-        rho1_bijective = not any(v.code == "rho1-not-bijection" for v in out)
-        if rho1_bijective:
-            for x in range(self.n_darts):
-                if self.rho1[x] == x:
-                    out.append(Violation(
-                        "rho1-fixed-point", x,
-                        f"rho1 has fixed point at dart {x}"))
-            for x in range(self.n_darts):
-                if self.rho1[self.rho1[x]] != x:
-                    out.append(Violation(
-                        "rho1-not-involution", x,
-                        f"rho1 squared moves dart {x}"))
-                    break
-        if not perms.are_transitive((self.rho0, self.rho1), self.n_darts):
+        bijective = not out
+        r1 = self._r1
+        if not any(v.code == "rho1-not-bijection" for v in out):
+            for x in np.flatnonzero(r1 == darts).tolist():
+                out.append(Violation(
+                    "rho1-fixed-point", x,
+                    f"rho1 has fixed point at dart {x}"))
+            moved = np.flatnonzero(r1[r1] != darts)
+            if len(moved):
+                x = int(moved[0])
+                out.append(Violation(
+                    "rho1-not-involution", x,
+                    f"rho1 squared moves dart {x}"))
+        if bijective:
+            # components joined along rho1 from the vertex orbits
+            stray = np.flatnonzero(
+                _component_minima(self._vertex_minima, darts, r1))
+            dart = int(stray[0]) if len(stray) else None
+        else:
+            # images only: reachability from dart 0 along rho0 and rho1
             reached = {0}
             stack = [0]
             while stack:
@@ -130,11 +242,17 @@ class Dessin:
                     if p[x] not in reached:
                         reached.add(p[x])
                         stack.append(p[x])
-            dart = min(set(range(self.n_darts)) - reached)
+            dart = min(set(range(n)) - reached, default=None)
+        if dart is not None:
             out.append(Violation(
                 "not-transitive", dart,
                 f"dart {dart} is not reachable from dart 0"))
         return tuple(out)
+
+    @cached_property
+    def _metric_checks(self) -> dict:
+        """Metric consistency results kept by :mod:`dessins.metric`."""
+        return {}
 
     def violations(self) -> list[Violation]:
         """All violated dessin invariants, empty for a valid dessin.
@@ -160,20 +278,35 @@ class Dessin:
         raise ValueError(f"unknown cell kind {kind!r}")
 
     @cached_property
+    def _cell_arrays(self) -> dict[CellKind, Cells]:
+        """The arrays of :meth:`cell_arrays`, built per kind on demand."""
+        return {}
+
+    def cell_arrays(self, kind: CellKind) -> Cells:
+        """Cells of ``kind`` as per-dart ids plus per-cell smallest
+        dart and size, numbered as in :meth:`cells`."""
+        kind = CellKind(kind)
+        cells = self._cell_arrays.get(kind)
+        if cells is None:
+            self.require_valid()
+            if kind == CellKind.VERTEX:
+                minima = self._vertex_minima
+            elif kind == CellKind.EDGE:
+                minima = np.minimum(np.arange(self.n_darts), self._r1)
+            else:
+                minima = _cycle_minima(self._r2)
+            cells = self._cell_arrays[kind] = _cells_of(minima)
+        return cells
+
+    @cached_property
     def _cells(self) -> dict[CellKind, tuple[tuple[int, ...], ...]]:
-        self.require_valid()
-        return {k: perms.orbits(self._generator(k)) for k in CellKind}
+        """The orbit tuples of :meth:`cells`, built per kind on demand."""
+        return {}
 
     @cached_property
     def _cell_ids(self) -> dict[CellKind, tuple[int, ...]]:
-        out = {}
-        for kind, orbs in self._cells.items():
-            ids = [0] * self.n_darts
-            for i, orb in enumerate(orbs):
-                for x in orb:
-                    ids[x] = i
-            out[kind] = tuple(ids)
-        return out
+        return {kind: tuple(self.cell_arrays(kind).id.tolist())
+                for kind in CellKind}
 
     def cells(self, kind: CellKind) -> tuple[tuple[int, ...], ...]:
         """Orbit partition of the darts under the generator of ``kind``.
@@ -181,7 +314,12 @@ class Dessin:
         Orbits are in generator-cycle order starting from their smallest
         dart and are indexed by position, so ids are dense and stable.
         """
-        return self._cells[CellKind(kind)]
+        kind = CellKind(kind)
+        cells = self._cells.get(kind)
+        if cells is None:
+            self.require_valid()
+            cells = self._cells[kind] = perms.orbits(self._generator(kind))
+        return cells
 
     def dart_cell(self, dart: int, kind: CellKind) -> CellIndex:
         """The cell of ``kind`` containing ``dart``."""
@@ -193,9 +331,7 @@ class Dessin:
     def genus(self) -> int:
         """Genus of the underlying closed oriented surface, from the
         Euler formula 2 - 2g = V - E + F."""
-        v = len(self.cells(CellKind.VERTEX))
-        e = len(self.cells(CellKind.EDGE))
-        f = len(self.cells(CellKind.FACE))
+        v, e, f = (len(self.cell_arrays(k).smallest) for k in CellKind)
         chi = v - e + f
         if chi % 2:
             raise InvalidDessinError([Violation(
@@ -209,12 +345,12 @@ class Dessin:
         sigma = tuple(sigma)
         if not perms.is_permutation(sigma) or len(sigma) != self.n_darts:
             raise ValueError("sigma must be a permutation of the darts")
-        r0 = [0] * self.n_darts
-        r1 = [0] * self.n_darts
-        for x in range(self.n_darts):
-            r0[sigma[x]] = sigma[self.rho0[x]]
-            r1[sigma[x]] = sigma[self.rho1[x]]
-        return Dessin(self.n_darts, r0, r1)
+        s = np.array(sigma, dtype=np.intp)
+        r0 = np.empty_like(s)
+        r1 = np.empty_like(s)
+        r0[s] = s[self._r0]
+        r1[s] = s[self._r1]
+        return Dessin(self.n_darts, r0.tolist(), r1.tolist())
 
     @cached_property
     def _canonical(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], int]:
@@ -320,6 +456,40 @@ class Dessin:
         the count equals ``n_darts``.
         """
         return self._canonical[1]
+
+
+def from_rho1_rho2(rho1, rho2) -> Dessin:
+    """The dessin with edge involution ``rho1`` and face permutation
+    ``rho2``, given as index arrays: rho0 = rho1 o rho2^{-1}, which is
+    rho2 rho1 rho0 = id for an involution rho1.  ``rho2`` must be a
+    permutation; the result is validated like any dessin."""
+    rho1 = np.asarray(rho1, dtype=np.intp)
+    rho0 = rho1[inverse_array(np.asarray(rho2, dtype=np.intp))]
+    return Dessin(len(rho1), rho0.tolist(), rho1.tolist())
+
+
+def substitute(d: Dessin, k: int, rho1_table, rho2_table) -> Dessin:
+    """Replace every dart e of ``d`` by the k darts k*e .. k*e + k - 1.
+
+    Entry i of each table is a pair (source, j): new dart k*e + i is
+    sent to k*src[e] + j, where ``source`` names src among "e" (the
+    identity), "rho1", "rho2" and "rho2_inv" of ``d``.  The tables give
+    rho1 and rho2 of the result, and rho0 follows from
+    :func:`from_rho1_rho2`.  This is the permutation-triple calculus of
+    Lando & Zvonkin, *Graphs on Surfaces and Their Applications* (2004),
+    ch. 1: refinements of a map are substitutions on its darts.
+    """
+    n = d.n_darts
+    sources = {"e": np.arange(n), "rho1": d._r1, "rho2": d._r2,
+               "rho2_inv": inverse_array(d._r2)}
+
+    def expand(table) -> np.ndarray:
+        out = np.empty((n, k), dtype=np.intp)
+        for i, (src, j) in enumerate(table):
+            out[:, i] = k * sources[src] + j
+        return out.ravel()
+
+    return from_rho1_rho2(expand(rho1_table), expand(rho2_table))
 
 
 def is_isomorphic(d1: Dessin, d2: Dessin) -> bool:

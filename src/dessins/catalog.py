@@ -6,8 +6,10 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
+import numpy as np
+
 from . import permutations as perms
-from .cartography import CellKind, Dessin
+from .cartography import CellKind, Dessin, from_rho1_rho2, inverse_array
 from .tiling import TricoloredDessin, VertexLabel, tricolored_from_labels
 
 
@@ -52,8 +54,7 @@ def from_face_lists(faces: Sequence[Sequence[int]]) -> Dessin:
         for i in range(k):
             rho2[pos + i] = pos + (i + 1) % k
         pos += k
-    rho0 = perms.compose(tuple(rho1), perms.inverse(tuple(rho2)))
-    return Dessin(n, rho0, rho1)
+    return from_rho1_rho2(rho1, rho2)
 
 
 def origami(horizontal: Sequence[int], vertical: Sequence[int]) -> Dessin:
@@ -71,18 +72,15 @@ def origami(horizontal: Sequence[int], vertical: Sequence[int]) -> Dessin:
     v = tuple(vertical)
     if not perms.is_permutation(h) or not perms.is_permutation(v):
         raise ValueError("gluings must be permutations of the squares")
-    n = 4 * n_sq
-    rho1 = [0] * n
-    h_inv = perms.inverse(h)
-    v_inv = perms.inverse(v)
-    for s in range(n_sq):
-        rho1[4 * s + 1] = 4 * h[s] + 3
-        rho1[4 * s + 3] = 4 * h_inv[s] + 1
-        rho1[4 * s + 2] = 4 * v[s] + 0
-        rho1[4 * s + 0] = 4 * v_inv[s] + 2
-    rho2 = [4 * (d // 4) + (d + 1) % 4 for d in range(n)]
-    rho0 = perms.compose(tuple(rho1), perms.inverse(tuple(rho2)))
-    return Dessin(n, rho0, rho1)
+    h = np.array(h, dtype=np.intp)
+    v = np.array(v, dtype=np.intp)
+    # rho1 per square: bottom, right, top, left meet the top of the
+    # square below, the left of the right neighbour, and so on
+    rho1 = np.stack([4 * inverse_array(v) + 2, 4 * h + 3, 4 * v,
+                     4 * inverse_array(h) + 1], axis=1).ravel()
+    darts = np.arange(4 * n_sq)
+    rho2 = darts - darts % 4 + (darts + 1) % 4
+    return from_rho1_rho2(rho1, rho2)
 
 
 def one_square_torus() -> Dessin:

@@ -57,6 +57,17 @@ def _require_finite(name: str, value: complex) -> None:
         raise ValueError(f"{name} = {value} is not finite")
 
 
+def _require_finite_modulus(t: complex) -> None:
+    """A finite t whose modulus is still a float."""
+    if not cmath.isfinite(t):
+        raise ValueError(f"t = {t} is not finite")
+    try:
+        abs(t)
+    except OverflowError:
+        raise ValueError(
+            f"t = {t} has a modulus beyond the float range") from None
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     node_count: int = 48
@@ -119,7 +130,12 @@ def _arg_lower(t: complex) -> float:
     negative real axis gets -pi."""
     if t.imag == 0.0 and t.real < 0.0:
         return -math.pi
-    return cmath.phase(t)
+    try:
+        return cmath.phase(t)
+    except OverflowError:
+        # the angle underflows, as for 1e300 - 1e-300j; math.atan2
+        # returns it as a signed zero
+        return math.atan2(t.imag, t.real)
 
 
 def _pow_lower(t: complex, p: float) -> complex:
@@ -129,7 +145,9 @@ def _pow_lower(t: complex, p: float) -> complex:
     return cmath.exp(p * complex(math.log(abs(t)), _arg_lower(t)))
 
 
-@lru_cache(maxsize=None)
+# The caches below are keyed by user-supplied specs and node counts, so
+# each holds a bounded number of entries.
+@lru_cache(maxsize=64)
 def _jacobi01(n: int, a: float):
     """Nodes s and weights w with sum(w * f(s)) = integral_0^1
     s^(a-1) f(s) ds for polynomial f."""
@@ -141,7 +159,7 @@ def _jacobi01(n: int, a: float):
     return s, w
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _legendre01(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
     s = 0.5 * (x + 1.0)
@@ -158,10 +176,18 @@ def _check_exponents(a: float, b: float) -> None:
         raise ValueError("exponent b must lie in (0, 1]")
 
 
+_INF = math.inf
+
+
 def _segment_distance_to_one(t: complex) -> float:
     """Distance from the point 1 to the segment [0, t]."""
     tt = (t * t.conjugate()).real
-    u = min(1.0, max(0.0, t.real / tt)) if tt > 0 else 0.0
+    if tt == _INF:
+        # |t|^2 overflows: divide by |t| twice
+        r = abs(t)
+        u = min(1.0, max(0.0, t.real / r / r))
+    else:
+        u = min(1.0, max(0.0, t.real / tt)) if tt > 0 else 0.0
     return abs(1.0 - u * t)
 
 
@@ -235,12 +261,14 @@ def incomplete_cs_integral(a: float, b: float, t,
 
     The endpoint t = 1 is allowed (the integral converges to the
     complete value); real t > 1 raises CutCrossingError, and a t with
-    an infinite or NaN part raises ValueError.
+    an infinite or NaN part, or whose modulus exceeds the largest
+    float, raises ValueError.  NonConvergenceError means the quadrature
+    missed its tolerance within the split budget.
     """
     cfg = cfg or DEFAULT_CONFIG
     _check_exponents(a, b)
     t = complex(t)
-    _require_finite("t", t)
+    _require_finite_modulus(t)
     if t == 0:
         return 0j
     if t.imag == 0.0 and t.real > 1.0:
@@ -253,7 +281,7 @@ def incomplete_cs_integral(a: float, b: float, t,
     return _pow_lower(t, a) * _scaled_integral(a, b, t, cfg)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _beta_cached(a: float, b: float, node_count: int) -> float:
     def half(x: float, y: float) -> float:
         # integral_0^(1/2) w^(x-1) (1-w)^(y-1) dw, scaled to [0, 1]
@@ -277,7 +305,8 @@ def cs_map(spec: CsMapSpec, t, cfg: QuadratureConfig | None = None) -> complex:
     """prefactor * I(a, b; t) / B(a, b): the normalized coordinate.
 
     Raises the errors of :func:`incomplete_cs_integral`: CutCrossingError
-    for real t > 1 and ValueError for non-finite t.
+    for real t > 1, ValueError for non-finite t or t whose modulus
+    overflows, and NonConvergenceError for a missed tolerance.
     """
     cfg = cfg or DEFAULT_CONFIG
     return spec.prefactor * incomplete_cs_integral(spec.a, spec.b, t, cfg) \
@@ -288,11 +317,11 @@ def cs_map_derivative(spec: CsMapSpec, t,
                       cfg: QuadratureConfig | None = None) -> complex:
     """Closed-form derivative prefactor * t^(a-1) (1-t)^(b-1) / B(a, b),
     with the same branch convention as the map itself.  Raises
-    ValueError at t = 0, at t = 1 and for non-finite t, and
-    CutCrossingError for real t > 1."""
+    ValueError at t = 0, at t = 1 and for non-finite t or t whose
+    modulus overflows, and CutCrossingError for real t > 1."""
     cfg = cfg or DEFAULT_CONFIG
     t = complex(t)
-    _require_finite("t", t)
+    _require_finite_modulus(t)
     if t == 0 or t == 1:
         raise ValueError(f"derivative is singular at t = {t}")
     if t.imag == 0.0 and t.real > 1.0:
@@ -330,10 +359,11 @@ def _inside_triangle(z: complex, tri, tol: float) -> bool:
 _GRID_SIZE = 32
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _seed_grid(spec: CsMapSpec, node_count: int):
     """Forward values on a 32 x 32 grid over the lower half-plane, used
-    to seed Newton inversion.  Computed once per spec and then frozen."""
+    to seed Newton inversion.  Kept for the most recently used specs
+    and frozen."""
     cfg = QuadratureConfig(node_count=node_count)
     xs = np.linspace(-4.0, 5.0, _GRID_SIZE)
     ys = -np.geomspace(0.015, 8.0, _GRID_SIZE)
@@ -393,6 +423,13 @@ def _newton_step(spec: CsMapSpec, t: complex, residual: complex,
     return t - step
 
 
+def _onto_lower(t: complex) -> complex:
+    """t with a positive imaginary part dropped.  Newton iterates may
+    cross the real segment (0, 1), where the map continues analytically,
+    and a root on that segment can come back as Im t of about 1e-13."""
+    return complex(t.real, 0.0) if t.imag > 0.0 else t
+
+
 def invert_cs_map(spec: CsMapSpec, z,
                   cfg: QuadratureConfig | None = None) -> complex:
     """Solve cs_map(spec, t) = z for t in the closed lower half-plane.
@@ -430,7 +467,7 @@ def invert_cs_map(spec: CsMapSpec, z,
                 best_r = abs(residual)
                 best_t = t
             if abs(residual) <= _NEWTON_TARGET:
-                return t
+                return _onto_lower(t)
             t_new = _newton_step(spec, t, residual, beta_ab)
             if not cmath.isfinite(t_new):
                 break
@@ -445,9 +482,9 @@ def invert_cs_map(spec: CsMapSpec, z,
                 break
             t = t_new
         if best_r <= _NEWTON_PROMISE:
-            return best_t
+            return _onto_lower(best_t)
     if best_t is not None and best_r <= _NEWTON_PROMISE:
-        return best_t
+        return _onto_lower(best_t)
     raise NonConvergenceError(
         f"Newton iteration for {z} stalled at residual {best_r:.2e}")
 

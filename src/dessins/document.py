@@ -142,6 +142,13 @@ def _parse_images(raw: str, line: int, key: str, n: int) -> tuple[int, ...]:
     if len(parts) != n:
         raise DocumentParseError(
             line, f"{key}: expected {n} entries, got {len(parts)}")
+    try:
+        images = tuple(map(int, parts))
+        if 0 <= min(images) and max(images) < n:
+            return images
+    except ValueError:
+        pass
+    # the loop below names the first bad entry
     images = []
     for i, p in enumerate(parts):
         v = _parse_int(p, line, f"{key}[{i}]")
@@ -167,9 +174,19 @@ def _parse_floats(raw: str, line: int, key: str, n: int) -> tuple[float, ...]:
     return tuple(values)
 
 
+_ENUM_VALUES = {cls: {m.value: m for m in cls}
+                for cls in (Color, Shade, VertexLabel)}
+
+
 def _parse_enums(raw: str, line: int, key: str, enum_cls):
+    parts = raw.split()
+    try:
+        return tuple(map(_ENUM_VALUES[enum_cls].__getitem__, parts))
+    except KeyError:
+        pass
+    # the loop below names the first bad entry
     values = []
-    for i, p in enumerate(raw.split()):
+    for i, p in enumerate(parts):
         try:
             values.append(enum_cls(p))
         except ValueError:

@@ -15,7 +15,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from . import permutations as perms
+import numpy as np
+
 from .cartography import CellIndex, CellKind, Dessin, Violation
 
 R0 = "rho0"
@@ -67,18 +68,34 @@ def metric_violations(d: Dessin, m: MetricData) -> list[Violation]:
     return out
 
 
+# metrics whose check results a dessin keeps; a stratum asks once per
+# vertex with one metric, so a few entries are plenty
+_METRIC_CHECKS_KEPT = 4
+
+
 def _require_metric(d: Dessin, m: MetricData) -> None:
-    bad = metric_violations(d, m)
+    """Raise unless ``m`` fits ``d``.  :func:`metric_violations` runs
+    once per (dessin, metric) pair: the dessin keeps the result by
+    ``id(m)`` together with ``m`` itself, so the id cannot be reused
+    while the entry lives."""
+    checks = d._metric_checks
+    entry = checks.get(id(m))
+    if entry is None:
+        if len(checks) >= _METRIC_CHECKS_KEPT:
+            del checks[next(iter(checks))]
+        entry = checks[id(m)] = (m, metric_violations(d, m))
+    bad = entry[1]
     if bad:
         raise ValueError("; ".join(str(v) for v in bad))
 
 
 def _constant_structure(d: Dessin, face_size: int, angle: float) -> MetricData:
     d.require_valid()
-    for i, face in enumerate(d.cells(CellKind.FACE)):
-        if len(face) != face_size:
-            raise FaceDegreeMismatch(
-                f"face {i} has {len(face)} sides, expected {face_size}")
+    size = d.cell_arrays(CellKind.FACE).size
+    bad = np.flatnonzero(size != face_size)
+    if len(bad):
+        raise FaceDegreeMismatch(
+            f"face {bad[0]} has {size[bad[0]]} sides, expected {face_size}")
     n = d.n_darts
     return MetricData((1.0,) * n, (angle,) * n)
 
@@ -126,7 +143,6 @@ def chart_transition(d: Dessin, m: MetricData, dart: int, word) -> AffineChart:
     _require_metric(d, m)
     if not 0 <= dart < d.n_darts:
         raise ValueError(f"dart {dart} out of range")
-    rho0_inv = perms.inverse(d.rho0)
     chart = AffineChart.identity()
     cur = dart
     for token in reversed(tuple(word)):
@@ -137,7 +153,11 @@ def chart_transition(d: Dessin, m: MetricData, dart: int, word) -> AffineChart:
             step = AffineChart(-1.0 + 0j, complex(m.lengths[cur]))
             cur = d.rho1[cur]
         elif token == R0_INV:
-            cur = rho0_inv[cur]
+            # the preimage of cur, found on its vertex cycle
+            prev = cur
+            while d.rho0[prev] != cur:
+                prev = d.rho0[prev]
+            cur = prev
             step = AffineChart(cmath.exp(-1j * m.angles[cur]), 0j)
         else:
             raise ValueError(f"unknown word token {token!r}")
@@ -160,14 +180,14 @@ def face_closure_residual(d: Dessin, m: MetricData, face) -> tuple[complex, floa
         if face.kind != CellKind.FACE:
             raise ValueError(f"expected a face cell, got {face.kind}")
         face = face.id
-    faces = d.cells(CellKind.FACE)
-    if not 0 <= face < len(faces):
+    faces = d.cell_arrays(CellKind.FACE)
+    if not 0 <= face < len(faces.smallest):
         raise ValueError(f"face {face} out of range")
     pos = 0j
     heading = 0.0
     turning = 0.0
-    cur = faces[face][0]
-    for _ in range(len(faces[face])):
+    cur = int(faces.smallest[face])
+    for _ in range(faces.size[face]):
         pos += m.lengths[cur] * cmath.exp(1j * heading)
         cur = d.rho2[cur]
         turn = math.pi - m.angles[cur]
@@ -184,7 +204,11 @@ def cone_angle(d: Dessin, m: MetricData, vertex) -> float:
         if vertex.kind != CellKind.VERTEX:
             raise ValueError(f"expected a vertex cell, got {vertex.kind}")
         vertex = vertex.id
-    verts = d.cells(CellKind.VERTEX)
-    if not 0 <= vertex < len(verts):
+    smallest = d.cell_arrays(CellKind.VERTEX).smallest
+    if not 0 <= vertex < len(smallest):
         raise ValueError(f"vertex {vertex} out of range")
-    return sum(m.angles[x] for x in verts[vertex])
+    # the darts of the vertex in rho0-cycle order from the smallest
+    darts = [int(smallest[vertex])]
+    while (x := d.rho0[darts[-1]]) != darts[0]:
+        darts.append(x)
+    return sum(m.angles[x] for x in darts)

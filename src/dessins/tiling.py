@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from . import permutations as perms
-from .cartography import CellKind, Dessin, Violation
+import numpy as np
+
+from .cartography import CellKind, Dessin, Violation, substitute
 
 
 class Color(str, Enum):
@@ -36,14 +37,36 @@ class VertexLabel(str, Enum):
     INFINITY = "infinity"
 
 
-# canonical color for each unordered pair of end labels
-_PAIR_COLOR = {
-    frozenset((VertexLabel.ZERO, VertexLabel.ONE)): Color.BLUE,
-    frozenset((VertexLabel.INFINITY, VertexLabel.ZERO)): Color.RED,
-    frozenset((VertexLabel.ONE, VertexLabel.INFINITY)): Color.GREEN,
-}
-
 _LABEL_CYCLE = (VertexLabel.ZERO, VertexLabel.ONE, VertexLabel.INFINITY)
+# Label codes are positions in _LABEL_CYCLE.  The end codes of an edge
+# sum to 1 (zero-one), 2 (zero-infinity) or 3 (one-infinity), which
+# indexes the canonical color of the edge.
+_LABEL_CODE = {lab: i for i, lab in enumerate(_LABEL_CYCLE)}
+_LABEL_OF_CODE = np.array(_LABEL_CYCLE, dtype=object)
+_COLOR_OF_CODE_SUM = np.array([None, Color.BLUE, Color.RED, Color.GREEN],
+                              dtype=object)
+_SHADE_OF_WHITE = np.array([Shade.BLACK, Shade.WHITE], dtype=object)
+
+_MEMBERS = {cls: {**{m.value: m for m in cls}, **{m: m for m in cls}}
+            for cls in (Color, Shade, VertexLabel)}
+
+
+def _members(enum_cls, values) -> tuple:
+    """``tuple(enum_cls(v) for v in values)`` by dict lookup; the enum
+    constructor runs only to raise its usual error for a bad value."""
+    values = tuple(values)
+    if set(map(type, values)) == {enum_cls}:
+        return values
+    try:
+        return tuple(map(_MEMBERS[enum_cls].__getitem__, values))
+    except (KeyError, TypeError):
+        return tuple(enum_cls(v) for v in values)
+
+
+def label_codes(labels) -> np.ndarray:
+    """Codes 0, 1, 2 of a sequence of VertexLabel members."""
+    return np.fromiter(map(_LABEL_CODE.__getitem__, labels), np.intp,
+                       len(labels))
 
 
 class NotSquareTilingError(ValueError):
@@ -76,14 +99,14 @@ class TricoloredDessin:
 
     def __init__(self, base, edge_color, face_shade, vertex_label):
         base.require_valid()
-        edge_color = tuple(Color(c) for c in edge_color)
-        face_shade = tuple(Shade(s) for s in face_shade)
-        vertex_label = tuple(VertexLabel(v) for v in vertex_label)
+        edge_color = _members(Color, edge_color)
+        face_shade = _members(Shade, face_shade)
+        vertex_label = _members(VertexLabel, vertex_label)
         for kind, arr, name in (
                 (CellKind.EDGE, edge_color, "edge_color"),
                 (CellKind.FACE, face_shade, "face_shade"),
                 (CellKind.VERTEX, vertex_label, "vertex_label")):
-            want = len(base.cells(kind))
+            want = len(base.cell_arrays(kind).smallest)
             if len(arr) != want:
                 raise ValueError(
                     f"{name} has {len(arr)} entries, expected {want}")
@@ -96,7 +119,7 @@ class TricoloredDessin:
 def is_square_tiling(d: Dessin) -> bool:
     """Whether every face of the (valid) dessin has exactly four sides."""
     d.require_valid()
-    return all(len(f) == 4 for f in d.cells(CellKind.FACE))
+    return bool((d.cell_arrays(CellKind.FACE).size == 4).all())
 
 
 def _require_square_tiling(d: Dessin) -> None:
@@ -112,12 +135,11 @@ def corner_bipartition(d: Dessin) -> tuple[VertexLabel, ...]:
     Raises :class:`NonBipartiteError` with an odd closed walk otherwise.
     """
     _require_square_tiling(d)
-    vert_id = d._cell_ids[CellKind.VERTEX]
-    n_vertices = len(d.cells(CellKind.VERTEX))
+    verts = d.cell_arrays(CellKind.VERTEX)
+    n_vertices = len(verts.smallest)
     adj: list[list[int]] = [[] for _ in range(n_vertices)]
-    for edge in d.cells(CellKind.EDGE):
-        u = vert_id[edge[0]]
-        v = vert_id[d.rho1[edge[0]]]
+    x = d.cell_arrays(CellKind.EDGE).smallest
+    for u, v in zip(verts.id[x].tolist(), verts.id[d._r1[x]].tolist()):
         adj[u].append(v)
         adj[v].append(u)
     color = [-1] * n_vertices
@@ -155,6 +177,14 @@ def _odd_walk(parent, u, v):
     return cu[:iu + 1] + cv[:iv][::-1] + [u]
 
 
+# Dart substitution tables (see cartography.substitute): entry i is the
+# image (source, j) of new dart k*e + i, meaning k*source[e] + j.
+_REFINE_RHO1 = (("rho1", 1), ("rho1", 0), ("rho2", 3), ("rho2_inv", 2))
+_REFINE_RHO2 = (("e", 2), ("rho2", 0), ("e", 3), ("rho2_inv", 1))
+_DIAGONAL_RHO1 = (("rho1", 0), ("rho2", 2), ("rho2_inv", 1))
+_DIAGONAL_RHO2 = (("e", 1), ("e", 2), ("e", 0))
+
+
 def refine_2x2(d: Dessin) -> Dessin:
     """Subdivide every square into a 2x2 block of squares.
 
@@ -164,22 +194,26 @@ def refine_2x2(d: Dessin) -> Dessin:
     always corner-bipartite (corners and centers versus midpoints).
     """
     _require_square_tiling(d)
-    n = d.n_darts
-    rho2 = d.rho2
-    rho2_inv = perms.inverse(rho2)
-    r1 = [0] * (4 * n)
-    r2 = [0] * (4 * n)
-    for e in range(n):
-        r2[4 * e] = 4 * e + 2
-        r2[4 * e + 2] = 4 * e + 3
-        r2[4 * e + 3] = 4 * rho2_inv[e] + 1
-        r2[4 * e + 1] = 4 * rho2[e]
-        r1[4 * e] = 4 * d.rho1[e] + 1
-        r1[4 * e + 1] = 4 * d.rho1[e]
-        r1[4 * e + 2] = 4 * rho2[e] + 3
-        r1[4 * e + 3] = 4 * rho2_inv[e] + 2
-    r0 = perms.compose(r1, perms.inverse(r2))
-    return Dessin(4 * n, r0, r1)
+    return substitute(d, 4, _REFINE_RHO1, _REFINE_RHO2)
+
+
+def _first_same_end_edge(d: Dessin, codes: np.ndarray):
+    """Smallest dart of the first edge whose two ends carry equal
+    per-vertex ``codes``, with its two vertex ids, or None."""
+    vert_id = d.cell_arrays(CellKind.VERTEX).id
+    x = d.cell_arrays(CellKind.EDGE).smallest
+    u = vert_id[x]
+    v = vert_id[d._r1[x]]
+    same = np.flatnonzero(codes[u] == codes[v])
+    if not len(same):
+        return None
+    i = same[0]
+    return int(x[i]), int(u[i]), int(v[i])
+
+
+def _edge(d: Dessin, x: int) -> tuple[int, int]:
+    """The edge orbit read from its smallest dart x."""
+    return (x, d.rho1[x])
 
 
 def diagonal_subdivision(d: Dessin, labels) -> TricoloredDessin:
@@ -192,46 +226,28 @@ def diagonal_subdivision(d: Dessin, labels) -> TricoloredDessin:
     labeled infinity, and colors and shades follow the canonical rule.
     """
     _require_square_tiling(d)
-    labels = tuple(VertexLabel(x) for x in labels)
-    n_vertices = len(d.cells(CellKind.VERTEX))
+    labels = _members(VertexLabel, labels)
+    verts = d.cell_arrays(CellKind.VERTEX)
+    n_vertices = len(verts.smallest)
     if len(labels) != n_vertices:
         raise ValueError(
             f"labels has {len(labels)} entries, expected {n_vertices}")
-    if any(lab == VertexLabel.INFINITY for lab in labels):
+    if VertexLabel.INFINITY in labels:
         raise InconsistentLabelsError("corner labels must be zero or one")
-    vert_id = d._cell_ids[CellKind.VERTEX]
-    for edge in d.cells(CellKind.EDGE):
-        u, v = vert_id[edge[0]], vert_id[d.rho1[edge[0]]]
-        if labels[u] == labels[v]:
-            raise InconsistentLabelsError(
-                f"corners {u} and {v} of edge {edge} share label "
-                f"{labels[u].value}")
-    n = d.n_darts
-    rho2 = d.rho2
-    rho2_inv = perms.inverse(rho2)
-    r1 = [0] * (3 * n)
-    r2 = [0] * (3 * n)
-    for e in range(n):
-        r2[3 * e] = 3 * e + 1
-        r2[3 * e + 1] = 3 * e + 2
-        r2[3 * e + 2] = 3 * e
-        r1[3 * e] = 3 * d.rho1[e]
-        r1[3 * e + 1] = 3 * rho2[e] + 2
-        r1[3 * e + 2] = 3 * rho2_inv[e] + 1
-    r0 = perms.compose(r1, perms.inverse(r2))
-    out = Dessin(3 * n, r0, r1)
-
-    out_labels = []
-    for orbit in out.cells(CellKind.VERTEX):
-        dart = orbit[0]
-        e, r = divmod(dart, 3)
-        if r == 0:
-            out_labels.append(labels[vert_id[e]])
-        elif r == 1:
-            out_labels.append(labels[vert_id[rho2[e]]])
-        else:
-            out_labels.append(VertexLabel.INFINITY)
-    return tricolored_from_labels(out, out_labels)
+    codes = label_codes(labels)
+    clash = _first_same_end_edge(d, codes)
+    if clash is not None:
+        x, u, v = clash
+        raise InconsistentLabelsError(
+            f"corners {u} and {v} of edge {_edge(d, x)} share label "
+            f"{labels[u].value}")
+    out = substitute(d, 3, _DIAGONAL_RHO1, _DIAGONAL_RHO2)
+    # each new vertex read at its smallest dart 3e + r: the origin of e
+    # (r = 0), the endpoint of e (r = 1) or a face center (r = 2)
+    e, r = np.divmod(out.cell_arrays(CellKind.VERTEX).smallest, 3)
+    corner = codes[verts.id[np.where(r == 0, e, d._r2[e])]]
+    return tricolored_from_codes(
+        out, np.where(r == 2, _LABEL_CODE[VertexLabel.INFINITY], corner))
 
 
 def tricolored_from_labels(base: Dessin, vertex_label) -> TricoloredDessin:
@@ -243,28 +259,46 @@ def tricolored_from_labels(base: Dessin, vertex_label) -> TricoloredDessin:
     when its counterclockwise boundary reads zero -> one -> infinity.
     """
     base.require_valid()
-    vertex_label = tuple(VertexLabel(x) for x in vertex_label)
-    vert_id = base._cell_ids[CellKind.VERTEX]
-    colors = []
-    for edge in base.cells(CellKind.EDGE):
-        u = vertex_label[vert_id[edge[0]]]
-        v = vertex_label[vert_id[base.rho1[edge[0]]]]
-        if u == v:
-            raise InconsistentLabelsError(
-                f"edge {edge} joins two vertices labeled {u.value}")
-        colors.append(_PAIR_COLOR[frozenset((u, v))])
-    shades = []
-    for i, face in enumerate(base.cells(CellKind.FACE)):
-        if len(face) != 3:
-            raise ValueError(f"face {i} has {len(face)} sides, expected 3")
-        seq = tuple(vertex_label[vert_id[x]] for x in face)
-        if set(seq) != set(_LABEL_CYCLE):
-            raise InconsistentLabelsError(
-                f"face {i} does not see all three labels")
-        k = seq.index(VertexLabel.ZERO)
-        rotated = seq[k:] + seq[:k]
-        shades.append(Shade.WHITE if rotated == _LABEL_CYCLE else Shade.BLACK)
-    return TricoloredDessin(base, colors, shades, vertex_label)
+    vertex_label = _members(VertexLabel, vertex_label)
+    want = len(base.cell_arrays(CellKind.VERTEX).smallest)
+    if len(vertex_label) < want:
+        raise ValueError(
+            f"vertex_label has {len(vertex_label)} entries, expected {want}")
+    return tricolored_from_codes(base, label_codes(vertex_label))
+
+
+def tricolored_from_codes(base: Dessin, codes: np.ndarray) -> TricoloredDessin:
+    """:func:`tricolored_from_labels` on per-vertex label codes (0 zero,
+    1 one, 2 infinity)."""
+    vertex_label = tuple(_LABEL_OF_CODE[codes].tolist())
+    dart_code = codes[base.cell_arrays(CellKind.VERTEX).id]
+    clash = _first_same_end_edge(base, codes)
+    if clash is not None:
+        x, u, _ = clash
+        raise InconsistentLabelsError(
+            f"edge {_edge(base, x)} joins two vertices labeled "
+            f"{vertex_label[u].value}")
+    x = base.cell_arrays(CellKind.EDGE).smallest
+    colors = _COLOR_OF_CODE_SUM[dart_code[x] + dart_code[base._r1[x]]]
+    faces = base.cell_arrays(CellKind.FACE)
+    x = faces.smallest
+    a = dart_code[x]
+    b = dart_code[base._r2[x]]
+    c = dart_code[base._r2[base._r2[x]]]
+    wrong_size = faces.size != 3
+    bad = np.flatnonzero(wrong_size | (a == b) | (b == c) | (a == c))
+    if len(bad):
+        i = int(bad[0])
+        if wrong_size[i]:
+            raise ValueError(
+                f"face {i} has {faces.size[i]} sides, expected 3")
+        raise InconsistentLabelsError(
+            f"face {i} does not see all three labels")
+    # three distinct labels read zero -> one -> infinity exactly when
+    # the second follows the first in the cycle
+    shades = _SHADE_OF_WHITE[((b - a) % 3 == 1).astype(np.intp)]
+    return TricoloredDessin(base, colors.tolist(), shades.tolist(),
+                            vertex_label)
 
 
 def validate_tricoloring(t: TricoloredDessin) -> list[Violation]:

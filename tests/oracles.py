@@ -124,3 +124,201 @@ def rational_map_derivative_exact(x: Fraction) -> Fraction:
 def fd_derivative(f, z: complex, h: float = 1e-6) -> complex:
     """Central finite difference."""
     return (f(z + h) - f(z - h)) / (2.0 * h)
+
+
+# --- dart-by-dart subdivision operators and checks ------------------------
+#
+# The loops below build each new permutation one dart at a time from the
+# dart-numbering conventions in the operators' docstrings, find orbits
+# by walking cycles, and read labels and shades one cell at a time.
+# Labels, colors and shades are plain strings.
+
+LABEL_CYCLE = ("zero", "one", "infinity")
+PAIR_COLOR = {
+    frozenset(("zero", "one")): "blue",
+    frozenset(("infinity", "zero")): "red",
+    frozenset(("one", "infinity")): "green",
+}
+
+
+class LabelError(ValueError):
+    """Stands for the package's InconsistentLabelsError."""
+
+
+def cycles(images) -> list:
+    """Cycles of a permutation, each read from its smallest element,
+    ordered by that element."""
+    seen = set()
+    out = []
+    for x in range(len(images)):
+        if x in seen:
+            continue
+        cyc = [x]
+        seen.add(x)
+        y = images[x]
+        while y != x:
+            cyc.append(y)
+            seen.add(y)
+            y = images[y]
+        out.append(tuple(cyc))
+    return out
+
+
+def cell_ids(images) -> list:
+    ids = [None] * len(images)
+    for i, cyc in enumerate(cycles(images)):
+        for x in cyc:
+            ids[x] = i
+    return ids
+
+
+def _rho0_from(r1, r2) -> list:
+    """rho0 = rho1 o rho2^{-1}, solved pointwise."""
+    r0 = [None] * len(r1)
+    for x in range(len(r1)):
+        r0[r2[x]] = r1[x]
+    return r0
+
+
+def refine_2x2(rho0, rho1) -> tuple:
+    n = len(rho0)
+    rho2 = face_permutation(rho0, rho1)
+    rho2_inv = [None] * n
+    for x, y in enumerate(rho2):
+        rho2_inv[y] = x
+    r1 = [0] * (4 * n)
+    r2 = [0] * (4 * n)
+    for e in range(n):
+        r2[4 * e] = 4 * e + 2
+        r2[4 * e + 2] = 4 * e + 3
+        r2[4 * e + 3] = 4 * rho2_inv[e] + 1
+        r2[4 * e + 1] = 4 * rho2[e]
+        r1[4 * e] = 4 * rho1[e] + 1
+        r1[4 * e + 1] = 4 * rho1[e]
+        r1[4 * e + 2] = 4 * rho2[e] + 3
+        r1[4 * e + 3] = 4 * rho2_inv[e] + 2
+    return _rho0_from(r1, r2), r1
+
+
+def tricolor(rho0, rho1, vertex_labels) -> tuple:
+    """Edge colors and face shades forced by per-vertex labels; raises
+    LabelError or ValueError with the package's messages."""
+    vert_id = cell_ids(rho0)
+    colors = []
+    for edge in cycles(rho1):
+        u = vertex_labels[vert_id[edge[0]]]
+        v = vertex_labels[vert_id[rho1[edge[0]]]]
+        if u == v:
+            raise LabelError(f"edge {edge} joins two vertices labeled {u}")
+        colors.append(PAIR_COLOR[frozenset((u, v))])
+    shades = []
+    for i, face in enumerate(cycles(face_permutation(rho0, rho1))):
+        if len(face) != 3:
+            raise ValueError(f"face {i} has {len(face)} sides, expected 3")
+        seq = tuple(vertex_labels[vert_id[x]] for x in face)
+        if set(seq) != set(LABEL_CYCLE):
+            raise LabelError(f"face {i} does not see all three labels")
+        k = seq.index("zero")
+        shades.append("white" if seq[k:] + seq[:k] == LABEL_CYCLE
+                      else "black")
+    return colors, shades
+
+
+def diagonal_subdivision(rho0, rho1, labels) -> tuple:
+    """(rho0, rho1, vertex labels, edge colors, face shades) of the
+    diagonal subdivision of a square tiling with corner labels."""
+    n = len(rho0)
+    vert_id = cell_ids(rho0)
+    for edge in cycles(rho1):
+        u, v = vert_id[edge[0]], vert_id[rho1[edge[0]]]
+        if labels[u] == labels[v]:
+            raise LabelError(f"corners {u} and {v} of edge {edge} share "
+                             f"label {labels[u]}")
+    rho2 = face_permutation(rho0, rho1)
+    rho2_inv = [None] * n
+    for x, y in enumerate(rho2):
+        rho2_inv[y] = x
+    r1 = [0] * (3 * n)
+    r2 = [0] * (3 * n)
+    for e in range(n):
+        r2[3 * e] = 3 * e + 1
+        r2[3 * e + 1] = 3 * e + 2
+        r2[3 * e + 2] = 3 * e
+        r1[3 * e] = 3 * rho1[e]
+        r1[3 * e + 1] = 3 * rho2[e] + 2
+        r1[3 * e + 2] = 3 * rho2_inv[e] + 1
+    r0 = _rho0_from(r1, r2)
+    out_labels = []
+    for orbit in cycles(r0):
+        e, r = divmod(orbit[0], 3)
+        if r == 0:
+            out_labels.append(labels[vert_id[e]])
+        elif r == 1:
+            out_labels.append(labels[vert_id[rho2[e]]])
+        else:
+            out_labels.append("infinity")
+    return (r0, r1, out_labels) + tricolor(r0, r1, out_labels)
+
+
+def barycentric_subdivide(rho0, rho1) -> tuple:
+    """(rho0, rho1, vertex labels, edge colors, face shades) of the
+    barycentric subdivision of a triangulation."""
+    n = len(rho0)
+    for i, face in enumerate(cycles(face_permutation(rho0, rho1))):
+        if len(face) != 3:
+            raise ValueError(f"face {i} has {len(face)} sides, expected 3")
+    rho2 = face_permutation(rho0, rho1)
+    rho2_inv = [None] * n
+    for x, y in enumerate(rho2):
+        rho2_inv[y] = x
+    r1 = [0] * (6 * n)
+    r2 = [0] * (6 * n)
+    for e in range(n):
+        r2[6 * e] = 6 * e + 2
+        r2[6 * e + 2] = 6 * e + 5
+        r2[6 * e + 5] = 6 * e
+        r2[6 * e + 1] = 6 * rho2[e] + 4
+        r2[6 * e + 4] = 6 * rho2_inv[e] + 3
+        r2[6 * e + 3] = 6 * e + 1
+        r1[6 * e] = 6 * rho1[e] + 1
+        r1[6 * e + 1] = 6 * rho1[e]
+        r1[6 * e + 2] = 6 * e + 3
+        r1[6 * e + 3] = 6 * e + 2
+        r1[6 * e + 4] = 6 * e + 5
+        r1[6 * e + 5] = 6 * e + 4
+    r0 = _rho0_from(r1, r2)
+    by_remainder = {0: "infinity", 4: "infinity", 1: "one", 2: "one",
+                    3: "zero", 5: "zero"}
+    out_labels = [by_remainder[orbit[0] % 6] for orbit in cycles(r0)]
+    return (r0, r1, out_labels) + tricolor(r0, r1, out_labels)
+
+
+def dessin_violations(rho0, rho1) -> list:
+    """(code, dart, message) of every violated invariant of in-range
+    image arrays, in the package's report order."""
+    n = len(rho0)
+    out = []
+    for name, p in (("rho0", rho0), ("rho1", rho1)):
+        seen = set()
+        for x, y in enumerate(p):
+            if y in seen:
+                out.append((f"{name}-not-bijection", x,
+                            f"{name} is not a bijection"))
+                break
+            seen.add(y)
+    if not any(code == "rho1-not-bijection" for code, _, _ in out):
+        for x in range(n):
+            if rho1[x] == x:
+                out.append(("rho1-fixed-point", x,
+                            f"rho1 has fixed point at dart {x}"))
+        for x in range(n):
+            if rho1[rho1[x]] != x:
+                out.append(("rho1-not-involution", x,
+                            f"rho1 squared moves dart {x}"))
+                break
+    reached = reachable_from_zero((rho0, rho1), n)
+    if len(reached) < n:
+        dart = min(set(range(n)) - reached)
+        out.append(("not-transitive", dart,
+                    f"dart {dart} is not reachable from dart 0"))
+    return out

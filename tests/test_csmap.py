@@ -36,6 +36,7 @@ from dessins.csmap import (
     named_spec,
     triangle_to_square,
 )
+import dessins.csmap as csmap_module
 from oracles import fd_derivative, gamma_beta
 
 ALL_SPECS = (SQUARE_CELL, TRIANGLE_COORD, SQUARE_COORD)
@@ -416,3 +417,104 @@ class TestNonFiniteInput:
                 invert_cs_map(spec, z)
             with pytest.raises(ValueError, match="not finite"):
                 triangle_to_square(z)
+
+
+_FINITE_FLOAT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((1.7976931348623157e308, -1.7976931348623157e308,
+                     1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324,
+                     0.0, -0.0, 1.0, 1.0000000000000002)))
+FINITE_EXTREME = st.builds(complex, _FINITE_FLOAT, _FINITE_FLOAT)
+
+
+def _assert_documented_outcome(call, spec, t):
+    """A finite value, or one of the documented errors: CutCrossingError,
+    NonConvergenceError, or ValueError for a modulus past the float
+    range or at a singular point of the derivative."""
+    try:
+        value = call(spec, t)
+    except (CutCrossingError, NonConvergenceError):
+        return
+    except ValueError as exc:
+        if "singular" in str(exc):
+            assert call is cs_map_derivative and t in (0, 1)
+        else:
+            assert "modulus beyond the float range" in str(exc)
+            assert math.isinf(math.hypot(t.real, t.imag))
+        return
+    assert cmath.isfinite(value)
+
+
+class TestFiniteExtremeInput:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.sampled_from(ALL_SPECS), FINITE_EXTREME)
+    def test_documented_outcome_in_bounded_time(self, spec, t):
+        with time_limit(CALL_LIMIT_S):
+            _assert_documented_outcome(cs_map, spec, t)
+        with time_limit(CALL_LIMIT_S):
+            _assert_documented_outcome(cs_map_derivative, spec, t)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
+    @pytest.mark.parametrize("t", [1e300 - 1e-300j, 1e308 - 1e-300j,
+                                   1.7976931348623157e308 - 5e-324j,
+                                   -1e308 - 1e-300j, 1e308 - 1e308j])
+    def test_far_lower_half_plane_reaches_far_corner(self, spec, t):
+        # cmath.phase overflowed on the first of these, and |t|^2
+        # overflowed in the distance to the branch point
+        with time_limit(CALL_LIMIT_S):
+            value = cs_map(spec, t)
+        assert abs(value - image_triangle(spec)[2]) <= 1e-6
+
+    def test_modulus_past_float_range_rejected(self):
+        t = complex(-1.7976931348623157e308, -1.7976931348623157e308)
+        for fn in (cs_map, cs_map_derivative):
+            with pytest.raises(ValueError, match="beyond the float range"):
+                fn(SQUARE_CELL, t)
+
+
+class TestInversionStaysInLowerHalfPlane:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.sampled_from(ALL_SPECS), st.floats(0.0, 1.0),
+           st.sampled_from((0.0, 1e-12, 1e-9, 1e-6)))
+    def test_edge_from_zero_to_one(self, spec, u, inward):
+        # points on (or just inside) the image of the real segment
+        # [0, 1], where Newton iterates may cross into Im t > 0
+        p0, p1, p2 = image_triangle(spec)
+        z = p0 + u * (p1 - p0)
+        z += inward * (p2 - z)
+        try:
+            t = invert_cs_map(spec, z)
+        except NonConvergenceError:
+            return
+        assert t.imag <= 0.0
+        assert abs(cs_map(spec, t) - z) <= 1e-10 * max(1.0, abs(z))
+
+
+class TestBoundedCaches:
+    def test_every_cache_is_finite(self):
+        for fn in (csmap_module._jacobi01, csmap_module._legendre01,
+                   csmap_module._beta_cached, csmap_module._seed_grid):
+            assert fn.cache_info().maxsize is not None
+
+    def test_quadrature_rule_caches_stay_bounded(self):
+        for fn in (csmap_module._jacobi01, csmap_module._legendre01):
+            cap = fn.cache_info().maxsize
+            for n in range(2, cap + 12):
+                if fn is csmap_module._jacobi01:
+                    fn(n, 0.5)
+                else:
+                    fn(n)
+            assert fn.cache_info().currsize == cap
+
+    def test_beta_cache_stays_bounded(self):
+        cap = csmap_module._beta_cached.cache_info().maxsize
+        for i in range(cap + 10):
+            complete_beta(0.5, (i + 1) / (cap + 11))
+        assert csmap_module._beta_cached.cache_info().currsize == cap
+
+    def test_seed_grid_cache_stays_bounded(self):
+        cap = csmap_module._seed_grid.cache_info().maxsize
+        for i in range(cap + 2):
+            spec = CsMapSpec(0.25, 0.25, cmath.exp(0.1j * i), f"spin{i}")
+            invert_cs_map(spec, cs_map(spec, 0.3 - 0.4j))
+        assert csmap_module._seed_grid.cache_info().currsize == cap

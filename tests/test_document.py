@@ -168,6 +168,26 @@ class TestParseErrors:
         assert err.line == 5
         assert "'mauve' is not one of" in str(err)
 
+    @pytest.mark.parametrize("rho0, message", [
+        ("9 x 1 0", "rho0[0] = 9 out of range 0..3"),
+        ("1 x 9 0", "rho0[1]: not an integer: 'x'"),
+        ("1 2 -1 y", "rho0[2] = -1 out of range 0..3"),
+        ("1 2 3 4", "rho0[3] = 4 out of range 0..3"),
+        ("1 2 3 0.0", "rho0[3]: not an integer: '0.0'"),
+    ])
+    def test_first_bad_entry_named(self, rho0, message):
+        err = self.error(make_text(rho0=rho0))
+        assert err.line == 3
+        assert str(err) == f"line 3: {message}"
+
+    def test_first_bad_enum_named(self):
+        text = (make_text()
+                + "edge_colors: blue red\n"
+                + "face_shades: white grey black\n"
+                + "vertex_labels: zero one\n")
+        assert str(self.error(text)) == (
+            "line 6: face_shades[1]: 'grey' is not one of black, white")
+
     def test_free_edge_fixture_parses_but_fails_validation(self):
         # structural defects are a validation concern, not a parse error
         d_doc = parse((FIXTURES / "free_edge.dessin").read_text())

@@ -231,3 +231,47 @@ class TestClosureAndConeAngles:
             for v in range(len(d.cells(CellKind.VERTEX))):
                 ratio = cone_angle(d, m, v) / (2 * math.pi)
                 assert abs(ratio - round(ratio)) < TOL
+
+
+class TestMetricCheckedOnce:
+    def test_one_check_per_pair_over_a_stratum(self, monkeypatch):
+        import dessins.metric as metric_module
+
+        calls = []
+        real = metric_module.metric_violations
+
+        def counting(d, m):
+            calls.append((id(d), id(m)))
+            return real(d, m)
+
+        monkeypatch.setattr(metric_module, "metric_violations", counting)
+        d = square_torus_grid(6, 5)
+        m = square_structure(d)
+        angles = [cone_angle(d, m, v)
+                  for v in range(len(d.cells(CellKind.VERTEX)))]
+        assert angles == pytest.approx([2 * math.pi] * len(angles))
+        for f in range(len(d.cells(CellKind.FACE))):
+            face_closure_residual(d, m, f)
+        for x in range(d.n_darts):
+            chart_transition(d, m, x, [R0_INV, R1, R0])
+        assert len(calls) == 1
+        # a second metric on the same dessin is checked once more
+        m2 = square_structure(d)
+        cone_angle(d, m2, 0)
+        cone_angle(d, m2, 1)
+        assert len(calls) == 2
+
+    def test_bad_metric_raises_on_every_call(self):
+        d = one_square_torus()
+        bad = MetricData([1.0, 2.0, 2.0, 1.0], [1.0] * 4)
+        assert metric_violations(d, bad)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="length-not-edge-constant"):
+                cone_angle(d, bad, 0)
+
+    def test_rho0_inverse_token_matches_inverse(self):
+        d = random_dessin(30, random.Random(8))
+        m = random_metric(d, random.Random(9))
+        for x in range(d.n_darts):
+            back = chart_transition(d, m, x, [R0_INV, R0])
+            assert back.is_identity(1e-12)

@@ -1,0 +1,268 @@
+"""The numpy dart-substitution operators, cells and validation against
+the dart-by-dart oracles in ``oracles.py``: equal outputs dart for dart,
+equal cell numbering, and equal errors and violation lists."""
+
+import os
+import random
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dessins import permutations as perms
+from dessins.belyi import barycentric_subdivide
+from dessins.cartography import CellKind, Dessin, from_rho1_rho2, substitute
+from dessins.catalog import (octahedron, random_dessin, random_origami,
+                             square_torus_grid)
+from dessins.metric import FaceDegreeMismatch
+from dessins.tiling import (InconsistentLabelsError, NonBipartiteError,
+                            VertexLabel, corner_bipartition,
+                            diagonal_subdivision, refine_2x2,
+                            tricolored_from_labels)
+
+import oracles
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
+
+
+@st.composite
+def square_tilings(draw):
+    """Random origamis and torus grids of at most 12 squares, each
+    possibly relabeled."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        d = random_origami(draw(st.integers(1, 12)), rng)
+    else:
+        w = draw(st.integers(1, 12))
+        d = square_torus_grid(w, draw(st.integers(1, 12 // w)))
+    if draw(st.booleans()):
+        d = d.relabeled(perms.random_permutation(d.n_darts, rng))
+    return d
+
+
+def bipartite(d):
+    """``d`` with corner labels, refined once when its corner graph is
+    not bipartite."""
+    try:
+        return d, corner_bipartition(d)
+    except NonBipartiteError:
+        d = refine_2x2(d)
+        return d, corner_bipartition(d)
+
+
+def values(seq):
+    return [x.value for x in seq]
+
+
+def flat(t):
+    """A tricolored dessin as the oracles return it."""
+    d = t.base
+    return [list(d.rho0), list(d.rho1), values(t.vertex_label),
+            values(t.edge_color), values(t.face_shade)]
+
+
+def assert_cells_match(d):
+    for kind, images in ((CellKind.VERTEX, d.rho0), (CellKind.EDGE, d.rho1),
+                         (CellKind.FACE, d.rho2)):
+        cyc = oracles.cycles(images)
+        assert list(d.cells(kind)) == cyc
+        ids = oracles.cell_ids(images)
+        assert [d.dart_cell(x, kind).id for x in range(d.n_darts)] == ids
+        cells = d.cell_arrays(kind)
+        assert cells.id.tolist() == ids
+        assert cells.smallest.tolist() == [c[0] for c in cyc]
+        assert cells.size.tolist() == [len(c) for c in cyc]
+
+
+class TestOperatorsMatchOracles:
+    @PROPERTY
+    @given(square_tilings())
+    def test_refine_2x2(self, d):
+        r = refine_2x2(d)
+        assert (list(r.rho0), list(r.rho1)) == oracles.refine_2x2(d.rho0,
+                                                                  d.rho1)
+        assert_cells_match(r)
+
+    @PROPERTY
+    @given(square_tilings())
+    def test_diagonal_subdivision(self, d):
+        d, labels = bipartite(d)
+        t = diagonal_subdivision(d, labels)
+        assert flat(t) == list(oracles.diagonal_subdivision(
+            d.rho0, d.rho1, values(labels)))
+        assert_cells_match(t.base)
+
+    @PROPERTY
+    @given(square_tilings())
+    def test_barycentric_subdivide(self, d):
+        d, labels = bipartite(d)
+        base = diagonal_subdivision(d, labels).base
+        b = barycentric_subdivide(base)
+        assert flat(b) == list(oracles.barycentric_subdivide(base.rho0,
+                                                             base.rho1))
+        assert_cells_match(b.base)
+
+    def test_barycentric_of_octahedron(self):
+        d = octahedron()
+        assert flat(barycentric_subdivide(d)) == list(
+            oracles.barycentric_subdivide(d.rho0, d.rho1))
+
+    @PROPERTY
+    @given(st.integers(0, 2 ** 32), st.integers(1, 20))
+    def test_cells_of_random_dessins(self, seed, half):
+        assert_cells_match(random_dessin(2 * half, random.Random(seed)))
+
+
+class TestSubstitute:
+    def test_identity_table_keeps_the_dessin(self):
+        d = random_origami(5, random.Random(3))
+        same = substitute(d, 1, (("rho1", 0),), (("rho2", 0),))
+        assert same == d
+
+    def test_from_rho1_rho2_inverts_rho2(self):
+        d = random_dessin(12, random.Random(4))
+        assert from_rho1_rho2(np.array(d.rho1), np.array(d.rho2)) == d
+
+    def test_output_is_validated(self):
+        # rho1 sent to the dart itself: every new dart is a fixed point
+        d = square_torus_grid(2, 2)
+        out = substitute(d, 1, (("e", 0),), (("rho2", 0),))
+        assert [v.code for v in out.violations()][:1] == ["rho1-fixed-point"]
+
+
+def raised(fn, *args):
+    """(kind, message) of the error ``fn`` raises, or None; the
+    package's InconsistentLabelsError and the oracles' LabelError are
+    one kind."""
+    try:
+        fn(*args)
+    except (InconsistentLabelsError, oracles.LabelError) as exc:
+        return "labels", str(exc)
+    except ValueError as exc:
+        return "value", str(exc)
+    return None
+
+
+class TestLabelErrorsMatchOracles:
+    @PROPERTY
+    @given(square_tilings(), st.data())
+    def test_tricolored_from_labels(self, d, data):
+        d, labels = bipartite(d)
+        base = diagonal_subdivision(d, labels).base
+        n_vertices = len(base.cells(CellKind.VERTEX))
+        labels = data.draw(st.lists(st.sampled_from(oracles.LABEL_CYCLE),
+                                    min_size=n_vertices,
+                                    max_size=n_vertices))
+        mine = raised(tricolored_from_labels, base, labels)
+        assert mine == raised(oracles.tricolor, base.rho0, base.rho1, labels)
+        if mine is None:
+            t = tricolored_from_labels(base, labels)
+            assert [values(t.edge_color), values(t.face_shade)] == list(
+                oracles.tricolor(base.rho0, base.rho1, labels))
+
+    @PROPERTY
+    @given(square_tilings(), st.data())
+    def test_diagonal_subdivision_corner_clash(self, d, data):
+        n_vertices = len(d.cells(CellKind.VERTEX))
+        labels = data.draw(st.lists(st.sampled_from(("zero", "one")),
+                                    min_size=n_vertices,
+                                    max_size=n_vertices))
+        assert raised(diagonal_subdivision, d, labels) == raised(
+            oracles.diagonal_subdivision, d.rho0, d.rho1, labels)
+
+    def test_non_triangle_face(self):
+        d = square_torus_grid(2, 2)
+        labels = ["zero"] * len(d.cells(CellKind.VERTEX))
+        labels[0] = "one"
+        with pytest.raises(FaceDegreeMismatch,
+                           match="face 0 has 4 sides, expected 3"):
+            barycentric_subdivide(d)
+        assert raised(tricolored_from_labels, d, labels) == raised(
+            oracles.tricolor, d.rho0, d.rho1, labels)
+
+    def test_too_few_labels(self):
+        base = octahedron()
+        with pytest.raises(ValueError,
+                           match="vertex_label has 5 entries, expected 6"):
+            tricolored_from_labels(base, [VertexLabel.ZERO] * 5)
+
+
+@st.composite
+def malformed_arrays(draw):
+    """In-range image arrays broken in one of four ways: a repeated
+    image, rho1 fixed points, rho1 not an involution, or two
+    components."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    n = 2 * draw(st.integers(2, 12))
+    rho0 = list(perms.random_permutation(n, rng))
+    rho1 = list(perms.random_fixed_point_free_involution(n, rng))
+    defect = draw(st.sampled_from(
+        ("non-bijection", "fixed-point", "non-involution", "intransitive")))
+    if defect == "non-bijection":
+        p = rho0 if draw(st.booleans()) else rho1
+        p[rng.randrange(n)] = p[rng.randrange(n)]
+    elif defect == "fixed-point":
+        for _ in range(draw(st.integers(1, 3))):
+            x = rng.randrange(n)
+            y = rho1[x]
+            rho1[x], rho1[y] = x, y
+    elif defect == "non-involution":
+        rho1 = list(perms.random_permutation(n, rng))
+    else:
+        # a dessin on darts 0..k-1 beside one on k..n-1, relabeled
+        k = 2 * rng.randint(1, n // 2 - 1)
+        rho0 = list(perms.random_permutation(k, rng)) + [
+            k + x for x in perms.random_permutation(n - k, rng)]
+        rho1 = list(perms.random_fixed_point_free_involution(k, rng)) + [
+            k + x for x in
+            perms.random_fixed_point_free_involution(n - k, rng)]
+        return Dessin(n, rho0, rho1).relabeled(
+            perms.random_permutation(n, rng))
+    return Dessin(n, rho0, rho1)
+
+
+class TestViolationsMatchOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(malformed_arrays())
+    def test_same_list(self, d):
+        assert [(v.code, v.dart, v.message) for v in d.violations()] == \
+            oracles.dessin_violations(d.rho0, d.rho1)
+
+    @PROPERTY
+    @given(st.integers(0, 2 ** 32), st.integers(1, 20))
+    def test_valid_dessins_report_nothing(self, seed, half):
+        d = random_dessin(2 * half, random.Random(seed))
+        assert d.violations() == oracles.dessin_violations(d.rho0, d.rho1)
+
+    def test_all_four_defects_at_once(self):
+        # rho0 repeats an image, rho1 fixes dart 0 and moves dart 1
+        # under its square, and only dart 0 is reachable from dart 0
+        d = Dessin(4, (0, 0, 2, 3), (0, 2, 3, 1))
+        assert [(v.code, v.dart, v.message) for v in d.violations()] == \
+            oracles.dessin_violations(d.rho0, d.rho1)
+        assert [v.code for v in d.violations()] == [
+            "rho0-not-bijection", "rho1-fixed-point", "rho1-not-involution",
+            "not-transitive"]
+
+
+class TestLargeGrid:
+    def test_64x64_pipeline_counts(self):
+        d = square_torus_grid(64, 64)
+        t = diagonal_subdivision(d, corner_bipartition(d))
+        b = barycentric_subdivide(t)
+        assert b.base.n_darts == 6 * 3 * d.n_darts
+        assert b.base.genus() == 1
+        assert len(b.face_shade) == 6 * len(t.face_shade)
+
+
+def test_import_does_not_load_scipy_sparse():
+    # scipy.sparse.csgraph would add ~0.1 s and ~8 MB to every import;
+    # orbits and components are computed with numpy alone
+    code = ("import sys, dessins; "
+            "sys.exit('scipy.sparse' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                              sys.path)}).returncode == 0
