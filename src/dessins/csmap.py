@@ -45,7 +45,21 @@ class CutCrossingError(ValueError):
 
 class NonConvergenceError(RuntimeError):
     """The requested tolerance was not reached within the split budget
-    or the Newton iteration failed to settle."""
+    or the Newton iteration failed to settle.
+
+    ``stage`` is "quadrature" or "newton", ``evaluations`` the number of
+    cs_map calls the failed stage spent (1 for the quadrature), and
+    ``best_residual`` how close it came: the estimated relative error of
+    the quadrature, or the smallest |cs_map(t) - z| that Newton reached.
+    """
+
+    def __init__(self, message: str, *, stage: str | None = None,
+                 evaluations: int | None = None,
+                 best_residual: float | None = None):
+        super().__init__(message)
+        self.stage = stage
+        self.evaluations = evaluations
+        self.best_residual = best_residual
 
 
 class OutsideImageError(ValueError):
@@ -191,18 +205,33 @@ def _segment_distance_to_one(t: complex) -> float:
     return abs(1.0 - u * t)
 
 
-def _panel_value(kind: str, s0: float, s1: float,
-                 a: float, b: float, t: complex, n: int) -> complex:
-    """One panel of integral_{s0}^{s1} s^(a-1) (1 - t*s)^(b-1) ds.
-    Panels of kind "gj" start at s0 = 0 and absorb the weight."""
+@lru_cache(maxsize=64)
+def _node_pair(n: int, a: float | None):
+    """The n- and 2n-node rules of a panel side by side: nodes of both
+    in one array, then the two weight vectors.  Gauss-Jacobi with the
+    weight s^(a-1) for a number a, Gauss-Legendre for None."""
+    rules = [_legendre01(m) if a is None else _jacobi01(m, a)
+             for m in (n, 2 * n)]
+    s = np.concatenate([rule[0] for rule in rules])
+    s.setflags(write=False)
+    return s, rules[0][1], rules[1][1]
+
+
+def _panel_value(kind: str, s0: float, s1: float, a: float, b: float,
+                 t: complex, n: int) -> tuple[complex, complex]:
+    """One panel of integral_{s0}^{s1} s^(a-1) (1 - t*s)^(b-1) ds by the
+    n- and the 2n-node rule, evaluated together.  Panels of kind "gj"
+    start at s0 = 0 and absorb the weight."""
     if kind == "gj":
-        s, w = _jacobi01(n, a)
+        s, w, w2 = _node_pair(n, a)
         vals = (1.0 - t * (s1 * s)) ** (b - 1.0)
-        return s1 ** a * complex(w @ vals)
-    s, w = _legendre01(n)
-    nodes = s0 + (s1 - s0) * s
-    vals = nodes ** (a - 1.0) * (1.0 - t * nodes) ** (b - 1.0)
-    return (s1 - s0) * complex(w @ vals)
+        scale = s1 ** a
+    else:
+        s, w, w2 = _node_pair(n, None)
+        nodes = s0 + (s1 - s0) * s
+        vals = nodes ** (a - 1.0) * (1.0 - t * nodes) ** (b - 1.0)
+        scale = s1 - s0
+    return scale * complex(w @ vals[:n]), scale * complex(w2 @ vals[n:])
 
 
 def _scaled_integral(a: float, b: float, t: complex,
@@ -224,8 +253,7 @@ def _scaled_integral(a: float, b: float, t: complex,
     values = []
     errors = []
     for kind, s0, s1 in panels:
-        coarse = _panel_value(kind, s0, s1, a, b, t, n)
-        fine = _panel_value(kind, s0, s1, a, b, t, 2 * n)
+        coarse, fine = _panel_value(kind, s0, s1, a, b, t, n)
         values.append(fine)
         errors.append(abs(fine - coarse))
     splits = 0
@@ -235,17 +263,18 @@ def _scaled_integral(a: float, b: float, t: complex,
         if err <= cfg.target_rel_error * max(abs(total), 1e-300):
             return total
         if splits >= cfg.max_path_splits:
+            rel_err = err / max(abs(total), 1e-300)
             raise NonConvergenceError(
                 f"panel split budget ({cfg.max_path_splits}) exhausted; "
-                f"estimated relative error {err / max(abs(total), 1e-300):.2e}")
+                f"estimated relative error {rel_err:.2e}",
+                stage="quadrature", evaluations=1, best_residual=rel_err)
         worst = max(range(len(panels)), key=lambda i: errors[i])
         kind, s0, s1 = panels[worst]
         mid = 0.5 * (s0 + s1)
         halves = [(kind, s0, mid), ("gl", mid, s1)]
         del panels[worst], values[worst], errors[worst]
         for kind2, a0, a1 in halves:
-            coarse = _panel_value(kind2, a0, a1, a, b, t, n)
-            fine = _panel_value(kind2, a0, a1, a, b, t, 2 * n)
+            coarse, fine = _panel_value(kind2, a0, a1, a, b, t, n)
             panels.append((kind2, a0, a1))
             values.append(fine)
             errors.append(abs(fine - coarse))
@@ -360,11 +389,11 @@ _GRID_SIZE = 32
 
 
 @lru_cache(maxsize=8)
-def _seed_grid(spec: CsMapSpec, node_count: int):
+def _seed_grid(spec: CsMapSpec, cfg: QuadratureConfig):
     """Forward values on a 32 x 32 grid over the lower half-plane, used
-    to seed Newton inversion.  Kept for the most recently used specs
-    and frozen."""
-    cfg = QuadratureConfig(node_count=node_count)
+    to seed Newton inversion.  Each value is cs_map(spec, t, cfg) itself,
+    so it stands in for the first evaluation at its seed.  Kept for the
+    most recently used specs and configs, and frozen."""
     xs = np.linspace(-4.0, 5.0, _GRID_SIZE)
     ys = -np.geomspace(0.015, 8.0, _GRID_SIZE)
     ts = []
@@ -386,6 +415,11 @@ _NEWTON_TARGET = 1e-13
 _NEWTON_PROMISE = 1e-10
 _MAX_ITERATIONS = 100
 _MAX_RESEEDS = 5
+# a seed whose best residual is below this (times the diameter) and has
+# not halved in _STALL_ITERATIONS iterations sits next to the answer at
+# the precision of t itself; another seed would stall there too
+_STALL_RESIDUAL = 1e-4
+_STALL_ITERATIONS = 3
 
 
 def _newton_step(spec: CsMapSpec, t: complex, residual: complex,
@@ -411,16 +445,59 @@ def _newton_step(spec: CsMapSpec, t: complex, residual: complex,
         dq = pf * _pow_lower(t, 1.0 - b) * (1.0 - t) ** (b - 1.0) \
             / (c * beta_ab)
         q_new = q - residual / dq
-        if q_new == 0:
-            return complex("inf")
-        # q lives in the sector arg in [0, -c*pi]; invert with the
-        # principal log so t lands back in the lower half-plane
-        return cmath.exp(cmath.log(q_new) / c)
+        return _from_q(q_new, c)
     deriv = pf * _pow_lower(t, a - 1.0) * (1.0 - t) ** (b - 1.0) / beta_ab
     step = residual / deriv
     if abs(step) > 2.0:
         step *= 2.0 / abs(step)
     return t - step
+
+
+def _from_q(q: complex, c: float) -> complex:
+    """t from the variable q = t^c at infinity.  q lives in the sector
+    arg in [0, -c*pi]; invert with the principal log so t lands back in
+    the lower half-plane."""
+    if q == 0:
+        return complex("inf")
+    try:
+        return cmath.exp(cmath.log(q) / c)
+    except OverflowError:
+        return complex("inf")
+
+
+def _corner_seed(spec: CsMapSpec, z: complex, tri,
+                 beta_ab: float) -> tuple[complex, float]:
+    """The local inverse at the corner of the image nearest z, and the
+    distance from z expected of its value.  The seed solves the leading
+    term of the map in the uniformizing variable of that corner: t^a at
+    0, (1-t)^b at 1 and t^(a+b-1) at infinity.  The next term of the
+    expansion is smaller by a factor of |t|, |1-t| or 1/|t|."""
+    a, b, pf = spec.a, spec.b, spec.prefactor
+    corner = min(range(3), key=lambda i: abs(z - tri[i]))
+    if corner == 0:
+        t = (z * a * beta_ab / pf) ** (1.0 / a)
+        scale = a * (1.0 - b) / (a + 1.0) * abs(t)
+    elif corner == 1:
+        t = 1.0 - ((1.0 - z / pf) * b * beta_ab) ** (1.0 / b)
+        scale = b * (1.0 - a) / (b + 1.0) * abs(1.0 - t)
+    else:
+        # the map tends to tri[2] like pf * e^(i*pi*(b-1)) * q / (c*B)
+        c = a + b - 1.0
+        t = _from_q((z - tri[2]) * c * beta_ab
+                    / (pf * cmath.exp(1j * math.pi * (b - 1.0))), c)
+        scale = (1.0 - b) * c / (c - 1.0) / abs(t)
+    return _onto_sheet(t), scale * abs(z - tri[corner])
+
+
+def _onto_sheet(t: complex) -> complex:
+    """Keep a Newton iterate on the sheet: solutions live in the closed
+    lower half-plane, and crossing (-inf,0] or [1,inf) from below
+    changes the branch."""
+    if t.imag == 0.0 and t.real > 1.0:
+        return complex(t.real, -1e-12)
+    if t.imag > 0.0 and not 0.0 < t.real < 1.0:
+        return t.conjugate()
+    return t
 
 
 def _onto_lower(t: complex) -> complex:
@@ -438,6 +515,16 @@ def invert_cs_map(spec: CsMapSpec, z,
     Points outside the closed image triangle raise OutsideImageError, a
     z with an infinite or NaN part raises ValueError, and a Newton
     iteration that does not settle raises NonConvergenceError.
+
+    Newton starts from the nearest values of a precomputed grid, or
+    from the local inverse at the nearest corner when that is expected
+    to land closer to z.  Near the image of t = 1 the promise can be out
+    of reach: the solution is 1 - d with |Re d| below the spacing of
+    doubles next to 1, and the map magnifies that spacing by about
+    |d|^(b-1).  For SQUARE_CELL this holds within about 2e-3 of 1j,
+    except on the bisector of that corner, where d is imaginary.  Such
+    points raise NonConvergenceError after a few evaluations, once the
+    residual stops improving.
     """
     cfg = cfg or DEFAULT_CONFIG
     z = complex(z)
@@ -451,42 +538,58 @@ def invert_cs_map(spec: CsMapSpec, z,
     if abs(z - tri[1]) <= _CORNER_SNAP * diam:
         return 1.0 + 0j
     beta_ab = complete_beta(spec.a, spec.b, cfg)
-    ts, zs = _seed_grid(spec, cfg.node_count)
-    order = np.argsort(np.abs(zs - z))
+    ts, zs = _seed_grid(spec, cfg)
+    distance = np.abs(zs - z)
+    order = np.argsort(distance)[:1 + _MAX_RESEEDS]
+    # each seed comes with its value when it is already known
+    seeds = [(complex(ts[i]), complex(zs[i])) for i in order]
+    corner_t, corner_error = _corner_seed(spec, z, tri, beta_ab)
+    if corner_error < distance[order[0]]:
+        seeds.insert(0, (corner_t, None))
+        seeds.pop()
+    stall = _STALL_RESIDUAL * diam
+    evaluations = 0
     best_t = None
     best_r = math.inf
-    for idx in order[:1 + _MAX_RESEEDS]:
-        t = complex(ts[idx])
+    for t, value in seeds:
+        seed_r = math.inf  # this seed's residual when it last halved
+        since_halved = 0
         for _ in range(_MAX_ITERATIONS):
-            try:
-                value = cs_map(spec, t, cfg)
-            except (CutCrossingError, ValueError):
-                break
-            residual = value - z
-            if abs(residual) < best_r:
-                best_r = abs(residual)
+            if value is None:
+                evaluations += 1
+                try:
+                    value = cs_map(spec, t, cfg)
+                except (CutCrossingError, ValueError):
+                    break
+            r = abs(value - z)
+            if r < best_r:
+                best_r = r
                 best_t = t
-            if abs(residual) <= _NEWTON_TARGET:
+            if r <= _NEWTON_TARGET:
                 return _onto_lower(t)
-            t_new = _newton_step(spec, t, residual, beta_ab)
+            if r <= 0.5 * seed_r:
+                seed_r = r
+                since_halved = 0
+            else:
+                since_halved += 1
+                if seed_r < stall and since_halved >= _STALL_ITERATIONS:
+                    break
+            t_new = _newton_step(spec, t, value - z, beta_ab)
+            value = None
             if not cmath.isfinite(t_new):
                 break
-            # keep iterates on the sheet: solutions live in the closed
-            # lower half-plane, and crossing (-inf,0] or [1,inf) from
-            # below changes the branch
-            if t_new.imag == 0.0 and t_new.real > 1.0:
-                t_new = complex(t_new.real, -1e-12)
-            elif t_new.imag > 0.0 and not 0.0 < t_new.real < 1.0:
-                t_new = t_new.conjugate()
+            t_new = _onto_sheet(t_new)
             if t_new == t:
                 break
             t = t_new
         if best_r <= _NEWTON_PROMISE:
             return _onto_lower(best_t)
-    if best_t is not None and best_r <= _NEWTON_PROMISE:
-        return _onto_lower(best_t)
+        if best_r < stall:
+            # this seed failed next to the answer
+            break
     raise NonConvergenceError(
-        f"Newton iteration for {z} stalled at residual {best_r:.2e}")
+        f"Newton iteration for {z} stalled at residual {best_r:.2e}",
+        stage="newton", evaluations=evaluations, best_residual=best_r)
 
 
 def triangle_to_square(z, cfg: QuadratureConfig | None = None) -> complex:

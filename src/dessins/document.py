@@ -101,12 +101,15 @@ class DessinDocument:
             lines.append("angles: " + " ".join(repr(float(x))
                                                for x in self.angles))
         if self.has_coloring:
+            # a dict lookup per entry: Enum.value is a property, about
+            # four times slower
+            text = _ENUM_TEXT.__getitem__
             lines.append("edge_colors: "
-                         + " ".join(c.value for c in self.edge_colors))
+                         + " ".join(map(text, self.edge_colors)))
             lines.append("face_shades: "
-                         + " ".join(s.value for s in self.face_shades))
+                         + " ".join(map(text, self.face_shades)))
             lines.append("vertex_labels: "
-                         + " ".join(v.value for v in self.vertex_labels))
+                         + " ".join(map(text, self.vertex_labels)))
         return "\n".join(lines) + "\n"
 
 
@@ -176,6 +179,8 @@ def _parse_floats(raw: str, line: int, key: str, n: int) -> tuple[float, ...]:
 
 _ENUM_VALUES = {cls: {m.value: m for m in cls}
                 for cls in (Color, Shade, VertexLabel)}
+_ENUM_TEXT = {m: text for values in _ENUM_VALUES.values()
+              for text, m in values.items()}
 
 
 def _parse_enums(raw: str, line: int, key: str, enum_cls):

@@ -251,3 +251,14 @@ class TestTransform:
         code, _, err = run(capsys, ["transform", str(src)])
         assert code == 1
         assert err.startswith("bad-point: line 2: not finite")
+
+    def test_no_convergence_line(self, capsys, tmp_path):
+        # within 1e-8 of the image of t = 1 no double t meets the
+        # residual promise; the stderr line keeps its exact form
+        src = tmp_path / "points.csv"
+        src.write_text("0.5,-0.1\n0.999999995684091,-7.893618444382483e-09\n")
+        code, _, err = run(capsys, ["transform", str(src)])
+        assert code == 1
+        assert err == ("no-convergence: Newton iteration for "
+                       "(0.999999995684091-7.893618444382483e-09j) "
+                       "stalled at residual 3.58e-10\n")

@@ -493,7 +493,8 @@ class TestInversionStaysInLowerHalfPlane:
 class TestBoundedCaches:
     def test_every_cache_is_finite(self):
         for fn in (csmap_module._jacobi01, csmap_module._legendre01,
-                   csmap_module._beta_cached, csmap_module._seed_grid):
+                   csmap_module._node_pair, csmap_module._beta_cached,
+                   csmap_module._seed_grid):
             assert fn.cache_info().maxsize is not None
 
     def test_quadrature_rule_caches_stay_bounded(self):
@@ -518,3 +519,86 @@ class TestBoundedCaches:
             spec = CsMapSpec(0.25, 0.25, cmath.exp(0.1j * i), f"spin{i}")
             invert_cs_map(spec, cs_map(spec, 0.3 - 0.4j))
         assert csmap_module._seed_grid.cache_info().currsize == cap
+
+
+def _toward_centroid(tri, i):
+    """Unit vector from corner i of the image triangle to its centroid."""
+    d = sum(tri) / 3.0 - tri[i]
+    return d / abs(d)
+
+
+@st.composite
+def near_corner_t(draw):
+    """t in the closed lower half-plane with |t| in [1e-4, 0.3] or
+    |1 - t| in [1e-3, 0.3]."""
+    theta = draw(st.floats(0.0, math.pi))
+    if draw(st.booleans()):
+        return draw(st.floats(1e-4, 0.3)) * cmath.exp(-1j * theta)
+    return 1.0 - draw(st.floats(1e-3, 0.3)) * cmath.exp(1j * theta)
+
+
+class TestNewtonSeedsAndStalls:
+    @pytest.mark.parametrize("spec, z", [
+        (TRIANGLE_COORD, 0.39423 - 0.20921j),
+        (SQUARE_CELL, 0.13586 + 0.859925j),
+        (SQUARE_CELL, 0.135402 + 0.135402j),
+    ], ids=["triangle_coord", "square_cell_upper", "square_cell_lower"])
+    def test_points_far_from_the_seed_grid_invert(self, spec, z):
+        # their preimages lie near t = 0 or t = 1, between the seed grid
+        # and the corner: seeded from the grid alone, Newton diverged
+        t = invert_cs_map(spec, z)
+        assert t.imag <= 0.0
+        assert abs(cs_map(spec, t) - z) <= 1e-10 * max(1.0, abs(z))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from(ALL_SPECS), near_corner_t())
+    def test_round_trip_near_corners(self, spec, t):
+        z = cs_map(spec, t)
+        with time_limit(2.0):
+            t_back = invert_cs_map(spec, z)
+        assert abs(cs_map(spec, t_back) - z) <= 1e-10 * max(1.0, abs(z))
+
+    def test_unreachable_promise_fails_promptly(self, monkeypatch):
+        # next to the image of t = 1 the solution is 1 - d with |Re d|
+        # below one ulp of 1, so no double t meets the promise (on the
+        # bisector d is imaginary and exact, hence the centroid direction)
+        tri = image_triangle(SQUARE_CELL)
+        z = tri[1] + 1e-6 * _toward_centroid(tri, 1)
+        # built outside the count: a grid value is not a call per inversion
+        csmap_module._seed_grid(SQUARE_CELL, csmap_module.DEFAULT_CONFIG)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return cs_map(*args)
+
+        monkeypatch.setattr(csmap_module, "cs_map", counting)
+        with pytest.raises(NonConvergenceError,
+                           match=r"^Newton iteration for .* stalled at "
+                                 r"residual \d\.\d\de[-+]\d\d$") as info:
+            invert_cs_map(SQUARE_CELL, z)
+        assert len(calls) <= 20
+        assert info.value.stage == "newton"
+        assert info.value.evaluations == len(calls)
+        assert 1e-10 < info.value.best_residual <= 1e-4
+
+    def test_quadrature_failure_carries_its_stage(self):
+        cfg = QuadratureConfig(node_count=2, max_path_splits=1)
+        with pytest.raises(NonConvergenceError,
+                           match=r"^panel split budget \(1\) exhausted; "
+                                 r"estimated relative error \d\.\d\de-\d\d$"
+                           ) as info:
+            cs_map(SQUARE_CELL, 0.5 - 0.5j, cfg)
+        assert info.value.stage == "quadrature"
+        assert info.value.evaluations == 1
+        assert info.value.best_residual > cfg.target_rel_error
+
+    def test_seed_values_are_the_forward_map(self):
+        # a grid value stands in for the first evaluation at its seed, so
+        # it must be what cs_map returns under the same config; a looser
+        # tolerance than the default changes most of the values
+        cfg = QuadratureConfig(target_rel_error=1e-8)
+        ts, zs = csmap_module._seed_grid(TRIANGLE_COORD, cfg)
+        for i in range(0, len(ts), 31):
+            assert complex(zs[i]) == cs_map(TRIANGLE_COORD, complex(ts[i]),
+                                            cfg)

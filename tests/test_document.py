@@ -1,12 +1,14 @@
 """Line-oriented document format: parsing, canonical serialization,
 and positioned error reporting."""
 
+import hashlib
 import math
 from pathlib import Path
 
 import pytest
 
 from dessins import catalog
+from dessins.belyi import barycentric_subdivide
 from dessins.document import (
     DessinDocument,
     DocumentParseError,
@@ -17,6 +19,7 @@ from dessins.document import (
     parse,
 )
 from dessins.metric import MetricData, equilateral_structure, square_structure
+from dessins.tiling import corner_bipartition, diagonal_subdivision
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -227,6 +230,19 @@ class TestSerialization:
                         "n_darts: 4\n"
                         "rho0: 1 2 3 0\n"
                         "rho1: 2 3 0 1\n")
+
+    def test_serialize_tricolored_bytes(self):
+        # pins the coloring lines, which are written from a member -> text
+        # table rather than Enum.value
+        text = from_tricolored(catalog.octahedron_tricolored()).serialize()
+        assert text == (FIXTURES / "octahedron_tricolored.dessin").read_text()
+        grid = catalog.square_torus_grid(4, 2)
+        cover = barycentric_subdivide(
+            diagonal_subdivision(grid, corner_bipartition(grid)))
+        data = from_tricolored(cover).serialize().encode()
+        assert len(data) == 7560
+        assert hashlib.sha256(data).hexdigest() == (
+            "6d0bea4ce4b0332bcdc5b617f7e051a459d0a9e68f0d4919ba10a422a3808144")
 
     def test_metric_must_fit(self):
         dessin = catalog.tetrahedron()
