@@ -303,11 +303,6 @@ class Dessin:
         """The orbit tuples of :meth:`cells`, built per kind on demand."""
         return {}
 
-    @cached_property
-    def _cell_ids(self) -> dict[CellKind, tuple[int, ...]]:
-        return {kind: tuple(self.cell_arrays(kind).id.tolist())
-                for kind in CellKind}
-
     def cells(self, kind: CellKind) -> tuple[tuple[int, ...], ...]:
         """Orbit partition of the darts under the generator of ``kind``.
 
@@ -326,7 +321,7 @@ class Dessin:
         kind = CellKind(kind)
         if not 0 <= dart < self.n_darts:
             raise ValueError(f"dart {dart} out of range")
-        return CellIndex(kind, self._cell_ids[kind][dart])
+        return CellIndex(kind, int(self.cell_arrays(kind).id[dart]))
 
     def genus(self) -> int:
         """Genus of the underlying closed oriented surface, from the

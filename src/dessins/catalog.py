@@ -136,7 +136,7 @@ def octahedron_tricolored() -> TricoloredDessin:
         1: VertexLabel.ZERO, 3: VertexLabel.ZERO,
         2: VertexLabel.ONE, 4: VertexLabel.ONE,
     }
-    labels = [VertexLabel.ZERO] * len(d.cells(CellKind.VERTEX))
+    labels = [VertexLabel.ZERO] * len(d.cell_arrays(CellKind.VERTEX).size)
     dart = 0
     for face in _OCTA_FACES:
         for v in face:

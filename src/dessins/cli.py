@@ -106,11 +106,9 @@ def _require_valid(d_doc: doc.DessinDocument):
 
 def cmd_info(args) -> int:
     dessin = _require_valid(_load(args.file))
-    nv = len(dessin.cells(CellKind.VERTEX))
-    ne = len(dessin.cells(CellKind.EDGE))
-    nf = len(dessin.cells(CellKind.FACE))
+    nv, ne, nf = (len(dessin.cell_arrays(k).size) for k in CellKind)
     print(f"V={nv} E={ne} F={nf} genus={dessin.genus()}")
-    hist = Counter(len(f) for f in dessin.cells(CellKind.FACE))
+    hist = Counter(dessin.cell_arrays(CellKind.FACE).size.tolist())
     print("face-degrees: "
           + " ".join(f"{deg}:{cnt}" for deg, cnt in sorted(hist.items())))
     return 0

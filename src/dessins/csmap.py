@@ -26,6 +26,7 @@ singularity out of the way, and for |t| > 1 the s-interval is covered
 by a short geometric ladder of Gauss-Legendre panels away from the
 scaled branch point.  Every panel is evaluated at n and 2n nodes; the
 difference drives panel bisection within a configured split budget.
+Both Gauss rules come from one Golub-Welsch eigenproblem in numpy.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 
 class CutCrossingError(ValueError):
@@ -162,22 +162,19 @@ def _pow_lower(t: complex, p: float) -> complex:
 # The caches below are keyed by user-supplied specs and node counts, so
 # each holds a bounded number of entries.
 @lru_cache(maxsize=64)
-def _jacobi01(n: int, a: float):
+def _gauss01(n: int, a: float):
     """Nodes s and weights w with sum(w * f(s)) = integral_0^1
-    s^(a-1) f(s) ds for polynomial f."""
-    x, w = roots_jacobi(n, 0.0, a - 1.0)
-    s = 0.5 * (x + 1.0)
-    w = w * 0.5 ** a
-    s.setflags(write=False)
-    w.setflags(write=False)
-    return s, w
-
-
-@lru_cache(maxsize=64)
-def _legendre01(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    s = 0.5 * (x + 1.0)
-    w = 0.5 * w
+    s^(a-1) f(s) ds for polynomials f of degree < 2n (a = 1: Legendre).
+    Golub & Welsch (1969): the nodes are the eigenvalues of the Jacobi
+    matrix of P^(0, a-1) moved to [0, 1], and the weights the squared
+    first eigenvector components times the mass 1/a."""
+    c = a - 1.0
+    k = np.arange(1, n, dtype=float)
+    m = 2.0 * k + c
+    diag = np.append(a / (a + 1.0), 0.5 + 0.5 * c * c / (m * (m + 2.0)))
+    off = k * (k + c) / (m * np.sqrt((m - 1.0) * (m + 1.0)))
+    s, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    w = v[0] ** 2 / a
     s.setflags(write=False)
     w.setflags(write=False)
     return s, w
@@ -206,12 +203,10 @@ def _segment_distance_to_one(t: complex) -> float:
 
 
 @lru_cache(maxsize=64)
-def _node_pair(n: int, a: float | None):
-    """The n- and 2n-node rules of a panel side by side: nodes of both
-    in one array, then the two weight vectors.  Gauss-Jacobi with the
-    weight s^(a-1) for a number a, Gauss-Legendre for None."""
-    rules = [_legendre01(m) if a is None else _jacobi01(m, a)
-             for m in (n, 2 * n)]
+def _node_pair(n: int, a: float):
+    """The n- and 2n-node rules of a panel side by side for the weight
+    s^(a-1): nodes of both in one array, then the two weight vectors."""
+    rules = [_gauss01(m, a) for m in (n, 2 * n)]
     s = np.concatenate([rule[0] for rule in rules])
     s.setflags(write=False)
     return s, rules[0][1], rules[1][1]
@@ -227,7 +222,7 @@ def _panel_value(kind: str, s0: float, s1: float, a: float, b: float,
         vals = (1.0 - t * (s1 * s)) ** (b - 1.0)
         scale = s1 ** a
     else:
-        s, w, w2 = _node_pair(n, None)
+        s, w, w2 = _node_pair(n, 1.0)
         nodes = s0 + (s1 - s0) * s
         vals = nodes ** (a - 1.0) * (1.0 - t * nodes) ** (b - 1.0)
         scale = s1 - s0
@@ -314,7 +309,7 @@ def incomplete_cs_integral(a: float, b: float, t,
 def _beta_cached(a: float, b: float, node_count: int) -> float:
     def half(x: float, y: float) -> float:
         # integral_0^(1/2) w^(x-1) (1-w)^(y-1) dw, scaled to [0, 1]
-        s, w = _jacobi01(node_count, x)
+        s, w = _gauss01(node_count, x)
         vals = (1.0 - 0.5 * s) ** (y - 1.0)
         return 0.5 ** x * float(w @ vals)
 

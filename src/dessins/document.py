@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .cartography import CellKind, Dessin
 from .metric import MetricData, metric_violations
-from .tiling import Color, Shade, TricoloredDessin, VertexLabel
+from .tiling import _MEMBERS, Color, Shade, TricoloredDessin, VertexLabel
 
 FORMAT_VERSION = "1"
 
@@ -177,16 +177,14 @@ def _parse_floats(raw: str, line: int, key: str, n: int) -> tuple[float, ...]:
     return tuple(values)
 
 
-_ENUM_VALUES = {cls: {m.value: m for m in cls}
-                for cls in (Color, Shade, VertexLabel)}
-_ENUM_TEXT = {m: text for values in _ENUM_VALUES.values()
-              for text, m in values.items()}
+_ENUM_TEXT = {m: text for members in _MEMBERS.values()
+              for text, m in members.items()}
 
 
 def _parse_enums(raw: str, line: int, key: str, enum_cls):
     parts = raw.split()
     try:
-        return tuple(map(_ENUM_VALUES[enum_cls].__getitem__, parts))
+        return tuple(map(_MEMBERS[enum_cls].__getitem__, parts))
     except KeyError:
         pass
     # the loop below names the first bad entry

@@ -47,7 +47,9 @@ _COLOR_OF_CODE_SUM = np.array([None, Color.BLUE, Color.RED, Color.GREEN],
                               dtype=object)
 _SHADE_OF_WHITE = np.array([Shade.BLACK, Shade.WHITE], dtype=object)
 
-_MEMBERS = {cls: {**{m.value: m for m in cls}, **{m: m for m in cls}}
+# text -> member; a str-Enum member hashes and compares as its text, so
+# the same lookup also maps each member to itself
+_MEMBERS = {cls: {m.value: m for m in cls}
             for cls in (Color, Shade, VertexLabel)}
 
 
@@ -313,9 +315,8 @@ def validate_tricoloring(t: TricoloredDessin) -> list[Violation]:
     """
     d = t.base
     out = []
-    vert_id = d._cell_ids[CellKind.VERTEX]
-    edge_id = d._cell_ids[CellKind.EDGE]
-    face_id = d._cell_ids[CellKind.FACE]
+    vert_id, edge_id, face_id = (d.cell_arrays(k).id.tolist()
+                                 for k in CellKind)
     faces = d.cells(CellKind.FACE)
     for i, face in enumerate(faces):
         if len(face) != 3:

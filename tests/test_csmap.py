@@ -13,6 +13,8 @@ import random
 import signal
 from contextlib import contextmanager
 
+import mpmath
+import numpy as np
 import pytest
 import scipy.special
 from hypothesis import given, settings
@@ -176,6 +178,33 @@ class TestIncompleteIntegral:
             t = complex(rng.uniform(-3, 4), -rng.uniform(0.01, 3))
             value = incomplete_cs_integral(0.25, 0.25, t)
             assert cmath.isfinite(value)
+
+
+class TestAgainstMpmath:
+    """The rules and the map against 30-digit mpmath values."""
+
+    @pytest.mark.parametrize("a", [1.0 / 6.0, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [48, 96])
+    def test_gauss_rule_is_exact_on_monomials(self, a, n):
+        # integral_0^1 s^(a-1) s^k ds = 1/(a+k) for every k < 2n
+        s, w = csmap_module._gauss01(n, a)
+        k = np.arange(2 * n)
+        got = (s ** k[:, None]) @ w
+        assert np.max(np.abs(got * (a + k) - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
+    def test_map_eval_grid_points(self, spec):
+        # the points of `dessins map-eval --grid 16`
+        n = 16
+        with mpmath.workdps(30):
+            whole = mpmath.beta(spec.a, spec.b)
+            for j in range(n):
+                for i in range(n):
+                    t = complex(i / (n - 1), -j / (n - 1))
+                    z = cs_map(spec, t)
+                    expect = complex(spec.prefactor * mpmath.betainc(
+                        spec.a, spec.b, 0, t) / whole)
+                    assert abs(z - expect) <= 1e-14 * max(1.0, abs(z)), t
 
 
 class TestCsMap:
@@ -492,20 +521,17 @@ class TestInversionStaysInLowerHalfPlane:
 
 class TestBoundedCaches:
     def test_every_cache_is_finite(self):
-        for fn in (csmap_module._jacobi01, csmap_module._legendre01,
+        for fn in (csmap_module._gauss01,
                    csmap_module._node_pair, csmap_module._beta_cached,
                    csmap_module._seed_grid):
             assert fn.cache_info().maxsize is not None
 
     def test_quadrature_rule_caches_stay_bounded(self):
-        for fn in (csmap_module._jacobi01, csmap_module._legendre01):
-            cap = fn.cache_info().maxsize
-            for n in range(2, cap + 12):
-                if fn is csmap_module._jacobi01:
-                    fn(n, 0.5)
-                else:
-                    fn(n)
-            assert fn.cache_info().currsize == cap
+        fn = csmap_module._gauss01
+        cap = fn.cache_info().maxsize
+        for n in range(2, cap + 12):
+            fn(n, 0.5)
+        assert fn.cache_info().currsize == cap
 
     def test_beta_cache_stays_bounded(self):
         cap = csmap_module._beta_cached.cache_info().maxsize

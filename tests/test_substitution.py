@@ -260,9 +260,14 @@ class TestLargeGrid:
 
 def test_import_does_not_load_scipy_sparse():
     # scipy.sparse.csgraph would add ~0.1 s and ~8 MB to every import;
-    # orbits and components are computed with numpy alone
+    # orbits and components are computed with numpy alone, and the
+    # quadrature rules of the coordinate maps too, so no scipy module
+    # loads even after a forward map and an inversion
     code = ("import sys, dessins; "
-            "sys.exit('scipy.sparse' in sys.modules)")
+            "from dessins.csmap import SQUARE_CELL, cs_map, invert_cs_map; "
+            "invert_cs_map(SQUARE_CELL, cs_map(SQUARE_CELL, 0.3 - 0.4j)); "
+            "sys.exit(any(m == 'scipy' or m.startswith('scipy.') "
+            "for m in sys.modules))")
     assert subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(
                               sys.path)}).returncode == 0

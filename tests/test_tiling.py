@@ -51,7 +51,7 @@ class TestCornerBipartition:
         with pytest.raises(NonBipartiteError) as info:
             corner_bipartition(d)
         walk = info.value.witness
-        vert_id = d._cell_ids[CellKind.VERTEX]
+        vert_id = d.cell_arrays(CellKind.VERTEX).id.tolist()
         adjacent = set()
         for edge in d.cells(CellKind.EDGE):
             u = vert_id[edge[0]]
