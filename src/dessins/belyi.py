@@ -23,8 +23,7 @@ import numpy as np
 
 from .cartography import CellKind, substitute
 from .metric import FaceDegreeMismatch
-from .tiling import (Shade, TricoloredDessin, label_codes,
-                     tricolored_from_codes)
+from .tiling import TricoloredDessin, tricolored_from_labels
 
 
 class InconsistentPassportError(ValueError):
@@ -55,8 +54,8 @@ class Passport:
 def passport(t: TricoloredDessin) -> Passport:
     """Passport of a tricolored dessin: degree = number of white faces,
     local degree at a vertex = (incident face count) / 2."""
-    n_white = t.face_shade.count(Shade.WHITE)
-    n_black = len(t.face_shade) - n_white
+    n_white = int(t._face_shade.sum())  # white is shade code 1
+    n_black = len(t._face_shade) - n_white
     if n_white != n_black:
         raise ValueError(
             f"{n_white} white and {n_black} black faces; "
@@ -65,8 +64,8 @@ def passport(t: TricoloredDessin) -> Passport:
     odd = np.flatnonzero(size % 2)
     if len(odd):
         raise ValueError(f"vertex {odd[0]} has odd incident face count")
-    codes = label_codes(t.vertex_label)
-    return Passport(n_white, *(size[codes == c] // 2 for c in range(3)))
+    return Passport(n_white,
+                    *(size[t._vertex_label == c] // 2 for c in range(3)))
 
 
 def riemann_hurwitz_genus(p: Passport) -> int:
@@ -178,4 +177,4 @@ def barycentric_subdivide(t) -> TricoloredDessin:
             f"face {bad[0]} has {size[bad[0]]} sides, expected 3")
     out = substitute(base, 6, _BARYCENTRIC_RHO1, _BARYCENTRIC_RHO2)
     remainder = out.cell_arrays(CellKind.VERTEX).smallest % 6
-    return tricolored_from_codes(out, _LABEL_CODE_OF_REMAINDER[remainder])
+    return tricolored_from_labels(out, _LABEL_CODE_OF_REMAINDER[remainder])

@@ -8,10 +8,10 @@ rho2 = rho0^{-1} o rho1^{-1}.  Vertices, edges and faces are the orbits
 of rho0, rho1 and rho2; rho2 moves a dart forward along the boundary of
 the face lying to its left.
 
-Internally every dessin also holds its permutations as numpy index
+A dessin stores its permutations only as read-only numpy index
 arrays; validation, cells and the dart-substitution operators
-(:func:`substitute`) work on those, and the public tuples stay the
-per-dart interface.
+(:func:`substitute`) work on those.  The tuples ``rho0``, ``rho1`` and
+``rho2`` are views built from the arrays on first use and then kept.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ class CellKind(str, Enum):
     VERTEX = "vertex"
     EDGE = "edge"
     FACE = "face"
+
+
+_GENERATOR = dict(zip(CellKind, ("rho0", "rho1", "rho2")))
 
 
 @dataclass(frozen=True)
@@ -83,29 +86,40 @@ def inverse_array(p: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _check_images(name: str, images, n: int) -> None:
+def tuple_view(array_name: str, members=None) -> cached_property:
+    """Cached property: attribute ``array_name`` as a tuple, each entry
+    mapped through ``members`` when given."""
+    def view(self) -> tuple:
+        values = getattr(self, array_name).tolist()
+        return tuple(values if members is None
+                     else map(members.__getitem__, values))
+    return cached_property(view)
+
+
+def _image_array(name: str, images, n: int) -> np.ndarray:
+    """``images``, an integer array or a sequence of ints in 0..n-1, as a
+    read-only index array; the per-entry loop runs only to name the
+    first bad entry when the whole-array check fails."""
     if len(images) != n:
         raise ValueError(f"{name} has {len(images)} entries, expected {n}")
+    arr = None
+    if isinstance(images, np.ndarray):
+        if images.dtype.kind in "iu" and images.ndim == 1:
+            arr = images.astype(np.intp)
+    elif set(map(type, images)) <= {int}:
+        try:
+            arr = np.fromiter(images, np.intp, n)
+        except OverflowError:
+            pass
+    if arr is not None and arr.min() >= 0 and arr.max() < n:
+        return _frozen(arr)
+    if isinstance(images, np.ndarray):
+        images = images.tolist()
     for i, y in enumerate(images):
         if not isinstance(y, int) or isinstance(y, bool):
             raise ValueError(f"{name}[{i}] is not an integer")
         if not 0 <= y < n:
             raise ValueError(f"{name}[{i}] = {y} out of range 0..{n - 1}")
-
-
-def _image_array(name: str, images: tuple, n: int) -> np.ndarray:
-    """``images`` as an index array, after the checks of
-    :func:`_check_images`; the per-entry loop runs only to name the
-    first bad entry when the whole-array check fails."""
-    if len(images) == n and set(map(type, images)) <= {int}:
-        try:
-            arr = np.fromiter(images, np.intp, n)
-        except OverflowError:
-            pass
-        else:
-            if arr.min() >= 0 and arr.max() < n:
-                return _frozen(arr)
-    _check_images(name, images, n)
     return _frozen(np.array([int(y) for y in images], dtype=np.intp))
 
 
@@ -159,24 +173,32 @@ def _cells_of(m: np.ndarray) -> Cells:
 class Dessin:
     """Immutable dessin; construction rejects malformed arrays, while
     group-theoretic defects (non-bijective entries, rho1 fixed points,
-    intransitivity) are reported by :meth:`violations`."""
+    intransitivity) are reported by :meth:`violations`.
+
+    It stores only the index arrays ``_r0`` and ``_r1``; ``rho0``,
+    ``rho1`` and ``rho2`` = rho0^{-1} o rho1^{-1} are tuple views, and a
+    sequence given instead of an integer array is kept as its view.
+    """
 
     n_darts: int
-    rho0: tuple[int, ...]
-    rho1: tuple[int, ...]
+    rho0: tuple[int, ...] = tuple_view("_r0")
+    rho1: tuple[int, ...] = tuple_view("_r1")
 
     def __init__(self, n_darts: int, rho0, rho1):
         if not isinstance(n_darts, int) or n_darts <= 0:
             raise ValueError("n_darts must be a positive integer")
-        rho0 = tuple(rho0)
-        rho1 = tuple(rho1)
+        rho0, rho1 = (p if isinstance(p, np.ndarray) else tuple(p)
+                      for p in (rho0, rho1))
         r0 = _image_array("rho0", rho0, n_darts)
         r1 = _image_array("rho1", rho1, n_darts)
         object.__setattr__(self, "n_darts", n_darts)
-        object.__setattr__(self, "rho0", rho0)
-        object.__setattr__(self, "rho1", rho1)
         object.__setattr__(self, "_r0", r0)
         object.__setattr__(self, "_r1", r1)
+        for name, images in (("rho0", rho0), ("rho1", rho1)):
+            if isinstance(images, tuple):
+                self.__dict__[name] = images
+
+    rho2 = tuple_view("_r2")
 
     @cached_property
     def _r2(self) -> np.ndarray:
@@ -186,11 +208,6 @@ class Dessin:
         if bad:
             raise InvalidDessinError(bad)
         return _frozen(inverse_array(self._r0)[inverse_array(self._r1)])
-
-    @cached_property
-    def rho2(self) -> tuple[int, ...]:
-        """The derived face permutation rho0^{-1} o rho1^{-1}."""
-        return tuple(self._r2.tolist())
 
     @cached_property
     def _vertex_minima(self) -> np.ndarray:
@@ -204,15 +221,11 @@ class Dessin:
         out = []
         for name, p in (("rho0", self._r0), ("rho1", self._r1)):
             if not (np.bincount(p, minlength=n) == 1).all():
-                seen: dict[int, int] = {}
-                dart = None
-                for x, y in enumerate(p.tolist()):
-                    if y in seen:
-                        dart = x
-                        break
-                    seen[y] = x
+                # the first dart whose image an earlier dart already has
+                repeat = np.ones(n, dtype=bool)
+                repeat[np.unique(p, return_index=True)[1]] = False
                 out.append(Violation(
-                    f"{name}-not-bijection", dart,
+                    f"{name}-not-bijection", int(np.flatnonzero(repeat)[0]),
                     f"{name} is not a bijection"))
         bijective = not out
         r1 = self._r1
@@ -231,18 +244,16 @@ class Dessin:
             # components joined along rho1 from the vertex orbits
             stray = np.flatnonzero(
                 _component_minima(self._vertex_minima, darts, r1))
-            dart = int(stray[0]) if len(stray) else None
         else:
             # images only: reachability from dart 0 along rho0 and rho1
-            reached = {0}
-            stack = [0]
-            while stack:
-                x = stack.pop()
-                for p in (self.rho0, self.rho1):
-                    if p[x] not in reached:
-                        reached.add(p[x])
-                        stack.append(p[x])
-            dart = min(set(range(n)) - reached, default=None)
+            reached = np.zeros(n, dtype=bool)
+            new = darts[:1]
+            while len(new):
+                reached[new] = True
+                new = np.concatenate([self._r0[new], r1[new]])
+                new = np.unique(new[~reached[new]])
+            stray = np.flatnonzero(~reached)
+        dart = int(stray[0]) if len(stray) else None
         if dart is not None:
             out.append(Violation(
                 "not-transitive", dart,
@@ -267,15 +278,6 @@ class Dessin:
     def require_valid(self) -> None:
         if self._violations:
             raise InvalidDessinError(self._violations)
-
-    def _generator(self, kind: CellKind) -> tuple[int, ...]:
-        if kind == CellKind.VERTEX:
-            return self.rho0
-        if kind == CellKind.EDGE:
-            return self.rho1
-        if kind == CellKind.FACE:
-            return self.rho2
-        raise ValueError(f"unknown cell kind {kind!r}")
 
     @cached_property
     def _cell_arrays(self) -> dict[CellKind, Cells]:
@@ -313,7 +315,8 @@ class Dessin:
         cells = self._cells.get(kind)
         if cells is None:
             self.require_valid()
-            cells = self._cells[kind] = perms.orbits(self._generator(kind))
+            generator = getattr(self, _GENERATOR[kind])
+            cells = self._cells[kind] = perms.orbits(generator)
         return cells
 
     def dart_cell(self, dart: int, kind: CellKind) -> CellIndex:
@@ -341,11 +344,9 @@ class Dessin:
         if not perms.is_permutation(sigma) or len(sigma) != self.n_darts:
             raise ValueError("sigma must be a permutation of the darts")
         s = np.array(sigma, dtype=np.intp)
-        r0 = np.empty_like(s)
-        r1 = np.empty_like(s)
-        r0[s] = s[self._r0]
-        r1[s] = s[self._r1]
-        return Dessin(self.n_darts, r0.tolist(), r1.tolist())
+        # new dart s[x] is sent to s[rho(x)]: s o rho o s^{-1}
+        s_inv = inverse_array(s)
+        return Dessin(self.n_darts, s[self._r0][s_inv], s[self._r1][s_inv])
 
     @cached_property
     def _canonical(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], int]:
@@ -460,7 +461,7 @@ def from_rho1_rho2(rho1, rho2) -> Dessin:
     permutation; the result is validated like any dessin."""
     rho1 = np.asarray(rho1, dtype=np.intp)
     rho0 = rho1[inverse_array(np.asarray(rho2, dtype=np.intp))]
-    return Dessin(len(rho1), rho0.tolist(), rho1.tolist())
+    return Dessin(len(rho1), rho0, rho1)
 
 
 def substitute(d: Dessin, k: int, rho1_table, rho2_table) -> Dessin:

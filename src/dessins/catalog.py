@@ -92,14 +92,10 @@ def square_torus_grid(width: int, height: int) -> Dessin:
     """Torus tiled by a width x height grid of squares."""
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be positive")
+    # square s = y * width + x; its right and upper neighbours, cyclically
     n_sq = width * height
-    h = [0] * n_sq
-    v = [0] * n_sq
-    for y in range(height):
-        for x in range(width):
-            s = y * width + x
-            h[s] = y * width + (x + 1) % width
-            v[s] = ((y + 1) % height) * width + x
+    h = [s - s % width + (s + 1) % width for s in range(n_sq)]
+    v = [(s + width) % n_sq for s in range(n_sq)]
     return origami(h, v)
 
 

@@ -75,14 +75,13 @@ def _fmt_complex(t: complex) -> str:
 
 def cmd_validate(args) -> int:
     d_doc = _load(args.file)
-    problems = [str(v) for v in d_doc.to_dessin().violations()]
-    dessin = None
-    if not problems:
-        dessin = d_doc.to_dessin()
-    if dessin is not None and d_doc.has_metric:
+    dessin = d_doc.to_dessin()
+    problems = [str(v) for v in dessin.violations()]
+    valid = not problems
+    if valid and d_doc.has_metric:
         problems += [str(v)
                      for v in metric_violations(dessin, d_doc.to_metric())]
-    if dessin is not None and d_doc.has_coloring:
+    if valid and d_doc.has_coloring:
         try:
             problems += [str(v)
                          for v in validate_tricoloring(d_doc.to_tricolored())]

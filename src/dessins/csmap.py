@@ -38,6 +38,9 @@ from functools import lru_cache
 
 import numpy as np
 
+# QuadratureConfig.node_count cap: each Gauss rule is an O(n^3) eigensolve
+MAX_NODE_COUNT = 512
+
 
 class CutCrossingError(ValueError):
     """The integration path would cross the branch cut on (1, inf)."""
@@ -91,6 +94,8 @@ class QuadratureConfig:
     def __post_init__(self):
         if not isinstance(self.node_count, int) or self.node_count < 2:
             raise ValueError("node_count must be an integer >= 2")
+        if self.node_count > MAX_NODE_COUNT:
+            raise ValueError(f"node_count must be <= {MAX_NODE_COUNT}")
         if not self.target_rel_error >= 1e-13:
             raise ValueError("target_rel_error must be >= 1e-13")
         if not isinstance(self.max_path_splits, int) or self.max_path_splits < 1:

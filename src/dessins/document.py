@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 from .cartography import CellKind, Dessin
 from .metric import MetricData, metric_violations
-from .tiling import _MEMBERS, Color, Shade, TricoloredDessin, VertexLabel
+from .tiling import (_CODE, _MEMBERS, Color, Shade, TricoloredDessin,
+                     VertexLabel)
 
 FORMAT_VERSION = "1"
 
@@ -177,14 +178,15 @@ def _parse_floats(raw: str, line: int, key: str, n: int) -> tuple[float, ...]:
     return tuple(values)
 
 
-_ENUM_TEXT = {m: text for members in _MEMBERS.values()
-              for text, m in members.items()}
+_ENUM_TEXT = {m: m.value for members in _MEMBERS.values()
+              for m in members}
 
 
 def _parse_enums(raw: str, line: int, key: str, enum_cls):
     parts = raw.split()
     try:
-        return tuple(map(_MEMBERS[enum_cls].__getitem__, parts))
+        return tuple(map(_MEMBERS[enum_cls].__getitem__,
+                         map(_CODE[enum_cls].__getitem__, parts)))
     except KeyError:
         pass
     # the loop below names the first bad entry

@@ -60,11 +60,11 @@ def metric_violations(d: Dessin, m: MetricData) -> list[Violation]:
             f"metric arrays sized {len(m.lengths)}/{len(m.angles)}, "
             f"dessin has {d.n_darts} darts"))
         return out
-    for x in range(d.n_darts):
-        if m.lengths[x] != m.lengths[d.rho1[x]]:
-            out.append(Violation(
-                "length-not-edge-constant", x,
-                f"lengths differ on dart {x} and its reverse {d.rho1[x]}"))
+    lengths = np.array(m.lengths)
+    for x in np.flatnonzero(lengths != lengths[d._r1]).tolist():
+        out.append(Violation(
+            "length-not-edge-constant", x,
+            f"lengths differ on dart {x} and its reverse {d._r1[x]}"))
     return out
 
 
@@ -204,11 +204,8 @@ def cone_angle(d: Dessin, m: MetricData, vertex) -> float:
         if vertex.kind != CellKind.VERTEX:
             raise ValueError(f"expected a vertex cell, got {vertex.kind}")
         vertex = vertex.id
-    smallest = d.cell_arrays(CellKind.VERTEX).smallest
-    if not 0 <= vertex < len(smallest):
+    vertices = d.cells(CellKind.VERTEX)
+    if not 0 <= vertex < len(vertices):
         raise ValueError(f"vertex {vertex} out of range")
     # the darts of the vertex in rho0-cycle order from the smallest
-    darts = [int(smallest[vertex])]
-    while (x := d.rho0[darts[-1]]) != darts[0]:
-        darts.append(x)
-    return sum(m.angles[x] for x in darts)
+    return sum(m.angles[x] for x in vertices[vertex])

@@ -8,6 +8,11 @@ zero / one / infinity, edge colors blue / red / green matching the
 label pair at the edge's ends, and a black/white checkerboard of faces
 in which exactly the white triangles read zero -> one -> infinity
 counterclockwise.
+
+A :class:`TricoloredDessin` stores one int8 code per cell, the position
+of its member in the enum (zero 0, one 1, infinity 2; black 0, white 1;
+blue 0, green 1, red 2).  The operators here and in :mod:`dessins.belyi`
+read and write codes; the enum tuples are views built on first use.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .cartography import CellKind, Dessin, Violation, substitute
+from .cartography import (CellKind, Dessin, Violation, _frozen, substitute,
+                          tuple_view)
 
 
 class Color(str, Enum):
@@ -37,38 +43,38 @@ class VertexLabel(str, Enum):
     INFINITY = "infinity"
 
 
-_LABEL_CYCLE = (VertexLabel.ZERO, VertexLabel.ONE, VertexLabel.INFINITY)
-# Label codes are positions in _LABEL_CYCLE.  The end codes of an edge
-# sum to 1 (zero-one), 2 (zero-infinity) or 3 (one-infinity), which
-# indexes the canonical color of the edge.
-_LABEL_CODE = {lab: i for i, lab in enumerate(_LABEL_CYCLE)}
-_LABEL_OF_CODE = np.array(_LABEL_CYCLE, dtype=object)
-_COLOR_OF_CODE_SUM = np.array([None, Color.BLUE, Color.RED, Color.GREEN],
-                              dtype=object)
-_SHADE_OF_WHITE = np.array([Shade.BLACK, Shade.WHITE], dtype=object)
-
-# text -> member; a str-Enum member hashes and compares as its text, so
-# the same lookup also maps each member to itself
-_MEMBERS = {cls: {m.value: m for m in cls}
-            for cls in (Color, Shade, VertexLabel)}
+# members in code order: the code of a member is its position in its enum
+_MEMBERS = {cls: tuple(cls) for cls in (Color, Shade, VertexLabel)}
+# text -> code; a str-Enum member hashes and compares as its text, so
+# the same lookup also maps each member to its code
+_CODE = {cls: {m.value: i for i, m in enumerate(members)}
+         for cls, members in _MEMBERS.items()}
+# the label codes at the ends of an edge sum to 1 (zero-one), 2 (zero-
+# infinity) or 3 (one-infinity): the index of its blue, red or green code
+_COLOR_OF_CODE_SUM = np.array([-1, 0, 2, 1])
 
 
-def _members(enum_cls, values) -> tuple:
-    """``tuple(enum_cls(v) for v in values)`` by dict lookup; the enum
-    constructor runs only to raise its usual error for a bad value."""
-    values = tuple(values)
-    if set(map(type, values)) == {enum_cls}:
-        return values
-    try:
-        return tuple(map(_MEMBERS[enum_cls].__getitem__, values))
-    except (KeyError, TypeError):
-        return tuple(enum_cls(v) for v in values)
-
-
-def label_codes(labels) -> np.ndarray:
-    """Codes 0, 1, 2 of a sequence of VertexLabel members."""
-    return np.fromiter(map(_LABEL_CODE.__getitem__, labels), np.intp,
-                       len(labels))
+def _code_array(enum_cls, values) -> np.ndarray:
+    """``values`` (an integer array, or a sequence of codes, members or
+    text) as read-only int8 codes, with the enum's error for a bad one."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"
+            and values.ndim == 1):
+        values = tuple(values.tolist() if isinstance(values, np.ndarray)
+                       else values)
+        try:
+            values = np.fromiter(map(_CODE[enum_cls].__getitem__, values),
+                                 np.int8, len(values))
+        except (KeyError, TypeError):
+            if not set(map(type, values)) <= {int}:
+                for v in values:
+                    enum_cls(v)  # raises for the first bad entry
+                raise
+            values = np.array(values)
+    bad = np.flatnonzero((values < 0) | (values >= len(enum_cls)))
+    if len(bad):
+        raise ValueError(
+            f"{int(values[bad[0]])} is not a valid {enum_cls.__name__}")
+    return _frozen(values.astype(np.int8))
 
 
 class NotSquareTilingError(ValueError):
@@ -92,30 +98,32 @@ class InconsistentLabelsError(ValueError):
 @dataclass(frozen=True)
 class TricoloredDessin:
     """A triangulated dessin with per-edge colors, per-face shades and
-    per-vertex labels, each indexed by the dense cell ids of ``base``."""
+    per-vertex labels, each indexed by the dense cell ids of ``base``.
+
+    Each coloring is given as codes, members or text and stored only as
+    the int8 codes ``_edge_color``, ``_face_shade`` and ``_vertex_label``;
+    the attributes without the underscore are enum-tuple views of them.
+    """
 
     base: Dessin
-    edge_color: tuple[Color, ...]
-    face_shade: tuple[Shade, ...]
-    vertex_label: tuple[VertexLabel, ...]
+    edge_color: tuple[Color, ...] = tuple_view("_edge_color", _MEMBERS[Color])
+    face_shade: tuple[Shade, ...] = tuple_view("_face_shade", _MEMBERS[Shade])
+    vertex_label: tuple[VertexLabel, ...] = tuple_view(
+        "_vertex_label", _MEMBERS[VertexLabel])
 
     def __init__(self, base, edge_color, face_shade, vertex_label):
         base.require_valid()
-        edge_color = _members(Color, edge_color)
-        face_shade = _members(Shade, face_shade)
-        vertex_label = _members(VertexLabel, vertex_label)
-        for kind, arr, name in (
-                (CellKind.EDGE, edge_color, "edge_color"),
-                (CellKind.FACE, face_shade, "face_shade"),
-                (CellKind.VERTEX, vertex_label, "vertex_label")):
+        codes = {"edge_color": _code_array(Color, edge_color),
+                 "face_shade": _code_array(Shade, face_shade),
+                 "vertex_label": _code_array(VertexLabel, vertex_label)}
+        object.__setattr__(self, "base", base)
+        kinds = (CellKind.EDGE, CellKind.FACE, CellKind.VERTEX)
+        for kind, (name, arr) in zip(kinds, codes.items()):
             want = len(base.cell_arrays(kind).smallest)
             if len(arr) != want:
                 raise ValueError(
                     f"{name} has {len(arr)} entries, expected {want}")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "edge_color", edge_color)
-        object.__setattr__(self, "face_shade", face_shade)
-        object.__setattr__(self, "vertex_label", vertex_label)
+            object.__setattr__(self, "_" + name, arr)
 
 
 def is_square_tiling(d: Dessin) -> bool:
@@ -137,11 +145,10 @@ def corner_bipartition(d: Dessin) -> tuple[VertexLabel, ...]:
     Raises :class:`NonBipartiteError` with an odd closed walk otherwise.
     """
     _require_square_tiling(d)
-    verts = d.cell_arrays(CellKind.VERTEX)
-    n_vertices = len(verts.smallest)
+    n_vertices = len(d.cell_arrays(CellKind.VERTEX).smallest)
     adj: list[list[int]] = [[] for _ in range(n_vertices)]
-    x = d.cell_arrays(CellKind.EDGE).smallest
-    for u, v in zip(verts.id[x].tolist(), verts.id[d._r1[x]].tolist()):
+    _, ends_u, ends_v = _edge_ends(d)
+    for u, v in zip(ends_u.tolist(), ends_v.tolist()):
         adj[u].append(v)
         adj[v].append(u)
     color = [-1] * n_vertices
@@ -160,8 +167,7 @@ def corner_bipartition(d: Dessin) -> tuple[VertexLabel, ...]:
             elif color[v] == color[u]:
                 raise NonBipartiteError(_odd_walk(parent, u, v))
     # the corner graph of a connected dessin is connected
-    return tuple(
-        VertexLabel.ZERO if c == 0 else VertexLabel.ONE for c in color)
+    return tuple(map(_MEMBERS[VertexLabel].__getitem__, color))
 
 
 def _odd_walk(parent, u, v):
@@ -199,23 +205,27 @@ def refine_2x2(d: Dessin) -> Dessin:
     return substitute(d, 4, _REFINE_RHO1, _REFINE_RHO2)
 
 
-def _first_same_end_edge(d: Dessin, codes: np.ndarray):
-    """Smallest dart of the first edge whose two ends carry equal
-    per-vertex ``codes``, with its two vertex ids, or None."""
+def _edge_ends(d: Dessin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per edge: its smallest dart x and the vertex ids at x and rho1(x)."""
     vert_id = d.cell_arrays(CellKind.VERTEX).id
     x = d.cell_arrays(CellKind.EDGE).smallest
-    u = vert_id[x]
-    v = vert_id[d._r1[x]]
+    return x, vert_id[x], vert_id[d._r1[x]]
+
+
+def _first_same_end_edge(d: Dessin, codes: np.ndarray):
+    """The first edge whose ends carry equal per-vertex ``codes``, as its
+    orbit (x, rho1(x)) from its smallest dart, with its vertex ids."""
+    x, u, v = _edge_ends(d)
     same = np.flatnonzero(codes[u] == codes[v])
     if not len(same):
         return None
     i = same[0]
-    return int(x[i]), int(u[i]), int(v[i])
+    return (int(x[i]), int(d._r1[x[i]])), int(u[i]), int(v[i])
 
 
-def _edge(d: Dessin, x: int) -> tuple[int, int]:
-    """The edge orbit read from its smallest dart x."""
-    return (x, d.rho1[x])
+def _text(enum_cls, code) -> str:
+    """The text of the member with ``code``."""
+    return _MEMBERS[enum_cls][code].value
 
 
 def diagonal_subdivision(d: Dessin, labels) -> TricoloredDessin:
@@ -228,28 +238,26 @@ def diagonal_subdivision(d: Dessin, labels) -> TricoloredDessin:
     labeled infinity, and colors and shades follow the canonical rule.
     """
     _require_square_tiling(d)
-    labels = _members(VertexLabel, labels)
+    codes = _code_array(VertexLabel, labels)
     verts = d.cell_arrays(CellKind.VERTEX)
     n_vertices = len(verts.smallest)
-    if len(labels) != n_vertices:
+    if len(codes) != n_vertices:
         raise ValueError(
-            f"labels has {len(labels)} entries, expected {n_vertices}")
-    if VertexLabel.INFINITY in labels:
+            f"labels has {len(codes)} entries, expected {n_vertices}")
+    if (codes == 2).any():
         raise InconsistentLabelsError("corner labels must be zero or one")
-    codes = label_codes(labels)
     clash = _first_same_end_edge(d, codes)
     if clash is not None:
-        x, u, v = clash
+        edge, u, v = clash
         raise InconsistentLabelsError(
-            f"corners {u} and {v} of edge {_edge(d, x)} share label "
-            f"{labels[u].value}")
+            f"corners {u} and {v} of edge {edge} share label "
+            f"{_text(VertexLabel, codes[u])}")
     out = substitute(d, 3, _DIAGONAL_RHO1, _DIAGONAL_RHO2)
     # each new vertex read at its smallest dart 3e + r: the origin of e
-    # (r = 0), the endpoint of e (r = 1) or a face center (r = 2)
+    # (r = 0), the endpoint of e (r = 1) or a face center (r = 2, code 2)
     e, r = np.divmod(out.cell_arrays(CellKind.VERTEX).smallest, 3)
     corner = codes[verts.id[np.where(r == 0, e, d._r2[e])]]
-    return tricolored_from_codes(
-        out, np.where(r == 2, _LABEL_CODE[VertexLabel.INFINITY], corner))
+    return tricolored_from_labels(out, np.where(r == 2, 2, corner))
 
 
 def tricolored_from_labels(base: Dessin, vertex_label) -> TricoloredDessin:
@@ -259,30 +267,24 @@ def tricolored_from_labels(base: Dessin, vertex_label) -> TricoloredDessin:
     Every edge must join two distinct labels (its color is then forced)
     and every face must see all three labels; the face is white exactly
     when its counterclockwise boundary reads zero -> one -> infinity.
+    The labels may also be given as codes (0 zero, 1 one, 2 infinity).
     """
     base.require_valid()
-    vertex_label = _members(VertexLabel, vertex_label)
+    codes = _code_array(VertexLabel, vertex_label)
     want = len(base.cell_arrays(CellKind.VERTEX).smallest)
-    if len(vertex_label) < want:
+    if len(codes) < want:
         raise ValueError(
-            f"vertex_label has {len(vertex_label)} entries, expected {want}")
-    return tricolored_from_codes(base, label_codes(vertex_label))
-
-
-def tricolored_from_codes(base: Dessin, codes: np.ndarray) -> TricoloredDessin:
-    """:func:`tricolored_from_labels` on per-vertex label codes (0 zero,
-    1 one, 2 infinity)."""
-    vertex_label = tuple(_LABEL_OF_CODE[codes].tolist())
-    dart_code = codes[base.cell_arrays(CellKind.VERTEX).id]
+            f"vertex_label has {len(codes)} entries, expected {want}")
     clash = _first_same_end_edge(base, codes)
     if clash is not None:
-        x, u, _ = clash
+        edge, u, _ = clash
         raise InconsistentLabelsError(
-            f"edge {_edge(base, x)} joins two vertices labeled "
-            f"{vertex_label[u].value}")
-    x = base.cell_arrays(CellKind.EDGE).smallest
-    colors = _COLOR_OF_CODE_SUM[dart_code[x] + dart_code[base._r1[x]]]
+            f"edge {edge} joins two vertices labeled "
+            f"{_text(VertexLabel, codes[u])}")
+    _, u, v = _edge_ends(base)
+    colors = _COLOR_OF_CODE_SUM[codes[u] + codes[v]]
     faces = base.cell_arrays(CellKind.FACE)
+    dart_code = codes[base.cell_arrays(CellKind.VERTEX).id]
     x = faces.smallest
     a = dart_code[x]
     b = dart_code[base._r2[x]]
@@ -297,10 +299,9 @@ def tricolored_from_codes(base: Dessin, codes: np.ndarray) -> TricoloredDessin:
         raise InconsistentLabelsError(
             f"face {i} does not see all three labels")
     # three distinct labels read zero -> one -> infinity exactly when
-    # the second follows the first in the cycle
-    shades = _SHADE_OF_WHITE[((b - a) % 3 == 1).astype(np.intp)]
-    return TricoloredDessin(base, colors.tolist(), shades.tolist(),
-                            vertex_label)
+    # the second follows the first in the cycle; white is shade code 1
+    shades = (b - a) % 3 == 1
+    return TricoloredDessin(base, colors, shades.view(np.int8), codes)
 
 
 def validate_tricoloring(t: TricoloredDessin) -> list[Violation]:
@@ -314,66 +315,64 @@ def validate_tricoloring(t: TricoloredDessin) -> list[Violation]:
     six color-to-label-pair bijections is accepted.
     """
     d = t.base
+    faces = d.cell_arrays(CellKind.FACE)
+    bad = np.flatnonzero(faces.size != 3).tolist()
+    if bad:
+        return [Violation("face-not-triangle", int(faces.smallest[i]),
+                          f"face {i} has {faces.size[i]} sides")
+                for i in bad]
     out = []
-    vert_id, edge_id, face_id = (d.cell_arrays(k).id.tolist()
-                                 for k in CellKind)
-    faces = d.cells(CellKind.FACE)
-    for i, face in enumerate(faces):
-        if len(face) != 3:
-            out.append(Violation(
-                "face-not-triangle", face[0],
-                f"face {i} has {len(face)} sides"))
-    if any(v.code == "face-not-triangle" for v in out):
-        return out
+    x, u, v = _edge_ends(d)
+    for i in np.flatnonzero(u == v).tolist():
+        out.append(Violation("edge-loop", int(x[i]),
+                             f"edge {i} has both ends at vertex {u[i]}"))
 
-    for i, edge in enumerate(d.cells(CellKind.EDGE)):
-        u = vert_id[edge[0]]
-        v = vert_id[d.rho1[edge[0]]]
-        if u == v:
-            out.append(Violation(
-                "edge-loop", edge[0],
-                f"edge {i} has both ends at vertex {u}"))
+    verts = d.cell_arrays(CellKind.VERTEX)
+    dart_color = t._edge_color[d.cell_arrays(CellKind.EDGE).id]
+    seen = np.zeros((len(verts.smallest), len(Color)), dtype=bool)
+    seen[verts.id, dart_color] = True
+    count = seen.sum(axis=1)
+    for i in np.flatnonzero(count != 2).tolist():
+        out.append(Violation(
+            "vertex-color-count", int(verts.smallest[i]),
+            f"vertex {i} meets {count[i]} edge colors, expected 2"))
 
-    for i, vert in enumerate(d.cells(CellKind.VERTEX)):
-        seen = {t.edge_color[edge_id[x]] for x in vert}
-        if len(seen) != 2:
-            out.append(Violation(
-                "vertex-color-count", vert[0],
-                f"vertex {i} meets {len(seen)} edge colors, expected 2"))
+    # edge colors of each face read from its smallest dart along rho2
+    s = faces.smallest
+    cols = dart_color[np.stack([s, d._r2[s], d._r2[d._r2[s]]], axis=1)]
+    a, b, c = cols.T
+    for i in np.flatnonzero((a == b) | (b == c) | (a == c)).tolist():
+        out.append(Violation(
+            "face-colors-repeat", int(s[i]),
+            f"face {i} has edge colors "
+            f"{[_text(Color, k) for k in cols[i].tolist()]}, "
+            "expected all three"))
 
-    for i, face in enumerate(faces):
-        cols = [t.edge_color[edge_id[x]] for x in face]
-        if len(set(cols)) != 3:
-            out.append(Violation(
-                "face-colors-repeat", face[0],
-                f"face {i} has edge colors "
-                f"{[c.value for c in cols]}, expected all three"))
+    dart_shade = t._face_shade[faces.id]
+    for i in np.flatnonzero(dart_shade[x] == dart_shade[d._r1[x]]).tolist():
+        out.append(Violation(
+            "checkerboard", int(x[i]),
+            f"edge {i} separates two {_text(Shade, dart_shade[x[i]])} "
+            "faces"))
 
-    for i, edge in enumerate(d.cells(CellKind.EDGE)):
-        f1 = t.face_shade[face_id[edge[0]]]
-        f2 = t.face_shade[face_id[d.rho1[edge[0]]]]
-        if f1 == f2:
-            out.append(Violation(
-                "checkerboard", edge[0],
-                f"edge {i} separates two {f1.value} faces"))
-
-    pair_of_color: dict[Color, frozenset] = {}
-    for i, edge in enumerate(d.cells(CellKind.EDGE)):
-        u = t.vertex_label[vert_id[edge[0]]]
-        v = t.vertex_label[vert_id[d.rho1[edge[0]]]]
-        if u == v:
-            continue  # already reported as edge-loop or fails below
-        c = t.edge_color[edge_id[edge[0]]]
-        pair = frozenset((u, v))
-        if c not in pair_of_color:
-            pair_of_color[c] = pair
-        elif pair_of_color[c] != pair:
-            out.append(Violation(
-                "color-label-mismatch", edge[0],
-                f"edge {i} is {c.value} but joins "
-                f"{u.value}-{v.value} unlike other {c.value} edges"))
-    pairs = list(pair_of_color.values())
-    if len(set(pairs)) != len(pairs):
+    # a pair of distinct label codes is named by its sum (1, 2 or 3);
+    # each color takes the pair of its first edge that joins two labels
+    lu = t._vertex_label[u]
+    lv = t._vertex_label[v]
+    joins = np.flatnonzero(lu != lv)
+    pair = lu + lv
+    color = t._edge_color
+    present, first = np.unique(color[joins], return_index=True)
+    pair_of_color = np.zeros(len(Color), dtype=pair.dtype)
+    pair_of_color[present] = pair[joins[first]]
+    for i in joins[pair[joins] != pair_of_color[color[joins]]].tolist():
+        c = _text(Color, color[i])
+        out.append(Violation(
+            "color-label-mismatch", int(x[i]),
+            f"edge {i} is {c} but joins {_text(VertexLabel, lu[i])}-"
+            f"{_text(VertexLabel, lv[i])} unlike other {c} edges"))
+    pairs = pair_of_color[present]
+    if len(np.unique(pairs)) != len(pairs):
         out.append(Violation(
             "color-label-mismatch", None,
             "two colors join the same label pair"))

@@ -322,3 +322,58 @@ def dessin_violations(rho0, rho1) -> list:
         out.append(("not-transitive", dart,
                     f"dart {dart} is not reachable from dart 0"))
     return out
+
+
+def tricoloring_violations(rho0, rho1, edge_colors, face_shades,
+                           vertex_labels) -> list:
+    """(code, dart, message) of every violated tricoloring invariant, in
+    the package's report order, checked one cell at a time."""
+    rho2 = face_permutation(rho0, rho1)
+    vert_id, edge_id, face_id = cell_ids(rho0), cell_ids(rho1), cell_ids(rho2)
+    edges, faces = cycles(rho1), cycles(rho2)
+    out = []
+    for i, face in enumerate(faces):
+        if len(face) != 3:
+            out.append(("face-not-triangle", face[0],
+                        f"face {i} has {len(face)} sides"))
+    if out:
+        return out
+    for i, edge in enumerate(edges):
+        u, v = vert_id[edge[0]], vert_id[rho1[edge[0]]]
+        if u == v:
+            out.append(("edge-loop", edge[0],
+                        f"edge {i} has both ends at vertex {u}"))
+    for i, vert in enumerate(cycles(rho0)):
+        seen = {edge_colors[edge_id[x]] for x in vert}
+        if len(seen) != 2:
+            out.append(("vertex-color-count", vert[0],
+                        f"vertex {i} meets {len(seen)} edge colors, "
+                        "expected 2"))
+    for i, face in enumerate(faces):
+        cols = [edge_colors[edge_id[x]] for x in face]
+        if len(set(cols)) != 3:
+            out.append(("face-colors-repeat", face[0],
+                        f"face {i} has edge colors {cols}, "
+                        "expected all three"))
+    for i, edge in enumerate(edges):
+        f1 = face_shades[face_id[edge[0]]]
+        if f1 == face_shades[face_id[rho1[edge[0]]]]:
+            out.append(("checkerboard", edge[0],
+                        f"edge {i} separates two {f1} faces"))
+    pair_of_color = {}
+    for i, edge in enumerate(edges):
+        u = vertex_labels[vert_id[edge[0]]]
+        v = vertex_labels[vert_id[rho1[edge[0]]]]
+        if u == v:
+            continue
+        c = edge_colors[edge_id[edge[0]]]
+        pair = pair_of_color.setdefault(c, frozenset((u, v)))
+        if pair != frozenset((u, v)):
+            out.append(("color-label-mismatch", edge[0],
+                        f"edge {i} is {c} but joins {u}-{v} unlike other "
+                        f"{c} edges"))
+    pairs = list(pair_of_color.values())
+    if len(set(pairs)) != len(pairs):
+        out.append(("color-label-mismatch", None,
+                    "two colors join the same label pair"))
+    return out

@@ -61,6 +61,19 @@ class TestConfigAndSpec:
         with pytest.raises(ValueError):
             QuadratureConfig(max_path_splits=0)
 
+    def test_node_count_capped(self):
+        # the cap bounds one rule build to a dense 2n-node eigenproblem;
+        # at the cap a map still evaluates and agrees with the default
+        cap = csmap_module.MAX_NODE_COUNT
+        with pytest.raises(ValueError, match=f"node_count must be <= {cap}"):
+            QuadratureConfig(node_count=cap + 1)
+        with pytest.raises(ValueError, match="<= "):
+            QuadratureConfig(node_count=10 ** 9)
+        cfg = QuadratureConfig(node_count=cap)
+        t = 0.5 - 0.2j
+        assert abs(cs_map(SQUARE_CELL, t, cfg) - cs_map(SQUARE_CELL, t)) \
+            <= 1e-12
+
     def test_named_specs_exact(self):
         assert (SQUARE_CELL.a, SQUARE_CELL.b) == (0.25, 0.25)
         assert SQUARE_CELL.prefactor == 1j
