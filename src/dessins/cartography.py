@@ -79,6 +79,16 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _read_only(arr: np.ndarray, dtype) -> np.ndarray:
+    """``arr`` as a read-only array of ``dtype``: ``arr`` itself when it
+    already is one and owns its memory (the stored arrays of this
+    package are), so objects can share it; otherwise a frozen copy.
+    Only the owner of such an array could make it writable again."""
+    if arr.dtype == dtype and arr.flags.owndata and not arr.flags.writeable:
+        return arr
+    return _frozen(arr.astype(dtype))
+
+
 def inverse_array(p: np.ndarray) -> np.ndarray:
     """Inverse of a permutation given as an index array."""
     inv = np.empty_like(p)
@@ -88,9 +98,12 @@ def inverse_array(p: np.ndarray) -> np.ndarray:
 
 def tuple_view(array_name: str, members=None) -> cached_property:
     """Cached property: attribute ``array_name`` as a tuple, each entry
-    mapped through ``members`` when given."""
-    def view(self) -> tuple:
-        values = getattr(self, array_name).tolist()
+    mapped through ``members`` when given, or None when it is None."""
+    def view(self) -> tuple | None:
+        values = getattr(self, array_name)
+        if values is None:
+            return None
+        values = values.tolist()
         return tuple(values if members is None
                      else map(members.__getitem__, values))
     return cached_property(view)
@@ -98,21 +111,22 @@ def tuple_view(array_name: str, members=None) -> cached_property:
 
 def _image_array(name: str, images, n: int) -> np.ndarray:
     """``images``, an integer array or a sequence of ints in 0..n-1, as a
-    read-only index array; the per-entry loop runs only to name the
-    first bad entry when the whole-array check fails."""
+    read-only index array, shared when it already is one; the per-entry
+    loop runs only to name the first bad entry when the whole-array
+    check fails."""
     if len(images) != n:
         raise ValueError(f"{name} has {len(images)} entries, expected {n}")
     arr = None
     if isinstance(images, np.ndarray):
         if images.dtype.kind in "iu" and images.ndim == 1:
-            arr = images.astype(np.intp)
+            arr = images
     elif set(map(type, images)) <= {int}:
         try:
-            arr = np.fromiter(images, np.intp, n)
+            arr = _frozen(np.fromiter(images, np.intp, n))
         except OverflowError:
             pass
     if arr is not None and arr.min() >= 0 and arr.max() < n:
-        return _frozen(arr)
+        return _read_only(arr, np.intp)
     if isinstance(images, np.ndarray):
         images = images.tolist()
     for i, y in enumerate(images):

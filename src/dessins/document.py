@@ -19,16 +19,29 @@ canonical serializer:
 block, indexed by the dense orbit ids of the dessin (orbits ordered by
 their smallest dart).  Unknown and duplicate keys are rejected.  All
 parse errors carry the offending line number.
+
+A :class:`DessinDocument` has one storage, as a dessin has: ``rho0``
+and ``rho1`` are read-only intp index arrays, the metric block float
+arrays and the coloring block int8 codes (the codes of
+:mod:`dessins.tiling`).  :func:`from_dessin` and :func:`from_tricolored`
+share the arrays of the objects they are given, :func:`parse` reads
+image lines of ASCII digits and single spaces with numpy and enum lines
+straight to codes, and :meth:`DessinDocument.serialize` writes from the
+arrays; the tuple fields are views built on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .cartography import CellKind, Dessin
+import numpy as np
+
+from .cartography import (Dessin, _frozen, _image_array, _read_only,
+                          tuple_view)
 from .metric import MetricData, metric_violations
 from .tiling import (_CODE, _MEMBERS, Color, Shade, TricoloredDessin,
-                     VertexLabel)
+                     VertexLabel, _code_array)
 
 FORMAT_VERSION = "1"
 
@@ -37,6 +50,10 @@ _KEY_ORDER = ("format_version", "n_darts", "rho0", "rho1",
               "edge_colors", "face_shades", "vertex_labels")
 _METRIC_KEYS = ("lengths", "angles")
 _COLOR_KEYS = ("edge_colors", "face_shades", "vertex_labels")
+_COLOR_ENUMS = (Color, Shade, VertexLabel)
+# code -> text, per enum
+_TEXT = {cls: tuple(m.value for m in members)
+         for cls, members in _MEMBERS.items()}
 
 
 class DocumentParseError(ValueError):
@@ -49,88 +66,139 @@ class DocumentParseError(ValueError):
 
 @dataclass(frozen=True)
 class DessinDocument:
+    """The fields of a document.  Images, metric and coloring are given
+    as arrays or sequences and stored as read-only arrays; the fields
+    other than ``n_darts`` and ``format_version`` are tuple views of
+    them, None when their block is absent."""
+
     n_darts: int
-    rho0: tuple[int, ...]
-    rho1: tuple[int, ...]
-    lengths: tuple[float, ...] | None = None
-    angles: tuple[float, ...] | None = None
-    edge_colors: tuple[Color, ...] | None = None
-    face_shades: tuple[Shade, ...] | None = None
-    vertex_labels: tuple[VertexLabel, ...] | None = None
+    rho0: tuple[int, ...] = tuple_view("_rho0")
+    rho1: tuple[int, ...] = tuple_view("_rho1")
+    lengths: tuple[float, ...] | None = tuple_view("_lengths")
+    angles: tuple[float, ...] | None = tuple_view("_angles")
+    edge_colors: tuple[Color, ...] | None = tuple_view(
+        "_edge_colors", _MEMBERS[Color])
+    face_shades: tuple[Shade, ...] | None = tuple_view(
+        "_face_shades", _MEMBERS[Shade])
+    vertex_labels: tuple[VertexLabel, ...] | None = tuple_view(
+        "_vertex_labels", _MEMBERS[VertexLabel])
     format_version: str = FORMAT_VERSION
 
-    def __post_init__(self):
-        if (self.lengths is None) != (self.angles is None):
+    def __init__(self, n_darts: int, rho0, rho1, lengths=None, angles=None,
+                 edge_colors=None, face_shades=None, vertex_labels=None,
+                 format_version: str = FORMAT_VERSION):
+        if (lengths is None) != (angles is None):
             raise ValueError("lengths and angles must be given together")
-        colors_given = [x is not None for x in
-                        (self.edge_colors, self.face_shades,
-                         self.vertex_labels)]
-        if any(colors_given) and not all(colors_given):
+        colors = (edge_colors, face_shades, vertex_labels)
+        given = [x is not None for x in colors]
+        if any(given) and not all(given):
             raise ValueError("edge_colors, face_shades and vertex_labels "
                              "must be given together")
+        if not isinstance(n_darts, int) or n_darts <= 0:
+            raise ValueError("n_darts must be a positive integer")
+        stored = {"n_darts": n_darts, "format_version": format_version}
+        for key, images in (("rho0", rho0), ("rho1", rho1)):
+            if not isinstance(images, np.ndarray):
+                images = tuple(images)
+            stored["_" + key] = _image_array(key, images, n_darts)
+        for key, values in zip(_METRIC_KEYS, (lengths, angles)):
+            stored["_" + key] = None if values is None else _floats(values)
+        for key, cls, values in zip(_COLOR_KEYS, _COLOR_ENUMS, colors):
+            stored["_" + key] = (None if values is None
+                                 else _code_array(cls, values))
+        for name, value in stored.items():
+            object.__setattr__(self, name, value)
 
     @property
     def has_metric(self) -> bool:
-        return self.lengths is not None
+        return self._lengths is not None
 
     @property
     def has_coloring(self) -> bool:
-        return self.edge_colors is not None
+        return self._edge_colors is not None
+
+    @cached_property
+    def _dessin(self) -> Dessin:
+        return Dessin(self.n_darts, self._rho0, self._rho1)
 
     def to_dessin(self) -> Dessin:
-        return Dessin(self.n_darts, self.rho0, self.rho1)
+        """The document's dessin: one object, built on the first call
+        and then returned again, so it is validated at most once."""
+        return self._dessin
 
     def to_metric(self) -> MetricData | None:
         if not self.has_metric:
             return None
-        return MetricData(self.lengths, self.angles)
+        return MetricData(self._lengths.tolist(), self._angles.tolist())
 
     def to_tricolored(self) -> TricoloredDessin:
         if not self.has_coloring:
             raise ValueError("document has no coloring block")
-        return TricoloredDessin(self.to_dessin(), self.edge_colors,
-                                self.face_shades, self.vertex_labels)
+        return TricoloredDessin(self.to_dessin(), self._edge_colors,
+                                self._face_shades, self._vertex_labels)
 
     def serialize(self) -> str:
         lines = [f"format_version: {self.format_version}",
                  f"n_darts: {self.n_darts}",
-                 "rho0: " + " ".join(map(str, self.rho0)),
-                 "rho1: " + " ".join(map(str, self.rho1))]
+                 "rho0: " + _int_text(self._rho0),
+                 "rho1: " + _int_text(self._rho1)]
         if self.has_metric:
-            lines.append("lengths: " + " ".join(repr(float(x))
-                                                for x in self.lengths))
-            lines.append("angles: " + " ".join(repr(float(x))
-                                               for x in self.angles))
+            for key in _METRIC_KEYS:
+                values = getattr(self, "_" + key).tolist()
+                lines.append(f"{key}: " + " ".join(map(repr, values)))
         if self.has_coloring:
-            # a dict lookup per entry: Enum.value is a property, about
-            # four times slower
-            text = _ENUM_TEXT.__getitem__
-            lines.append("edge_colors: "
-                         + " ".join(map(text, self.edge_colors)))
-            lines.append("face_shades: "
-                         + " ".join(map(text, self.face_shades)))
-            lines.append("vertex_labels: "
-                         + " ".join(map(text, self.vertex_labels)))
+            for key, cls in zip(_COLOR_KEYS, _COLOR_ENUMS):
+                codes = getattr(self, "_" + key).tolist()
+                lines.append(f"{key}: "
+                             + " ".join(map(_TEXT[cls].__getitem__, codes)))
         return "\n".join(lines) + "\n"
 
 
-def from_dessin(d: Dessin, m: MetricData | None = None) -> DessinDocument:
+def _floats(values) -> np.ndarray:
+    """``values`` as a read-only float array, each entry through float()."""
+    if isinstance(values, np.ndarray):
+        return _read_only(values, np.float64)
+    values = tuple(values)
+    return _frozen(np.fromiter(map(float, values), np.float64, len(values)))
+
+
+def _int_text(images: np.ndarray) -> str:
+    """The entries of ``images`` (non-negative) in decimal, separated by
+    single spaces, written in one byte buffer: one row per digit place
+    plus a row of spaces, read column by column without the leading
+    zeros."""
+    width = len(str(int(images.max())))
+    rows = np.empty((width + 1, len(images)), np.uint8)
+    keep = np.ones((width + 1, len(images)), bool)
+    rows[width] = ord(" ")
+    rest = images.astype(np.uint64)
+    for k in range(width - 1, -1, -1):
+        rows[k] = rest % 10
+        rest = rest // 10
+        if k:
+            keep[k - 1] = rest > 0
+    rows[:width] += ord("0")
+    return rows.T[keep.T][:-1].tobytes().decode("ascii")
+
+
+def _from_parts(d: Dessin, m: MetricData | None,
+                colors=(None, None, None)) -> DessinDocument:
     if m is not None and metric_violations(d, m):
         raise ValueError("metric does not fit the dessin")
     return DessinDocument(
-        n_darts=d.n_darts, rho0=d.rho0, rho1=d.rho1,
-        lengths=None if m is None else m.lengths,
-        angles=None if m is None else m.angles)
+        d.n_darts, d._r0, d._r1,
+        None if m is None else m.lengths, None if m is None else m.angles,
+        *colors)
+
+
+def from_dessin(d: Dessin, m: MetricData | None = None) -> DessinDocument:
+    return _from_parts(d, m)
 
 
 def from_tricolored(t: TricoloredDessin,
                     m: MetricData | None = None) -> DessinDocument:
-    base = from_dessin(t.base, m)
-    return DessinDocument(
-        n_darts=base.n_darts, rho0=base.rho0, rho1=base.rho1,
-        lengths=base.lengths, angles=base.angles,
-        edge_colors=t.edge_color, face_shades=t.face_shade,
-        vertex_labels=t.vertex_label)
+    return _from_parts(t.base, m,
+                       (t._edge_color, t._face_shade, t._vertex_label))
 
 
 def _parse_int(raw: str, line: int, what: str) -> int:
@@ -141,17 +209,27 @@ def _parse_int(raw: str, line: int, what: str) -> int:
             from None
 
 
-def _parse_images(raw: str, line: int, key: str, n: int) -> tuple[int, ...]:
+def _ascii_ints(raw: str) -> np.ndarray | None:
+    """The integers of ``raw`` when it is ASCII digits separated by
+    single spaces, else None.  int() also takes signs, underscores,
+    other whitespace and non-ASCII digits; such lines go to the loop."""
+    if not raw or not raw.isascii() or "  " in raw:
+        return None
+    data = np.frombuffer(raw.encode("ascii"), np.uint8)
+    if not (((data - ord("0")) < 10) | (data == ord(" "))).all():
+        return None
+    # a token too long for intp saturates, so it fails the range check
+    return np.fromstring(raw, dtype=np.intp, sep=" ")
+
+
+def _parse_images(raw: str, line: int, key: str, n: int) -> np.ndarray:
+    images = _ascii_ints(raw)
+    if images is not None and len(images) == n and images.max() < n:
+        return _frozen(images)
     parts = raw.split()
     if len(parts) != n:
         raise DocumentParseError(
             line, f"{key}: expected {n} entries, got {len(parts)}")
-    try:
-        images = tuple(map(int, parts))
-        if 0 <= min(images) and max(images) < n:
-            return images
-    except ValueError:
-        pass
     # the loop below names the first bad entry
     images = []
     for i, p in enumerate(parts):
@@ -160,45 +238,41 @@ def _parse_images(raw: str, line: int, key: str, n: int) -> tuple[int, ...]:
             raise DocumentParseError(
                 line, f"{key}[{i}] = {v} out of range 0..{n - 1}")
         images.append(v)
-    return tuple(images)
+    return _frozen(np.array(images, dtype=np.intp))
 
 
-def _parse_floats(raw: str, line: int, key: str, n: int) -> tuple[float, ...]:
+def _parse_floats(raw: str, line: int, key: str, n: int) -> np.ndarray:
     parts = raw.split()
     if len(parts) != n:
         raise DocumentParseError(
             line, f"{key}: expected {n} entries, got {len(parts)}")
-    values = []
+    try:
+        return _frozen(np.fromiter(map(float, parts), np.float64, n))
+    except ValueError:
+        pass
+    # the loop below names the first bad entry
     for i, p in enumerate(parts):
         try:
-            values.append(float(p))
+            float(p)
         except ValueError:
             raise DocumentParseError(
                 line, f"{key}[{i}]: not a number: {p!r}") from None
-    return tuple(values)
 
 
-_ENUM_TEXT = {m: m.value for members in _MEMBERS.values()
-              for m in members}
-
-
-def _parse_enums(raw: str, line: int, key: str, enum_cls):
+def _parse_codes(raw: str, line: int, key: str, enum_cls) -> np.ndarray:
     parts = raw.split()
+    code = _CODE[enum_cls]
     try:
-        return tuple(map(_MEMBERS[enum_cls].__getitem__,
-                         map(_CODE[enum_cls].__getitem__, parts)))
+        return _frozen(np.fromiter(map(code.__getitem__, parts), np.int8,
+                                   len(parts)))
     except KeyError:
         pass
     # the loop below names the first bad entry
-    values = []
     for i, p in enumerate(parts):
-        try:
-            values.append(enum_cls(p))
-        except ValueError:
-            allowed = ", ".join(e.value for e in enum_cls)
+        if p not in code:
+            allowed = ", ".join(_TEXT[enum_cls])
             raise DocumentParseError(
-                line, f"{key}[{i}]: {p!r} is not one of {allowed}") from None
-    return tuple(values)
+                line, f"{key}[{i}]: {p!r} is not one of {allowed}")
 
 
 def parse(text: str) -> DessinDocument:
@@ -260,12 +334,9 @@ def parse(text: str) -> DessinDocument:
             f"coloring block requires {missing!r} as well")
     edge_colors = face_shades = vertex_labels = None
     if present_colors:
-        line, raw = entries["edge_colors"]
-        edge_colors = _parse_enums(raw, line, "edge_colors", Color)
-        line, raw = entries["face_shades"]
-        face_shades = _parse_enums(raw, line, "face_shades", Shade)
-        line, raw = entries["vertex_labels"]
-        vertex_labels = _parse_enums(raw, line, "vertex_labels", VertexLabel)
+        edge_colors, face_shades, vertex_labels = (
+            _parse_codes(entries[key][1], entries[key][0], key, cls)
+            for key, cls in zip(_COLOR_KEYS, _COLOR_ENUMS))
 
     try:
         return DessinDocument(

@@ -38,14 +38,19 @@ class MetricData:
     angles: tuple[float, ...]
 
     def __init__(self, lengths, angles):
-        lengths = tuple(float(x) for x in lengths)
-        angles = tuple(float(x) for x in angles)
-        for i, x in enumerate(lengths):
-            if not (x > 0.0 and math.isfinite(x)):
-                raise ValueError(f"lengths[{i}] = {x} is not positive")
-        for i, x in enumerate(angles):
-            if not 0.0 < x < _TWO_PI:
-                raise ValueError(f"angles[{i}] = {x} outside (0, 2*pi)")
+        lengths = tuple(map(float, lengths))
+        angles = tuple(map(float, angles))
+        # one numpy pass per array; NaN fails both tests
+        values = np.array(lengths)
+        bad = np.flatnonzero(~((values > 0.0) & (values < math.inf)))
+        if len(bad):
+            i = int(bad[0])
+            raise ValueError(f"lengths[{i}] = {lengths[i]} is not positive")
+        values = np.array(angles)
+        bad = np.flatnonzero(~((values > 0.0) & (values < _TWO_PI)))
+        if len(bad):
+            i = int(bad[0])
+            raise ValueError(f"angles[{i}] = {angles[i]} outside (0, 2*pi)")
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "angles", angles)
 

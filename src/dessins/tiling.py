@@ -22,8 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .cartography import (CellKind, Dessin, Violation, _frozen, substitute,
-                          tuple_view)
+from .cartography import (CellKind, Dessin, Violation, _frozen, _read_only,
+                          substitute, tuple_view)
 
 
 class Color(str, Enum):
@@ -56,14 +56,16 @@ _COLOR_OF_CODE_SUM = np.array([-1, 0, 2, 1])
 
 def _code_array(enum_cls, values) -> np.ndarray:
     """``values`` (an integer array, or a sequence of codes, members or
-    text) as read-only int8 codes, with the enum's error for a bad one."""
+    text) as read-only int8 codes, shared when it already is such an
+    array, with the enum's error for a bad one."""
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"
             and values.ndim == 1):
         values = tuple(values.tolist() if isinstance(values, np.ndarray)
                        else values)
         try:
-            values = np.fromiter(map(_CODE[enum_cls].__getitem__, values),
-                                 np.int8, len(values))
+            values = _frozen(np.fromiter(
+                map(_CODE[enum_cls].__getitem__, values), np.int8,
+                len(values)))
         except (KeyError, TypeError):
             if not set(map(type, values)) <= {int}:
                 for v in values:
@@ -74,7 +76,7 @@ def _code_array(enum_cls, values) -> np.ndarray:
     if len(bad):
         raise ValueError(
             f"{int(values[bad[0]])} is not a valid {enum_cls.__name__}")
-    return _frozen(values.astype(np.int8))
+    return _read_only(values, np.int8)
 
 
 class NotSquareTilingError(ValueError):

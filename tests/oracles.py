@@ -377,3 +377,135 @@ def tricoloring_violations(rho0, rho1, edge_colors, face_shades,
         out.append(("color-label-mismatch", None,
                     "two colors join the same label pair"))
     return out
+
+
+# The document format, read and written one token at a time with the
+# enums as their text.
+DOCUMENT_KEYS = ("format_version", "n_darts", "rho0", "rho1",
+                 "lengths", "angles",
+                 "edge_colors", "face_shades", "vertex_labels")
+DOCUMENT_ENUMS = {"edge_colors": ("blue", "green", "red"),
+                  "face_shades": ("black", "white"),
+                  "vertex_labels": ("zero", "one", "infinity")}
+
+
+class ParseError(ValueError):
+    """Stands for the package's DocumentParseError."""
+
+    def __init__(self, line: int, message: str):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
+
+
+def serialize_document(fields: dict) -> str:
+    """Document text of ``fields`` (every key of DOCUMENT_KEYS, None for
+    an absent block)."""
+    lines = [f"format_version: {fields['format_version']}",
+             f"n_darts: {fields['n_darts']}"]
+    for key in DOCUMENT_KEYS[2:]:
+        values = fields[key]
+        if values is None:
+            continue
+        if key in ("lengths", "angles"):
+            text = [repr(float(x)) for x in values]
+        else:
+            text = [str(x) for x in values]
+        lines.append(f"{key}: " + " ".join(text))
+    return "\n".join(lines) + "\n"
+
+
+def _document_int(raw: str, line: int, what: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError(line, f"{what}: not an integer: {raw!r}") from None
+
+
+def _document_values(raw: str, line: int, key: str, n: int) -> tuple:
+    parts = raw.split()
+    if key in DOCUMENT_ENUMS:
+        allowed = DOCUMENT_ENUMS[key]
+        for i, p in enumerate(parts):
+            if p not in allowed:
+                raise ParseError(line, f"{key}[{i}]: {p!r} is not one of "
+                                       f"{', '.join(allowed)}")
+        return tuple(parts)
+    if len(parts) != n:
+        raise ParseError(line, f"{key}: expected {n} entries, "
+                               f"got {len(parts)}")
+    values = []
+    for i, p in enumerate(parts):
+        if key in ("lengths", "angles"):
+            try:
+                values.append(float(p))
+            except ValueError:
+                raise ParseError(
+                    line, f"{key}[{i}]: not a number: {p!r}") from None
+            continue
+        v = _document_int(p, line, f"{key}[{i}]")
+        if not 0 <= v < n:
+            raise ParseError(line, f"{key}[{i}] = {v} out of range "
+                                   f"0..{n - 1}")
+        values.append(v)
+    return tuple(values)
+
+
+def parse_document(text: str) -> dict:
+    """The fields of a document (enums as text), or ParseError."""
+    entries = {}
+    lines = text.splitlines()
+    for lineno, rawline in enumerate(lines, start=1):
+        stripped = rawline.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, sep, value = stripped.partition(":")
+        key = key.strip()
+        if not sep:
+            raise ParseError(lineno, f"expected 'key: value', "
+                                     f"got {stripped!r}")
+        if key not in DOCUMENT_KEYS:
+            raise ParseError(lineno, f"unknown key {key!r}")
+        if key in entries:
+            raise ParseError(lineno, f"duplicate key {key!r}")
+        entries[key] = (lineno, value.strip())
+    fields = {}
+    for key in DOCUMENT_KEYS[:4]:
+        if key not in entries:
+            raise ParseError(len(lines) + 1,
+                             f"missing required key {key!r}")
+        line, raw = entries[key]
+        if key == "format_version":
+            if raw != "1":
+                raise ParseError(line, f"unsupported format_version "
+                                       f"{raw!r}; this reader handles '1'")
+            fields[key] = raw
+        elif key == "n_darts":
+            n = fields[key] = _document_int(raw, line, "n_darts")
+            if n <= 0:
+                raise ParseError(line, f"n_darts must be positive, got {n}")
+        else:
+            fields[key] = _document_values(raw, line, key, n)
+    for block, name in ((DOCUMENT_KEYS[4:6], "metric"),
+                        (DOCUMENT_KEYS[6:], "coloring")):
+        present = [k for k in block if k in entries]
+        if present and len(present) != len(block):
+            missing = next(k for k in block if k not in entries)
+            raise ParseError(entries[present[0]][0],
+                             f"{name} block requires {missing!r} as well")
+        for key in block:
+            fields[key] = (_document_values(entries[key][1], entries[key][0],
+                                            key, n)
+                           if present else None)
+    return fields
+
+
+def metric_data_error(lengths, angles) -> str | None:
+    """The message MetricData raises for these values, checked one entry
+    at a time, or None when they are accepted."""
+    for i, x in enumerate(map(float, lengths)):
+        if not (x > 0.0 and math.isfinite(x)):
+            return f"lengths[{i}] = {x} is not positive"
+    for i, x in enumerate(map(float, angles)):
+        if not 0.0 < x < 2.0 * math.pi:
+            return f"angles[{i}] = {x} outside (0, 2*pi)"
+    return None

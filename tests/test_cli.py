@@ -2,10 +2,12 @@
 round trips between subcommands."""
 
 import io
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
+from dessins.cartography import Dessin
 from dessins.cli import main
 from dessins.document import parse
 from dessins.tiling import validate_tricoloring
@@ -22,6 +24,41 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def validated_sizes(monkeypatch):
+    """The dart counts of the dessins whose invariants get checked."""
+    sizes = []
+    check = Dessin.__dict__["_violations"].func
+
+    def counted(self):
+        sizes.append(self.n_darts)
+        return check(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Dessin, "_violations")
+    monkeypatch.setattr(Dessin, "_violations", prop)
+    return sizes
+
+
+@pytest.mark.parametrize("argv, n_darts", [
+    (["validate", OCTA], 24),
+    (["validate", TETRA], 12),
+    (["info", GRID], 16),
+    (["refine", TORUS], 4),
+    (["subdivide", TORUS], 4),
+    (["barycentric", OCTA], 24),
+    (["barycentric", TETRA], 12),
+    (["passport", OCTA], 24),
+])
+def test_document_dessin_checked_once(capsys, validated_sizes, argv,
+                                      n_darts):
+    """A command builds and checks the dessin of its document once,
+    also when it needs it again as the base of the coloring."""
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    assert validated_sizes.count(n_darts) == 1
 
 
 class TestValidate:

@@ -3,9 +3,14 @@ and positioned error reporting."""
 
 import hashlib
 import math
+import random
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dessins import catalog
 from dessins.belyi import barycentric_subdivide
@@ -19,7 +24,10 @@ from dessins.document import (
     parse,
 )
 from dessins.metric import MetricData, equilateral_structure, square_structure
-from dessins.tiling import corner_bipartition, diagonal_subdivision
+from dessins.tiling import (NonBipartiteError, corner_bipartition,
+                            diagonal_subdivision, refine_2x2)
+
+import oracles
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -275,3 +283,179 @@ class TestBlockPairing:
         err = DocumentParseError(17, "boom")
         assert err.line == 17
         assert str(err) == "line 17: boom"
+
+
+def random_document(rng: random.Random):
+    """A document of a random origami or grid, or of its diagonal or
+    barycentric subdivision, with or without a metric (random lengths,
+    equal on each edge, and random angles), together with its fields
+    read off the objects it was built from (enums as text)."""
+    if rng.random() < 0.5:
+        d = catalog.random_origami(rng.randint(1, 8), rng)
+    else:
+        d = catalog.square_torus_grid(rng.randint(1, 5), rng.randint(1, 5))
+    t = None
+    if rng.random() < 0.6:
+        try:
+            labels = corner_bipartition(d)
+        except NonBipartiteError:
+            d = refine_2x2(d)
+            labels = corner_bipartition(d)
+        t = diagonal_subdivision(d, labels)
+        if rng.random() < 0.4:
+            t = barycentric_subdivide(t)
+        d = t.base
+    m = None
+    if rng.random() < 0.5:
+        edge_length = [rng.choice((1.0, 0.5, 1 / 3, rng.uniform(1e-3, 1e3)))
+                       for _ in range(d.n_darts)]
+        m = MetricData([edge_length[min(x, d.rho1[x])]
+                        for x in range(d.n_darts)],
+                       [rng.uniform(1e-9, 2 * math.pi - 1e-9)
+                        for _ in range(d.n_darts)])
+    fields = {"format_version": "1", "n_darts": d.n_darts,
+              "rho0": d.rho0, "rho1": d.rho1,
+              "lengths": None if m is None else m.lengths,
+              "angles": None if m is None else m.angles}
+    for key, colors in zip(("edge_colors", "face_shades", "vertex_labels"),
+                           (None, None, None) if t is None else
+                           (t.edge_color, t.face_shade, t.vertex_label)):
+        fields[key] = None if colors is None else [c.value for c in colors]
+    d_doc = from_dessin(d, m) if t is None else from_tricolored(t, m)
+    return d_doc, fields
+
+
+def fields_of(d_doc: DessinDocument) -> dict:
+    fields = {key: getattr(d_doc, key) for key in oracles.DOCUMENT_KEYS}
+    for key in oracles.DOCUMENT_ENUMS:
+        if fields[key] is not None:
+            fields[key] = tuple(c.value for c in fields[key])
+    return fields
+
+
+def outcome(read, text):
+    """What ``read`` makes of ``text``: its fields, or the line and
+    message of its parse error."""
+    try:
+        return read(text)
+    except (DocumentParseError, oracles.ParseError) as exc:
+        return ("error", exc.line, str(exc))
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+MUTATIONS = {
+    "plus": lambda tok, n: "+" + tok,
+    "leading zero": lambda tok, n: "0" + tok,
+    "underscore": lambda tok, n: tok[0] + "_" + tok[1:] if len(tok) > 1
+    else "1_" + tok,
+    "arabic-indic": lambda tok, n: tok.translate(ARABIC_INDIC),
+    "negative": lambda tok, n: "-" + tok,
+    "out of range": lambda tok, n: str(n),
+    "far out of range": lambda tok, n: "9" * 25,
+    "many leading zeros": lambda tok, n: "0" * 30 + tok,
+    "not a number": lambda tok, n: "x",
+    "decimal": lambda tok, n: tok + ".0",
+    "exponent": lambda tok, n: "1e400",
+    "unknown enum": lambda tok, n: "mauve",
+    "dropped": lambda tok, n: "",
+    "doubled": lambda tok, n: tok + " " + tok,
+}
+SEPARATORS = ("\t", "  ", "\u00a0", "\u2003", " \t ")
+
+
+class TestAgainstOracle:
+    """The array-backed reader and writer against the token-by-token
+    ones in tests/oracles.py."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32))
+    def test_bytes_and_fields(self, seed):
+        d_doc, fields = random_document(random.Random(seed))
+        text = d_doc.serialize()
+        assert text == oracles.serialize_document(fields)
+        again = parse(text)
+        assert fields_of(again) == oracles.parse_document(text)
+        assert again == d_doc and hash(again) == hash(d_doc)
+        assert repr(again) == repr(d_doc)
+        assert again.serialize() == text
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32), st.sampled_from(sorted(MUTATIONS)),
+           st.sampled_from(SEPARATORS), st.booleans())
+    def test_mutated_tokens(self, seed, mutation, separator, split):
+        """One token of one line mutated, or one separator replaced:
+        equal fields or an equal error (line and message)."""
+        rng = random.Random(seed)
+        d_doc, _ = random_document(rng)
+        lines = d_doc.serialize().splitlines()
+        i = rng.randrange(1, len(lines))
+        key, value = lines[i].split(": ")
+        tokens = value.split(" ")
+        j = rng.randrange(len(tokens))
+        if split and j:
+            value = " ".join(tokens[:j]) + separator + " ".join(tokens[j:])
+        else:
+            tokens[j] = MUTATIONS[mutation](tokens[j], d_doc.n_darts)
+            value = " ".join(tokens)
+        lines[i] = f"{key}: {value}"
+        text = "\n".join(lines) + "\n"
+        expected = outcome(oracles.parse_document, text)
+        got = outcome(lambda x: fields_of(parse(x)), text)
+        assert got == expected
+
+    @pytest.mark.parametrize("rho0", [
+        "+1 2 3 0", "01 2 3 0", "1_0 2 3 0", "١ 2 3 0", "1\t2 3 0",
+        "1  2 3 0", "1 2 3 0 ", "-1 2 3 0", "1 2 3 4", "1 2 3",
+        "1 2 3 0 0", "1 2 3 " + "9" * 25, "0" * 40 + "1 2 3 0",
+    ])
+    def test_tokens_that_int_accepts(self, rho0):
+        text = make_text(rho0=rho0)
+        got = outcome(lambda x: fields_of(parse(x)), text)
+        assert got == outcome(oracles.parse_document, text)
+
+    def test_arrays_are_read_only_and_shared(self):
+        t = catalog.octahedron_tricolored()
+        d_doc = from_tricolored(t)
+        assert d_doc._rho0 is t.base._r0 and d_doc._rho1 is t.base._r1
+        assert d_doc._edge_colors is t._edge_color
+        again = parse(d_doc.serialize())
+        assert again._rho0.dtype == np.intp
+        assert again._edge_colors.dtype == np.int8
+        assert again._lengths is None and again.lengths is None
+        for arr in (again._rho0, again._rho1, again._face_shades):
+            assert not arr.flags.writeable
+        tri = again.to_tricolored()
+        assert tri.base is again.to_dessin()
+        assert tri._vertex_label is again._vertex_labels
+
+    def test_one_dessin_per_document(self):
+        d_doc = parse((FIXTURES / "octahedron_tricolored.dessin").read_text())
+        assert d_doc.to_dessin() is d_doc.to_dessin()
+        assert d_doc.to_tricolored().base is d_doc.to_dessin()
+        # the cached dessin takes no part in equality or hashing
+        fresh = parse(d_doc.serialize())
+        assert fresh == d_doc and hash(fresh) == hash(d_doc)
+
+    def test_sequences_and_arrays_give_one_document(self):
+        t = catalog.octahedron_tricolored()
+        from_arrays = from_tricolored(t)
+        from_sequences = DessinDocument(
+            t.base.n_darts, list(t.base.rho0), t.base.rho1,
+            edge_colors=[c.value for c in t.edge_color],
+            face_shades=t.face_shade, vertex_labels=t._vertex_label.tolist())
+        assert from_sequences == from_arrays
+        assert from_sequences.serialize() == from_arrays.serialize()
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_darts": 0, "rho0": (), "rho1": ()},
+         "n_darts must be a positive integer"),
+        ({"rho0": (1, 2, 3, 9)}, "rho0[3] = 9 out of range 0..3"),
+        ({"rho1": (2, 3, 0)}, "rho1 has 3 entries, expected 4"),
+        ({"edge_colors": ("blue", "mauve"), "face_shades": (),
+          "vertex_labels": ()}, "'mauve' is not a valid Color"),
+    ])
+    def test_malformed_fields_raise(self, kwargs, message):
+        args = {"n_darts": 4, "rho0": (1, 2, 3, 0), "rho1": (2, 3, 0, 1)}
+        args.update(kwargs)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DessinDocument(**args)

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dessins.cartography import CellIndex, CellKind
 from dessins.catalog import (octahedron, one_square_torus, pillow_sphere,
@@ -12,6 +14,8 @@ from dessins.metric import (R0, R0_INV, R1, AffineChart, FaceDegreeMismatch,
                             MetricData, chart_transition, cone_angle,
                             equilateral_structure, face_closure_residual,
                             metric_violations, square_structure)
+
+import oracles
 
 TOL = 1e-12
 
@@ -41,6 +45,25 @@ class TestMetricData:
             MetricData((1.0,), (0.0,))
         with pytest.raises(ValueError):
             MetricData((1.0,), (2 * math.pi,))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(
+        (1.0, 0.5, 0.0, -0.0, -1.0, 2 * math.pi, 7.0, 1e-300, math.inf,
+         -math.inf, math.nan, 3)), min_size=1, max_size=8),
+        st.integers(0, 2 ** 32))
+    def test_messages_match_loop(self, values, seed):
+        rng = random.Random(seed)
+        lengths, angles = values[:], values[:]
+        rng.shuffle(angles)
+        expected = oracles.metric_data_error(lengths, angles)
+        if expected is None:
+            m = MetricData(lengths, angles)
+            assert (m.lengths, m.angles) == (tuple(map(float, lengths)),
+                                             tuple(map(float, angles)))
+        else:
+            with pytest.raises(ValueError) as exc:
+                MetricData(lengths, angles)
+            assert str(exc.value) == expected
 
     def test_size_mismatch_violation(self):
         d = one_square_torus()

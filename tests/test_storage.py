@@ -1,8 +1,9 @@
-"""One storage per object: a Dessin keeps only its index arrays and a
-TricoloredDessin only its int8 codes.  Objects built from integer arrays
-and from sequences are equal, malformed arrays raise the messages of the
-equal lists, the operators never build the tuple views, and the
-vectorised checks match their loop references."""
+"""One storage per object: a Dessin keeps only its index arrays, a
+TricoloredDessin only its int8 codes and a DessinDocument only arrays.
+Objects built from integer arrays and from sequences are equal,
+malformed arrays raise the messages of the equal lists, the operators
+never build the tuple views, and the vectorised checks match their loop
+references."""
 
 import random
 
@@ -16,6 +17,7 @@ from dessins.belyi import barycentric_subdivide, passport
 from dessins.cartography import CellKind, Dessin, Violation
 from dessins.catalog import (octahedron_tricolored, pillow_sphere,
                              random_origami, square_torus_grid)
+from dessins.document import from_tricolored, parse
 from dessins.metric import MetricData, metric_violations
 from dessins.tiling import (Color, Shade, TricoloredDessin, VertexLabel,
                             corner_bipartition, diagonal_subdivision,
@@ -27,6 +29,8 @@ PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
 INT_DTYPES = (np.intp, np.int64, np.int32, np.int8, np.uint16)
 DESSIN_VIEWS = {"rho0", "rho1", "rho2"}
 COLORING_VIEWS = {"edge_color", "face_shade", "vertex_label"}
+DOCUMENT_VIEWS = {"rho0", "rho1", "lengths", "angles", "edge_colors",
+                  "face_shades", "vertex_labels"}
 
 
 @st.composite
@@ -78,6 +82,15 @@ class TestDessinStorage:
         # the caller's array is copied, not frozen or aliased
         assert a0.flags.writeable
         assert not a._r0.flags.writeable and a._r0 is not a0
+
+    def test_frozen_array_shared(self):
+        owned = np.array([1, 0], dtype=np.intp)
+        owned.setflags(write=False)
+        assert Dessin(2, owned, owned)._r0 is owned
+        # a read-only view of writable memory is copied
+        view = np.array([1, 0], dtype=np.intp)[:]
+        view.setflags(write=False)
+        assert Dessin(2, view, view)._r0 is not view
 
     def test_views_are_tuples_of_ints(self):
         d = square_torus_grid(2, 3)
@@ -191,6 +204,19 @@ class TestTricoloredStorage:
         # a view is built on first use and then kept
         assert out.face_shade.count(Shade.WHITE) == len(out.face_shade) // 2
         assert "face_shade" in out.__dict__
+
+    def test_document_pipeline_builds_no_tuple_view(self):
+        d = refine_2x2(square_torus_grid(3, 3))
+        t = diagonal_subdivision(d, corner_bipartition(d))
+        d_doc = parse(from_tricolored(t).serialize())
+        tri = d_doc.to_tricolored()
+        out_doc = from_tricolored(barycentric_subdivide(tri))
+        text = out_doc.serialize()
+        for doc in (d_doc, out_doc):
+            assert DOCUMENT_VIEWS.isdisjoint(doc.__dict__)
+        assert DESSIN_VIEWS.isdisjoint(tri.base.__dict__)
+        assert COLORING_VIEWS.isdisjoint(tri.__dict__)
+        assert parse(text) == out_doc
 
 
 class TestValidateTricoloringMatchesLoops:
