@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cartography import CellKind, substitute
-from .metric import FaceDegreeMismatch
+from .metric import _require_face_size
 from .tiling import TricoloredDessin, tricolored_from_labels
 
 
@@ -169,12 +169,7 @@ def barycentric_subdivide(t) -> TricoloredDessin:
     and the genus is unchanged.
     """
     base = t.base if isinstance(t, TricoloredDessin) else t
-    base.require_valid()
-    size = base.cell_arrays(CellKind.FACE).size
-    bad = np.flatnonzero(size != 3)
-    if len(bad):
-        raise FaceDegreeMismatch(
-            f"face {bad[0]} has {size[bad[0]]} sides, expected 3")
+    _require_face_size(base, 3)
     out = substitute(base, 6, _BARYCENTRIC_RHO1, _BARYCENTRIC_RHO2)
     remainder = out.cell_arrays(CellKind.VERTEX).smallest % 6
     return tricolored_from_labels(out, _LABEL_CODE_OF_REMAINDER[remainder])

@@ -125,7 +125,8 @@ def _image_array(name: str, images, n: int) -> np.ndarray:
             arr = _frozen(np.fromiter(images, np.intp, n))
         except OverflowError:
             pass
-    if arr is not None and arr.min() >= 0 and arr.max() < n:
+    # an empty array (n = 0) has no minimum, and no entry out of range
+    if arr is not None and (not n or arr.min() >= 0 and arr.max() < n):
         return _read_only(arr, np.intp)
     if isinstance(images, np.ndarray):
         images = images.tolist()
@@ -135,6 +136,21 @@ def _image_array(name: str, images, n: int) -> np.ndarray:
         if not 0 <= y < n:
             raise ValueError(f"{name}[{i}] = {y} out of range 0..{n - 1}")
     return _frozen(np.array([int(y) for y in images], dtype=np.intp))
+
+
+def _permutation_array(images, n: int, message: str) -> np.ndarray:
+    """``images``, an integer array or a sequence of ints, as a read-only
+    index array; ValueError(``message``) unless it is a permutation of
+    0..n-1."""
+    if not isinstance(images, np.ndarray):
+        images = tuple(images)
+    try:
+        arr = _image_array("images", images, n)
+    except ValueError:
+        arr = None
+    if arr is None or not (np.bincount(arr, minlength=n) == 1).all():
+        raise ValueError(message)
+    return arr
 
 
 def _cycle_minima(p: np.ndarray) -> np.ndarray:
@@ -354,10 +370,8 @@ class Dessin:
     def relabeled(self, sigma) -> "Dessin":
         """Conjugate by the dart relabeling ``sigma`` (old dart x becomes
         sigma[x])."""
-        sigma = tuple(sigma)
-        if not perms.is_permutation(sigma) or len(sigma) != self.n_darts:
-            raise ValueError("sigma must be a permutation of the darts")
-        s = np.array(sigma, dtype=np.intp)
+        s = _permutation_array(sigma, self.n_darts,
+                               "sigma must be a permutation of the darts")
         # new dart s[x] is sent to s[rho(x)]: s o rho o s^{-1}
         s_inv = inverse_array(s)
         return Dessin(self.n_darts, s[self._r0][s_inv], s[self._r1][s_inv])

@@ -9,7 +9,8 @@ from typing import Sequence
 import numpy as np
 
 from . import permutations as perms
-from .cartography import CellKind, Dessin, from_rho1_rho2, inverse_array
+from .cartography import (CellKind, Dessin, _permutation_array,
+                          from_rho1_rho2, inverse_array)
 from .tiling import TricoloredDessin, VertexLabel, tricolored_from_labels
 
 
@@ -68,12 +69,9 @@ def origami(horizontal: Sequence[int], vertical: Sequence[int]) -> Dessin:
     n_sq = len(horizontal)
     if len(vertical) != n_sq:
         raise ValueError("gluing permutations must have equal length")
-    h = tuple(horizontal)
-    v = tuple(vertical)
-    if not perms.is_permutation(h) or not perms.is_permutation(v):
-        raise ValueError("gluings must be permutations of the squares")
-    h = np.array(h, dtype=np.intp)
-    v = np.array(v, dtype=np.intp)
+    h, v = (_permutation_array(p, n_sq,
+                               "gluings must be permutations of the squares")
+            for p in (horizontal, vertical))
     # rho1 per square: bottom, right, top, left meet the top of the
     # square below, the left of the right neighbour, and so on
     rho1 = np.stack([4 * inverse_array(v) + 2, 4 * h + 3, 4 * v,

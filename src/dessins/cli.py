@@ -95,16 +95,8 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _require_valid(d_doc: doc.DessinDocument):
-    dessin = d_doc.to_dessin()
-    violations = dessin.violations()
-    if violations:
-        _fail("invalid-dessin", "; ".join(str(v) for v in violations))
-    return dessin
-
-
 def cmd_info(args) -> int:
-    dessin = _require_valid(_load(args.file))
+    dessin = _load(args.file).to_dessin()
     nv, ne, nf = (len(dessin.cell_arrays(k).size) for k in CellKind)
     print(f"V={nv} E={ne} F={nf} genus={dessin.genus()}")
     hist = Counter(dessin.cell_arrays(CellKind.FACE).size.tolist())
@@ -114,14 +106,14 @@ def cmd_info(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    dessin = _require_valid(_load(args.file))
+    dessin = _load(args.file).to_dessin()
     refined = refine_2x2(dessin)
     _write_text(args.out, doc.from_dessin(refined).serialize())
     return 0
 
 
 def cmd_subdivide(args) -> int:
-    dessin = _require_valid(_load(args.file))
+    dessin = _load(args.file).to_dessin()
     try:
         labels = corner_bipartition(dessin)
     except NonBipartiteError:
@@ -136,10 +128,8 @@ def cmd_subdivide(args) -> int:
 
 def cmd_barycentric(args) -> int:
     d_doc = _load(args.file)
-    if d_doc.has_coloring:
-        source = d_doc.to_tricolored()
-    else:
-        source = _require_valid(d_doc)
+    source = (d_doc.to_tricolored() if d_doc.has_coloring
+              else d_doc.to_dessin())
     tri = barycentric_subdivide(source)
     _write_text(args.out, doc.from_tricolored(tri).serialize())
     return 0

@@ -20,27 +20,26 @@ block, indexed by the dense orbit ids of the dessin (orbits ordered by
 their smallest dart).  Unknown and duplicate keys are rejected.  All
 parse errors carry the offending line number.
 
-A :class:`DessinDocument` has one storage, as a dessin has: ``rho0``
-and ``rho1`` are read-only intp index arrays, the metric block float
-arrays and the coloring block int8 codes (the codes of
-:mod:`dessins.tiling`).  :func:`from_dessin` and :func:`from_tricolored`
-share the arrays of the objects they are given, :func:`parse` reads
-image lines of ASCII digits and single spaces with numpy and enum lines
-straight to codes, and :meth:`DessinDocument.serialize` writes from the
-arrays; the tuple fields are views built on first use.
+Each datum of a :class:`DessinDocument` has one owner.  The images
+belong to the document's :class:`~dessins.cartography.Dessin`, built
+with the document and returned by ``to_dessin()``; ``rho0`` and
+``rho1`` are its tuples.  The metric block is read-only float arrays
+and the coloring block int8 codes (the codes of :mod:`dessins.tiling`).
+:func:`from_dessin` and :func:`from_tricolored` share the arrays of the
+objects they are given, :func:`parse` reads image lines of ASCII digits
+and single spaces with numpy and enum lines straight to codes, and
+:meth:`DessinDocument.serialize` writes from the arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .cartography import (Dessin, _frozen, _image_array, _read_only,
-                          tuple_view)
-from .metric import MetricData, metric_violations
-from .tiling import (_CODE, _MEMBERS, Color, Shade, TricoloredDessin,
+from .cartography import Dessin, _frozen, tuple_view
+from .metric import MetricData, _floats, metric_violations
+from .tiling import (_CODE, _MEMBERS, _TEXT, Color, Shade, TricoloredDessin,
                      VertexLabel, _code_array)
 
 FORMAT_VERSION = "1"
@@ -51,9 +50,6 @@ _KEY_ORDER = ("format_version", "n_darts", "rho0", "rho1",
 _METRIC_KEYS = ("lengths", "angles")
 _COLOR_KEYS = ("edge_colors", "face_shades", "vertex_labels")
 _COLOR_ENUMS = (Color, Shade, VertexLabel)
-# code -> text, per enum
-_TEXT = {cls: tuple(m.value for m in members)
-         for cls, members in _MEMBERS.items()}
 
 
 class DocumentParseError(ValueError):
@@ -66,14 +62,14 @@ class DocumentParseError(ValueError):
 
 @dataclass(frozen=True)
 class DessinDocument:
-    """The fields of a document.  Images, metric and coloring are given
-    as arrays or sequences and stored as read-only arrays; the fields
-    other than ``n_darts`` and ``format_version`` are tuple views of
-    them, None when their block is absent."""
+    """The fields of a document.  The images are checked and held by the
+    document's :class:`Dessin`, and ``rho0``/``rho1`` are its tuples;
+    metric and coloring are given as arrays or sequences and stored as
+    read-only arrays, with tuple views as fields, None when absent."""
 
     n_darts: int
-    rho0: tuple[int, ...] = tuple_view("_rho0")
-    rho1: tuple[int, ...] = tuple_view("_rho1")
+    rho0: tuple[int, ...] = property(lambda self: self._dessin.rho0)
+    rho1: tuple[int, ...] = property(lambda self: self._dessin.rho1)
     lengths: tuple[float, ...] | None = tuple_view("_lengths")
     angles: tuple[float, ...] | None = tuple_view("_angles")
     edge_colors: tuple[Color, ...] | None = tuple_view(
@@ -94,15 +90,15 @@ class DessinDocument:
         if any(given) and not all(given):
             raise ValueError("edge_colors, face_shades and vertex_labels "
                              "must be given together")
-        if not isinstance(n_darts, int) or n_darts <= 0:
-            raise ValueError("n_darts must be a positive integer")
-        stored = {"n_darts": n_darts, "format_version": format_version}
-        for key, images in (("rho0", rho0), ("rho1", rho1)):
-            if not isinstance(images, np.ndarray):
-                images = tuple(images)
-            stored["_" + key] = _image_array(key, images, n_darts)
+        stored = {"_dessin": Dessin(n_darts, rho0, rho1),
+                  "n_darts": n_darts, "format_version": format_version}
         for key, values in zip(_METRIC_KEYS, (lengths, angles)):
-            stored["_" + key] = None if values is None else _floats(values)
+            if values is not None:
+                values = _floats(key, values)
+                if len(values) != n_darts:
+                    raise ValueError(f"{key} has {len(values)} entries, "
+                                     f"expected {n_darts}")
+            stored["_" + key] = values
         for key, cls, values in zip(_COLOR_KEYS, _COLOR_ENUMS, colors):
             stored["_" + key] = (None if values is None
                                  else _code_array(cls, values))
@@ -117,31 +113,27 @@ class DessinDocument:
     def has_coloring(self) -> bool:
         return self._edge_colors is not None
 
-    @cached_property
-    def _dessin(self) -> Dessin:
-        return Dessin(self.n_darts, self._rho0, self._rho1)
-
     def to_dessin(self) -> Dessin:
-        """The document's dessin: one object, built on the first call
-        and then returned again, so it is validated at most once."""
+        """The document's dessin: the same object on every call, so it
+        is validated at most once."""
         return self._dessin
 
     def to_metric(self) -> MetricData | None:
         if not self.has_metric:
             return None
-        return MetricData(self._lengths.tolist(), self._angles.tolist())
+        return MetricData(self._lengths, self._angles)
 
     def to_tricolored(self) -> TricoloredDessin:
         if not self.has_coloring:
             raise ValueError("document has no coloring block")
-        return TricoloredDessin(self.to_dessin(), self._edge_colors,
+        return TricoloredDessin(self._dessin, self._edge_colors,
                                 self._face_shades, self._vertex_labels)
 
     def serialize(self) -> str:
         lines = [f"format_version: {self.format_version}",
                  f"n_darts: {self.n_darts}",
-                 "rho0: " + _int_text(self._rho0),
-                 "rho1: " + _int_text(self._rho1)]
+                 "rho0: " + _int_text(self._dessin._r0),
+                 "rho1: " + _int_text(self._dessin._r1)]
         if self.has_metric:
             for key in _METRIC_KEYS:
                 values = getattr(self, "_" + key).tolist()
@@ -152,14 +144,6 @@ class DessinDocument:
                 lines.append(f"{key}: "
                              + " ".join(map(_TEXT[cls].__getitem__, codes)))
         return "\n".join(lines) + "\n"
-
-
-def _floats(values) -> np.ndarray:
-    """``values`` as a read-only float array, each entry through float()."""
-    if isinstance(values, np.ndarray):
-        return _read_only(values, np.float64)
-    values = tuple(values)
-    return _frozen(np.fromiter(map(float, values), np.float64, len(values)))
 
 
 def _int_text(images: np.ndarray) -> str:
@@ -187,7 +171,7 @@ def _from_parts(d: Dessin, m: MetricData | None,
         raise ValueError("metric does not fit the dessin")
     return DessinDocument(
         d.n_darts, d._r0, d._r1,
-        None if m is None else m.lengths, None if m is None else m.angles,
+        None if m is None else m._lengths, None if m is None else m._angles,
         *colors)
 
 
@@ -247,7 +231,7 @@ def _parse_floats(raw: str, line: int, key: str, n: int) -> np.ndarray:
         raise DocumentParseError(
             line, f"{key}: expected {n} entries, got {len(parts)}")
     try:
-        return _frozen(np.fromiter(map(float, parts), np.float64, n))
+        return _floats(key, parts)
     except ValueError:
         pass
     # the loop below names the first bad entry
@@ -313,27 +297,25 @@ def parse(text: str) -> DessinDocument:
     line, raw = require("rho1")
     rho1 = _parse_images(raw, line, "rho1", n)
 
-    present_metric = [k for k in _METRIC_KEYS if k in entries]
-    if present_metric and len(present_metric) != len(_METRIC_KEYS):
-        missing = next(k for k in _METRIC_KEYS if k not in entries)
-        raise DocumentParseError(
-            entries[present_metric[0]][0],
-            f"metric block requires {missing!r} as well")
+    def has_block(name: str, keys) -> bool:
+        """Whether the block of ``keys`` is there; all or none must be."""
+        present = [k for k in keys if k in entries]
+        if present and len(present) != len(keys):
+            missing = next(k for k in keys if k not in entries)
+            raise DocumentParseError(
+                entries[present[0]][0],
+                f"{name} block requires {missing!r} as well")
+        return bool(present)
+
     lengths = angles = None
-    if present_metric:
+    if has_block("metric", _METRIC_KEYS):
         line, raw = entries["lengths"]
         lengths = _parse_floats(raw, line, "lengths", n)
         line, raw = entries["angles"]
         angles = _parse_floats(raw, line, "angles", n)
 
-    present_colors = [k for k in _COLOR_KEYS if k in entries]
-    if present_colors and len(present_colors) != len(_COLOR_KEYS):
-        missing = next(k for k in _COLOR_KEYS if k not in entries)
-        raise DocumentParseError(
-            entries[present_colors[0]][0],
-            f"coloring block requires {missing!r} as well")
     edge_colors = face_shades = vertex_labels = None
-    if present_colors:
+    if has_block("coloring", _COLOR_KEYS):
         edge_colors, face_shades, vertex_labels = (
             _parse_codes(entries[key][1], entries[key][0], key, cls)
             for key, cls in zip(_COLOR_KEYS, _COLOR_ENUMS))

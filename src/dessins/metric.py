@@ -7,6 +7,10 @@ dart the origin sits at 0 and the endpoint at l(e), and neighbouring
 charts are glued by the affine relations
 
     z_{rho0 e} = exp(i phi(e)) z_e        z_{rho1 e} = l(e) - z_e
+
+:class:`MetricData` stores lengths and angles as read-only float
+arrays, which the metrics built here and the documents share; the
+tuples ``lengths`` and ``angles`` are views built on first use.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartography import CellIndex, CellKind, Dessin, Violation
+from .cartography import (CellIndex, CellKind, Dessin, Violation, _frozen,
+                          _read_only, tuple_view)
 
 R0 = "rho0"
 R1 = "rho1"
@@ -30,42 +35,56 @@ class FaceDegreeMismatch(ValueError):
     """A face has the wrong number of sides for the requested structure."""
 
 
+def _floats(name: str, values) -> np.ndarray:
+    """``values`` as a read-only float array, shared when it already is
+    one; a sequence goes through float() entry by entry."""
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1:
+            raise ValueError(f"{name} must be a 1-D array, "
+                             f"got shape {values.shape}")
+        return _read_only(values, np.float64)
+    values = tuple(values)
+    return _frozen(np.fromiter(map(float, values), np.float64, len(values)))
+
+
 @dataclass(frozen=True)
 class MetricData:
-    """Per-dart lengths and corner angles."""
+    """Per-dart lengths and corner angles, given as arrays or sequences
+    and stored as the read-only float arrays ``_lengths`` and
+    ``_angles``; ``lengths`` and ``angles`` are tuple views of them."""
 
-    lengths: tuple[float, ...]
-    angles: tuple[float, ...]
+    lengths: tuple[float, ...] = tuple_view("_lengths")
+    angles: tuple[float, ...] = tuple_view("_angles")
 
     def __init__(self, lengths, angles):
-        lengths = tuple(map(float, lengths))
-        angles = tuple(map(float, angles))
+        lengths = _floats("lengths", lengths)
+        angles = _floats("angles", angles)
         # one numpy pass per array; NaN fails both tests
-        values = np.array(lengths)
-        bad = np.flatnonzero(~((values > 0.0) & (values < math.inf)))
+        bad = np.flatnonzero(~((lengths > 0.0) & (lengths < math.inf)))
         if len(bad):
             i = int(bad[0])
-            raise ValueError(f"lengths[{i}] = {lengths[i]} is not positive")
-        values = np.array(angles)
-        bad = np.flatnonzero(~((values > 0.0) & (values < _TWO_PI)))
+            raise ValueError(
+                f"lengths[{i}] = {float(lengths[i])} is not positive")
+        bad = np.flatnonzero(~((angles > 0.0) & (angles < _TWO_PI)))
         if len(bad):
             i = int(bad[0])
-            raise ValueError(f"angles[{i}] = {angles[i]} outside (0, 2*pi)")
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "angles", angles)
+            raise ValueError(
+                f"angles[{i}] = {float(angles[i])} outside (0, 2*pi)")
+        object.__setattr__(self, "_lengths", lengths)
+        object.__setattr__(self, "_angles", angles)
 
 
 def metric_violations(d: Dessin, m: MetricData) -> list[Violation]:
     """Consistency of a metric with a dessin: array sizes and equality of
     lengths on reversed darts."""
     out = []
-    if len(m.lengths) != d.n_darts or len(m.angles) != d.n_darts:
+    lengths = m._lengths
+    if len(lengths) != d.n_darts or len(m._angles) != d.n_darts:
         out.append(Violation(
             "metric-size-mismatch", None,
-            f"metric arrays sized {len(m.lengths)}/{len(m.angles)}, "
+            f"metric arrays sized {len(lengths)}/{len(m._angles)}, "
             f"dessin has {d.n_darts} darts"))
         return out
-    lengths = np.array(m.lengths)
     for x in np.flatnonzero(lengths != lengths[d._r1]).tolist():
         out.append(Violation(
             "length-not-edge-constant", x,
@@ -79,10 +98,11 @@ _METRIC_CHECKS_KEPT = 4
 
 
 def _require_metric(d: Dessin, m: MetricData) -> None:
-    """Raise unless ``m`` fits ``d``.  :func:`metric_violations` runs
-    once per (dessin, metric) pair: the dessin keeps the result by
-    ``id(m)`` together with ``m`` itself, so the id cannot be reused
-    while the entry lives."""
+    """Raise unless ``d`` is valid and ``m`` fits it.
+    :func:`metric_violations` runs once per (dessin, metric) pair: the
+    dessin keeps the result by ``id(m)`` together with ``m`` itself, so
+    the id cannot be reused while the entry lives."""
+    d.require_valid()
     checks = d._metric_checks
     entry = checks.get(id(m))
     if entry is None:
@@ -94,15 +114,20 @@ def _require_metric(d: Dessin, m: MetricData) -> None:
         raise ValueError("; ".join(str(v) for v in bad))
 
 
-def _constant_structure(d: Dessin, face_size: int, angle: float) -> MetricData:
-    d.require_valid()
+def _require_face_size(d: Dessin, face_size: int) -> None:
+    """Raise unless every face of the valid dessin ``d`` has
+    ``face_size`` sides."""
     size = d.cell_arrays(CellKind.FACE).size
     bad = np.flatnonzero(size != face_size)
     if len(bad):
         raise FaceDegreeMismatch(
             f"face {bad[0]} has {size[bad[0]]} sides, expected {face_size}")
-    n = d.n_darts
-    return MetricData((1.0,) * n, (angle,) * n)
+
+
+def _constant_structure(d: Dessin, face_size: int, angle: float) -> MetricData:
+    _require_face_size(d, face_size)
+    return MetricData(_frozen(np.full(d.n_darts, 1.0)),
+                      _frozen(np.full(d.n_darts, angle)))
 
 
 def equilateral_structure(d: Dessin) -> MetricData:
@@ -144,7 +169,6 @@ def chart_transition(d: Dessin, m: MetricData, dart: int, word) -> AffineChart:
     ``word`` is a sequence over {"rho0", "rho1", "rho0_inv"} read as a
     group word, the rightmost token acting first.
     """
-    d.require_valid()
     _require_metric(d, m)
     if not 0 <= dart < d.n_darts:
         raise ValueError(f"dart {dart} out of range")
@@ -179,7 +203,6 @@ def face_closure_residual(d: Dessin, m: MetricData, face) -> tuple[complex, floa
     end position (0 for a closed euclidean polygon) and the accumulated
     turning minus 2*pi.
     """
-    d.require_valid()
     _require_metric(d, m)
     if isinstance(face, CellIndex):
         if face.kind != CellKind.FACE:
@@ -203,7 +226,6 @@ def face_closure_residual(d: Dessin, m: MetricData, face) -> tuple[complex, floa
 
 def cone_angle(d: Dessin, m: MetricData, vertex) -> float:
     """Total angle at a vertex: the sum of phi over its darts."""
-    d.require_valid()
     _require_metric(d, m)
     if isinstance(vertex, CellIndex):
         if vertex.kind != CellKind.VERTEX:
@@ -212,5 +234,6 @@ def cone_angle(d: Dessin, m: MetricData, vertex) -> float:
     vertices = d.cells(CellKind.VERTEX)
     if not 0 <= vertex < len(vertices):
         raise ValueError(f"vertex {vertex} out of range")
-    # the darts of the vertex in rho0-cycle order from the smallest
-    return sum(m.angles[x] for x in vertices[vertex])
+    # the darts of the vertex in rho0-cycle order from the smallest; the
+    # array's entries as floats, so no tuple view of the angles is built
+    return sum(map(m._angles.item, vertices[vertex]))

@@ -49,6 +49,9 @@ _MEMBERS = {cls: tuple(cls) for cls in (Color, Shade, VertexLabel)}
 # the same lookup also maps each member to its code
 _CODE = {cls: {m.value: i for i, m in enumerate(members)}
          for cls, members in _MEMBERS.items()}
+# code -> text
+_TEXT = {cls: tuple(m.value for m in members)
+         for cls, members in _MEMBERS.items()}
 # the label codes at the ends of an edge sum to 1 (zero-one), 2 (zero-
 # infinity) or 3 (one-infinity): the index of its blue, red or green code
 _COLOR_OF_CODE_SUM = np.array([-1, 0, 2, 1])
@@ -130,7 +133,6 @@ class TricoloredDessin:
 
 def is_square_tiling(d: Dessin) -> bool:
     """Whether every face of the (valid) dessin has exactly four sides."""
-    d.require_valid()
     return bool((d.cell_arrays(CellKind.FACE).size == 4).all())
 
 
@@ -225,11 +227,6 @@ def _first_same_end_edge(d: Dessin, codes: np.ndarray):
     return (int(x[i]), int(d._r1[x[i]])), int(u[i]), int(v[i])
 
 
-def _text(enum_cls, code) -> str:
-    """The text of the member with ``code``."""
-    return _MEMBERS[enum_cls][code].value
-
-
 def diagonal_subdivision(d: Dessin, labels) -> TricoloredDessin:
     """Cut every square along both diagonals.
 
@@ -253,7 +250,7 @@ def diagonal_subdivision(d: Dessin, labels) -> TricoloredDessin:
         edge, u, v = clash
         raise InconsistentLabelsError(
             f"corners {u} and {v} of edge {edge} share label "
-            f"{_text(VertexLabel, codes[u])}")
+            f"{_TEXT[VertexLabel][codes[u]]}")
     out = substitute(d, 3, _DIAGONAL_RHO1, _DIAGONAL_RHO2)
     # each new vertex read at its smallest dart 3e + r: the origin of e
     # (r = 0), the endpoint of e (r = 1) or a face center (r = 2, code 2)
@@ -282,7 +279,7 @@ def tricolored_from_labels(base: Dessin, vertex_label) -> TricoloredDessin:
         edge, u, _ = clash
         raise InconsistentLabelsError(
             f"edge {edge} joins two vertices labeled "
-            f"{_text(VertexLabel, codes[u])}")
+            f"{_TEXT[VertexLabel][codes[u]]}")
     _, u, v = _edge_ends(base)
     colors = _COLOR_OF_CODE_SUM[codes[u] + codes[v]]
     faces = base.cell_arrays(CellKind.FACE)
@@ -347,14 +344,14 @@ def validate_tricoloring(t: TricoloredDessin) -> list[Violation]:
         out.append(Violation(
             "face-colors-repeat", int(s[i]),
             f"face {i} has edge colors "
-            f"{[_text(Color, k) for k in cols[i].tolist()]}, "
+            f"{[_TEXT[Color][k] for k in cols[i].tolist()]}, "
             "expected all three"))
 
     dart_shade = t._face_shade[faces.id]
     for i in np.flatnonzero(dart_shade[x] == dart_shade[d._r1[x]]).tolist():
         out.append(Violation(
             "checkerboard", int(x[i]),
-            f"edge {i} separates two {_text(Shade, dart_shade[x[i]])} "
+            f"edge {i} separates two {_TEXT[Shade][dart_shade[x[i]]]} "
             "faces"))
 
     # a pair of distinct label codes is named by its sum (1, 2 or 3);
@@ -368,11 +365,11 @@ def validate_tricoloring(t: TricoloredDessin) -> list[Violation]:
     pair_of_color = np.zeros(len(Color), dtype=pair.dtype)
     pair_of_color[present] = pair[joins[first]]
     for i in joins[pair[joins] != pair_of_color[color[joins]]].tolist():
-        c = _text(Color, color[i])
+        c = _TEXT[Color][color[i]]
         out.append(Violation(
             "color-label-mismatch", int(x[i]),
-            f"edge {i} is {c} but joins {_text(VertexLabel, lu[i])}-"
-            f"{_text(VertexLabel, lv[i])} unlike other {c} edges"))
+            f"edge {i} is {c} but joins {_TEXT[VertexLabel][lu[i]]}-"
+            f"{_TEXT[VertexLabel][lv[i]]} unlike other {c} edges"))
     pairs = pair_of_color[present]
     if len(np.unique(pairs)) != len(pairs):
         out.append(Violation(

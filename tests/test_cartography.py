@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,6 +234,27 @@ class TestIsomorphism:
     def test_relabeled_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             one_square_torus().relabeled((0, 0, 1, 2))
+
+    @pytest.mark.parametrize("images", [
+        [1, 0, 3, 2], [2, 3, 0, 1], [0, 0, 1, 2], [0, 1, 2], [0, 1, 2, 4],
+        [0, 1, 2, -1]])
+    def test_permutation_arrays_act_as_lists(self, images):
+        """relabeled and origami take integer arrays as they take lists:
+        the same dessin, or the same error."""
+        def outcome(f, *args):
+            try:
+                return f(*args)
+            except ValueError as exc:
+                return str(exc)
+
+        torus = one_square_torus()
+        same = list(range(len(images)))
+        for dtype in (np.intp, np.int16):
+            arr = np.array(images, dtype=dtype)
+            assert (outcome(torus.relabeled, arr)
+                    == outcome(torus.relabeled, images))
+            assert (outcome(origami, arr, np.array(same, dtype=dtype))
+                    == outcome(origami, images, same))
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, pinned output shapes, and the
 round trips between subcommands."""
 
+import hashlib
 import io
 from functools import cached_property
 from pathlib import Path
@@ -299,3 +300,107 @@ class TestTransform:
         assert err == ("no-convergence: Newton iteration for "
                        "(0.999999995684091-7.893618444382483e-09j) "
                        "stalled at residual 3.58e-10\n")
+
+
+# Per fixture and command: the exit code and the first 16 hex digits
+# of the sha256 of stdout and of stderr.  "subdivide | info" runs info
+# on the document that subdivide wrote.  Recorded before documents held
+# their dessin and the CLI stopped checking validity itself.
+CLI_DIGESTS = {
+    'bad_out_of_range': {
+        'validate': (1, 'e3b0c44298fc1c14', '2ef2b1d9757e7450'),
+        'info': (1, 'e3b0c44298fc1c14', '2ef2b1d9757e7450'),
+        'refine': (1, 'e3b0c44298fc1c14', '2ef2b1d9757e7450'),
+        'subdivide': (1, 'e3b0c44298fc1c14', '2ef2b1d9757e7450'),
+        'barycentric': (1, 'e3b0c44298fc1c14', '2ef2b1d9757e7450'),
+        'passport': (1, 'e3b0c44298fc1c14', '2ef2b1d9757e7450'),
+    },
+    'free_edge': {
+        'validate': (1, '826f836c2ee80d80', 'e3b0c44298fc1c14'),
+        'info': (1, 'e3b0c44298fc1c14', 'caaa2c69936f13c0'),
+        'refine': (1, 'e3b0c44298fc1c14', 'caaa2c69936f13c0'),
+        'subdivide': (1, 'e3b0c44298fc1c14', 'caaa2c69936f13c0'),
+        'barycentric': (1, 'e3b0c44298fc1c14', 'caaa2c69936f13c0'),
+        'passport': (1, 'e3b0c44298fc1c14', '576d9cfa9cc1a3a2'),
+    },
+    'grid_2x2': {
+        'validate': (0, 'dc51b8c96c2d745d', 'e3b0c44298fc1c14'),
+        'info': (0, '780d16a05517c695', 'e3b0c44298fc1c14'),
+        'refine': (0, 'cc4f1d7e9e3fdbee', 'e3b0c44298fc1c14'),
+        'subdivide': (0, 'aa4a793f7b39c07d', 'e3b0c44298fc1c14'),
+        'subdivide | validate': (0, 'dc51b8c96c2d745d', 'e3b0c44298fc1c14'),
+        'subdivide | info': (0, '85bb68575c18f32c', 'e3b0c44298fc1c14'),
+        'subdivide | barycentric': (0, '4f4fa0dce8f9295c', 'e3b0c44298fc1c14'),
+        'subdivide | passport': (0, 'a8fd02c6a5d154b5', 'e3b0c44298fc1c14'),
+        'barycentric': (1, 'e3b0c44298fc1c14', '3a894e82f4d88e7e'),
+        'passport': (1, 'e3b0c44298fc1c14', '576d9cfa9cc1a3a2'),
+    },
+    'octahedron_tricolored': {
+        'validate': (0, 'dc51b8c96c2d745d', 'e3b0c44298fc1c14'),
+        'info': (0, 'c1d9e748630ed0bc', 'e3b0c44298fc1c14'),
+        'refine': (1, 'e3b0c44298fc1c14', '0c8049afb9ce78d2'),
+        'subdivide': (1, 'e3b0c44298fc1c14', '0c8049afb9ce78d2'),
+        'barycentric': (0, '1f5c5d9e601e5775', 'e3b0c44298fc1c14'),
+        'passport': (0, '5fe6d2350e59a683', 'e3b0c44298fc1c14'),
+    },
+    'one_square_torus': {
+        'validate': (0, 'dc51b8c96c2d745d', 'e3b0c44298fc1c14'),
+        'info': (0, '9a33be82ffd48c30', 'e3b0c44298fc1c14'),
+        'refine': (0, 'f6317a6c41ff3038', 'e3b0c44298fc1c14'),
+        'subdivide': (0, '6057af1ddc166bf5', '01ad93436a57813a'),
+        'subdivide | validate': (0, 'dc51b8c96c2d745d', 'e3b0c44298fc1c14'),
+        'subdivide | info': (0, '85bb68575c18f32c', 'e3b0c44298fc1c14'),
+        'subdivide | barycentric': (0, '6af1ebf52a73b4c6', 'e3b0c44298fc1c14'),
+        'subdivide | passport': (0, 'a8fd02c6a5d154b5', 'e3b0c44298fc1c14'),
+        'barycentric': (1, 'e3b0c44298fc1c14', '3a894e82f4d88e7e'),
+        'passport': (1, 'e3b0c44298fc1c14', '576d9cfa9cc1a3a2'),
+    },
+    'pillow_sphere': {
+        'validate': (0, 'dc51b8c96c2d745d', 'e3b0c44298fc1c14'),
+        'info': (0, 'f017ad1995e22ad4', 'e3b0c44298fc1c14'),
+        'refine': (0, '112f04f8204e88e6', 'e3b0c44298fc1c14'),
+        'subdivide': (0, '6dfca0788bcb22a0', 'e3b0c44298fc1c14'),
+        'subdivide | validate': (0, 'dc51b8c96c2d745d', 'e3b0c44298fc1c14'),
+        'subdivide | info': (0, 'c1d9e748630ed0bc', 'e3b0c44298fc1c14'),
+        'subdivide | barycentric': (0, '7eb833ffd8c3ac3b', 'e3b0c44298fc1c14'),
+        'subdivide | passport': (0, '5fe6d2350e59a683', 'e3b0c44298fc1c14'),
+        'barycentric': (1, 'e3b0c44298fc1c14', '3a894e82f4d88e7e'),
+        'passport': (1, 'e3b0c44298fc1c14', '576d9cfa9cc1a3a2'),
+    },
+    'tetrahedron': {
+        'validate': (0, 'dc51b8c96c2d745d', 'e3b0c44298fc1c14'),
+        'info': (0, 'c3378fb8de2e7113', 'e3b0c44298fc1c14'),
+        'refine': (1, 'e3b0c44298fc1c14', '0c8049afb9ce78d2'),
+        'subdivide': (1, 'e3b0c44298fc1c14', '0c8049afb9ce78d2'),
+        'barycentric': (0, '268b41d6aa362289', 'e3b0c44298fc1c14'),
+        'passport': (1, 'e3b0c44298fc1c14', '576d9cfa9cc1a3a2'),
+    },
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("fixture", sorted(CLI_DIGESTS))
+def test_output_bytes_pinned(capsys, tmp_path, fixture):
+    """Every command on every fixture, and the commands that read a
+    subdivided document on each subdivide output, print the bytes and
+    exit with the code they did before."""
+    got = {}
+
+    def record(key, argv):
+        code, out, err = run(capsys, argv)
+        got[key] = (code, _digest(out), _digest(err))
+        return code, out
+
+    path = str(FIXTURES / f"{fixture}.dessin")
+    for command in ("validate", "info", "refine", "subdivide", "barycentric",
+                    "passport"):
+        code, out = record(command, [command, path])
+        if command == "subdivide" and code == 0:
+            tri = tmp_path / "tri.dessin"
+            tri.write_text(out)
+            for then in ("validate", "info", "barycentric", "passport"):
+                record(f"subdivide | {then}", [then, str(tri)])
+    assert got == CLI_DIGESTS[fixture]

@@ -416,13 +416,15 @@ class TestAgainstOracle:
     def test_arrays_are_read_only_and_shared(self):
         t = catalog.octahedron_tricolored()
         d_doc = from_tricolored(t)
-        assert d_doc._rho0 is t.base._r0 and d_doc._rho1 is t.base._r1
+        kept = d_doc.to_dessin()
+        assert kept._r0 is t.base._r0 and kept._r1 is t.base._r1
         assert d_doc._edge_colors is t._edge_color
         again = parse(d_doc.serialize())
-        assert again._rho0.dtype == np.intp
+        assert again.to_dessin()._r0.dtype == np.intp
         assert again._edge_colors.dtype == np.int8
         assert again._lengths is None and again.lengths is None
-        for arr in (again._rho0, again._rho1, again._face_shades):
+        for arr in (again.to_dessin()._r0, again.to_dessin()._r1,
+                    again._face_shades):
             assert not arr.flags.writeable
         tri = again.to_tricolored()
         assert tri.base is again.to_dessin()
@@ -453,6 +455,10 @@ class TestAgainstOracle:
         ({"rho1": (2, 3, 0)}, "rho1 has 3 entries, expected 4"),
         ({"edge_colors": ("blue", "mauve"), "face_shades": (),
           "vertex_labels": ()}, "'mauve' is not a valid Color"),
+        ({"lengths": [1.0], "angles": [1.0]},
+         "lengths has 1 entries, expected 4"),
+        ({"lengths": np.ones((2, 2)), "angles": np.ones(4)},
+         "lengths must be a 1-D array, got shape (2, 2)"),
     ])
     def test_malformed_fields_raise(self, kwargs, message):
         args = {"n_darts": 4, "rho0": (1, 2, 3, 0), "rho1": (2, 3, 0, 1)}

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +65,11 @@ class TestMetricData:
             with pytest.raises(ValueError) as exc:
                 MetricData(lengths, angles)
             assert str(exc.value) == expected
+
+    def test_rejects_2d_array(self):
+        with pytest.raises(ValueError,
+                           match=r"angles must be a 1-D array, got shape"):
+            MetricData(np.ones(4), np.ones((2, 2)))
 
     def test_size_mismatch_violation(self):
         d = one_square_torus()
