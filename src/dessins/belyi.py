@@ -116,30 +116,21 @@ def barycentric_rational(b0):
         raise TypeError("b0 must be a number")
     if isinstance(b0, (int, Fraction)):
         b0 = Fraction(b0)
-        exact = True
     elif isinstance(b0, (float, complex)):
         b0 = complex(b0)
-        exact = False
-    else:
-        exact = True  # symbolic path: rely on the object's arithmetic
-    if exact:
-        num = 4 * (b0 * b0 - b0 + 1) ** 3
-        den = 27 * b0 * b0 * (1 - b0) ** 2
-        is_zero = getattr(den, "is_zero", None)
-        if is_zero is None:
-            is_zero = (den == 0)
-        if is_zero:
-            return INFINITY
-        return num / den
     try:
         num = 4 * (b0 * b0 - b0 + 1) ** 3
         den = 27 * b0 * b0 * (1 - b0) ** 2
     except OverflowError:
         return INFINITY
-    if den == 0:
+    # a symbolic denominator may say itself whether it vanishes
+    is_zero = getattr(den, "is_zero", None)
+    if is_zero is None:
+        is_zero = den == 0
+    if is_zero:
         return INFINITY
     val = num / den
-    if not cmath.isfinite(val):
+    if isinstance(val, complex) and not cmath.isfinite(val):
         return INFINITY
     return val
 

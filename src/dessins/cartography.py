@@ -32,7 +32,7 @@ class CellKind(str, Enum):
     FACE = "face"
 
 
-_GENERATOR = dict(zip(CellKind, ("rho0", "rho1", "rho2")))
+_GENERATOR = dict(zip(CellKind, ("_r0", "_r1", "_r2")))
 
 
 @dataclass(frozen=True)
@@ -290,11 +290,6 @@ class Dessin:
                 f"dart {dart} is not reachable from dart 0"))
         return tuple(out)
 
-    @cached_property
-    def _metric_checks(self) -> dict:
-        """Metric consistency results kept by :mod:`dessins.metric`."""
-        return {}
-
     def violations(self) -> list[Violation]:
         """All violated dessin invariants, empty for a valid dessin.
 
@@ -345,7 +340,8 @@ class Dessin:
         cells = self._cells.get(kind)
         if cells is None:
             self.require_valid()
-            generator = getattr(self, _GENERATOR[kind])
+            # the generator's images as a list, so no tuple view is built
+            generator = getattr(self, _GENERATOR[kind]).tolist()
             cells = self._cells[kind] = perms.orbits(generator)
         return cells
 

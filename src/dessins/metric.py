@@ -37,11 +37,14 @@ class FaceDegreeMismatch(ValueError):
 
 def _floats(name: str, values) -> np.ndarray:
     """``values`` as a read-only float array, shared when it already is
-    one; a sequence goes through float() entry by entry."""
+    one; a sequence goes through float() entry by entry.  Complex
+    values raise TypeError, in an array as in a sequence."""
     if isinstance(values, np.ndarray):
         if values.ndim != 1:
             raise ValueError(f"{name} must be a 1-D array, "
                              f"got shape {values.shape}")
+        if values.dtype.kind == "c":
+            raise TypeError(f"{name} must be real, not {values.dtype}")
         return _read_only(values, np.float64)
     values = tuple(values)
     return _frozen(np.fromiter(map(float, values), np.float64, len(values)))
@@ -92,26 +95,17 @@ def metric_violations(d: Dessin, m: MetricData) -> list[Violation]:
     return out
 
 
-# metrics whose check results a dessin keeps; a stratum asks once per
-# vertex with one metric, so a few entries are plenty
-_METRIC_CHECKS_KEPT = 4
-
-
 def _require_metric(d: Dessin, m: MetricData) -> None:
-    """Raise unless ``d`` is valid and ``m`` fits it.
-    :func:`metric_violations` runs once per (dessin, metric) pair: the
-    dessin keeps the result by ``id(m)`` together with ``m`` itself, so
-    the id cannot be reused while the entry lives."""
+    """Raise unless ``d`` is valid and ``m`` fits it.  ``m`` keeps the
+    last dessin found to fit in its ``__dict__``, as a cached property
+    would, so a stratum checks the fit once; a misfit raises each time."""
     d.require_valid()
-    checks = d._metric_checks
-    entry = checks.get(id(m))
-    if entry is None:
-        if len(checks) >= _METRIC_CHECKS_KEPT:
-            del checks[next(iter(checks))]
-        entry = checks[id(m)] = (m, metric_violations(d, m))
-    bad = entry[1]
+    if m.__dict__.get("_fits") is d:
+        return
+    bad = metric_violations(d, m)
     if bad:
         raise ValueError("; ".join(str(v) for v in bad))
+    m.__dict__["_fits"] = d
 
 
 def _require_face_size(d: Dessin, face_size: int) -> None:
@@ -174,20 +168,21 @@ def chart_transition(d: Dessin, m: MetricData, dart: int, word) -> AffineChart:
         raise ValueError(f"dart {dart} out of range")
     chart = AffineChart.identity()
     cur = dart
+    # entries read with .item() as Python numbers: no tuple view is built
     for token in reversed(tuple(word)):
         if token == R0:
-            step = AffineChart(cmath.exp(1j * m.angles[cur]), 0j)
-            cur = d.rho0[cur]
+            step = AffineChart(cmath.exp(1j * m._angles.item(cur)), 0j)
+            cur = d._r0.item(cur)
         elif token == R1:
-            step = AffineChart(-1.0 + 0j, complex(m.lengths[cur]))
-            cur = d.rho1[cur]
+            step = AffineChart(-1.0 + 0j, complex(m._lengths.item(cur)))
+            cur = d._r1.item(cur)
         elif token == R0_INV:
             # the preimage of cur, found on its vertex cycle
             prev = cur
-            while d.rho0[prev] != cur:
-                prev = d.rho0[prev]
+            while d._r0.item(prev) != cur:
+                prev = d._r0.item(prev)
             cur = prev
-            step = AffineChart(cmath.exp(-1j * m.angles[cur]), 0j)
+            step = AffineChart(cmath.exp(-1j * m._angles.item(cur)), 0j)
         else:
             raise ValueError(f"unknown word token {token!r}")
         chart = step.compose(chart)
@@ -216,9 +211,9 @@ def face_closure_residual(d: Dessin, m: MetricData, face) -> tuple[complex, floa
     turning = 0.0
     cur = int(faces.smallest[face])
     for _ in range(faces.size[face]):
-        pos += m.lengths[cur] * cmath.exp(1j * heading)
-        cur = d.rho2[cur]
-        turn = math.pi - m.angles[cur]
+        pos += m._lengths.item(cur) * cmath.exp(1j * heading)
+        cur = d._r2.item(cur)
+        turn = math.pi - m._angles.item(cur)
         heading += turn
         turning += turn
     return pos, turning - _TWO_PI

@@ -1,47 +1,17 @@
-"""Permutations of {0, ..., n-1} stored as tuples of images.
-
-Products follow the convention used everywhere in this package: in a
-composite the rightmost factor acts first, so ``compose(p, q)`` is the
-map ``x -> p[q[x]]``.
+"""Permutations of {0, ..., n-1} as tuples of images: the cycle listing
+of ``Dessin.cells`` and seeded random draws.  The package computes with
+the index arrays of :mod:`dessins.cartography`; the draws stay here
+because :mod:`dessins.catalog`, the tests and the benchmark replay
+seeded streams, which must not change.
 """
 
 from __future__ import annotations
 
 from random import Random
-
-Perm = tuple[int, ...]
-
-
-def identity(n: int) -> Perm:
-    return tuple(range(n))
+from typing import Sequence
 
 
-def is_permutation(images) -> bool:
-    """True if ``images`` is a bijection of {0, ..., len(images)-1}."""
-    n = len(images)
-    seen = [False] * n
-    for y in images:
-        if not isinstance(y, int) or isinstance(y, bool) or not 0 <= y < n:
-            return False
-        if seen[y]:
-            return False
-        seen[y] = True
-    return True
-
-
-def inverse(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for x, y in enumerate(p):
-        inv[y] = x
-    return tuple(inv)
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """The product p*q, with q applied first."""
-    return tuple(p[y] for y in q)
-
-
-def orbits(p: Perm) -> tuple[tuple[int, ...], ...]:
+def orbits(p: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Cycles of p, each starting at its smallest element, ordered by
     that element.  Singletons are included."""
     seen = [False] * len(p)
@@ -59,39 +29,13 @@ def orbits(p: Perm) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def cycle_type(p: Perm) -> tuple[int, ...]:
-    """Cycle lengths sorted in decreasing order."""
-    return tuple(sorted((len(c) for c in orbits(p)), reverse=True))
-
-
-def are_transitive(ps, n: int) -> bool:
-    """True if the group generated by ``ps`` acts transitively on
-    {0, ..., n-1}.  Images only are followed, so this is correct for
-    bijections and still terminates for arbitrary image arrays."""
-    if n == 0:
-        return True
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        x = stack.pop()
-        for p in ps:
-            y = p[x]
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                stack.append(y)
-    return count == n
-
-
-def random_permutation(n: int, rng: Random) -> Perm:
+def random_permutation(n: int, rng: Random) -> tuple[int, ...]:
     images = list(range(n))
     rng.shuffle(images)
     return tuple(images)
 
 
-def random_fixed_point_free_involution(n: int, rng: Random) -> Perm:
+def random_fixed_point_free_involution(n: int, rng: Random) -> tuple[int, ...]:
     """Uniform fixed-point-free involution of {0, ..., n-1}; n must be even."""
     if n % 2:
         raise ValueError("a fixed-point-free involution needs an even domain")

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from dessins import permutations as perms
 from dessins.cartography import (CellIndex, CellKind, Dessin,
                                  InvalidDessinError, is_isomorphic)
-from dessins.catalog import (octahedron, one_square_torus, origami,
-                             random_dessin, random_origami,
+from dessins.catalog import (from_face_lists, octahedron, one_square_torus,
+                             origami, random_dessin, random_origami,
                              square_torus_grid, tetrahedron)
 
 import oracles
@@ -165,6 +165,22 @@ class TestCells:
             d.dart_cell(4, CellKind.VERTEX)
 
 
+@pytest.mark.parametrize("build, args, message", [
+    (from_face_lists, ([[0]],), "face 0 has fewer than 2 sides"),
+    (from_face_lists, ([[0, 1, 2], [0, -1, 2]],),
+     "face 1 contains a bad vertex id -1"),
+    (from_face_lists, ([[0, 1], [0, 1]],), "directed side 0->1 appears twice"),
+    (from_face_lists, ([[0, 1, 2]],), "side 0->1 has no reverse"),
+    (origami, ([0, 1], [0]), "gluing permutations must have equal length"),
+    (square_torus_grid, (0, 3), "grid dimensions must be positive"),
+    (random_origami, (0, random.Random(0)), "need at least one square"),
+    (random_dessin, (3, random.Random(0)), "n_darts must be even"),
+])
+def test_catalog_rejects_bad_input(build, args, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build(*args)
+
+
 class TestRelationsAndGenus:
     def test_rho2_matches_pointwise_solution(self):
         rng = random.Random(7)
@@ -176,9 +192,9 @@ class TestRelationsAndGenus:
         rng = random.Random(8)
         for _ in range(50):
             d = random_dessin(2 * rng.randint(1, 20), rng)
-            composite = perms.compose(d.rho2,
-                                      perms.compose(d.rho1, d.rho0))
-            assert composite == perms.identity(d.n_darts)
+            # rho2 rho1 rho0, rightmost factor first, fixes every dart
+            assert all(d.rho2[d.rho1[d.rho0[x]]] == x
+                       for x in range(d.n_darts))
 
     def test_genus_fixtures(self):
         assert tetrahedron().genus() == 0

@@ -88,6 +88,18 @@ class TestValidate:
         assert out == ""
         assert err.startswith("parse-error: line 4:")
 
+    def test_coloring_of_wrong_length(self, capsys, tmp_path):
+        # the dessin is valid, but the coloring names 11 of its 12 edges
+        text = Path(OCTA).read_text().replace(
+            "red red green\n", "red red\n")
+        src = tmp_path / "short.dessin"
+        src.write_text(text)
+        code, out, err = run(capsys, ["validate", str(src)])
+        assert code == 1
+        assert out == ("coloring-shape: edge_color has 11 entries, "
+                       "expected 12\n")
+        assert err == ""
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["validate", "no_such_file.dessin"])
         assert code == 2
@@ -135,6 +147,13 @@ class TestRefine:
         assert code == 0
         assert out == ""
         assert parse(target.read_text()).n_darts == 16
+
+    def test_out_to_missing_directory_is_usage_error(self, capsys,
+                                                     tmp_path):
+        target = tmp_path / "missing" / "refined.dessin"
+        code, out, err = run(capsys, ["refine", TORUS, "-o", str(target)])
+        assert (code, out) == (2, "")
+        assert err.startswith("io-error:")
 
 
 class TestSubdivide:
@@ -281,6 +300,13 @@ class TestTransform:
         code, _, err = run(capsys, ["transform", str(src)])
         assert code == 1
         assert err.startswith("bad-point: line 1:")
+
+    def test_non_numeric_row(self, capsys, tmp_path):
+        src = tmp_path / "points.csv"
+        src.write_text("a,b\n")
+        code, _, err = run(capsys, ["transform", str(src)])
+        assert code == 1
+        assert err == "bad-point: line 1: not numeric: 'a,b'\n"
 
     @pytest.mark.parametrize("row", ["nan,nan", "0.5,-inf", "inf,0"])
     def test_non_finite_row(self, capsys, tmp_path, row):

@@ -274,6 +274,13 @@ class TestBlockPairing:
             DessinDocument(4, (1, 2, 3, 0), (2, 3, 0, 1),
                            lengths=(1.0,) * 4)
 
+    @pytest.mark.parametrize("lengths", [np.array([1 + 5j] * 4),
+                                         [1 + 5j] * 4])
+    def test_complex_lengths(self, lengths):
+        with pytest.raises(TypeError):
+            DessinDocument(4, (1, 2, 3, 0), (2, 3, 0, 1),
+                           lengths=lengths, angles=np.ones(4))
+
     def test_partial_coloring(self):
         with pytest.raises(ValueError, match="together"):
             DessinDocument(4, (1, 2, 3, 0), (2, 3, 0, 1),

@@ -71,6 +71,20 @@ class TestMetricData:
                            match=r"angles must be a 1-D array, got shape"):
             MetricData(np.ones(4), np.ones((2, 2)))
 
+    @pytest.mark.parametrize("lengths", [np.array([1 + 2j]), [1 + 2j],
+                                         np.array([1 + 0j])])
+    def test_rejects_complex(self, lengths):
+        # a complex array is not cast to its real part
+        with pytest.raises(TypeError):
+            MetricData(lengths, np.array([1.0]))
+
+    def test_fit_check_leaves_equality_hash_and_repr(self):
+        d = square_torus_grid(2, 2)
+        m, fresh = square_structure(d), square_structure(d)
+        cone_angle(d, m, 0)
+        assert m == fresh and hash(m) == hash(fresh)
+        assert repr(m) == repr(fresh)
+
     def test_size_mismatch_violation(self):
         d = one_square_torus()
         m = MetricData((1.0, 1.0), (1.0, 1.0))
@@ -215,6 +229,19 @@ class TestClosureAndConeAngles:
         assert abs(residual) < TOL
         with pytest.raises(ValueError, match="expected a face"):
             face_closure_residual(d, m, CellIndex(CellKind.VERTEX, 0))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda d, m: chart_transition(d, m, 4, [R0]),
+         "dart 4 out of range"),
+        (lambda d, m: face_closure_residual(d, m, 1), "face 1 out of range"),
+        (lambda d, m: cone_angle(d, m, CellIndex(CellKind.FACE, 0)),
+         "expected a vertex cell"),
+        (lambda d, m: cone_angle(d, m, 1), "vertex 1 out of range"),
+    ])
+    def test_rejects_cell_out_of_range(self, call, message):
+        d = one_square_torus()  # 4 darts, one vertex, one face
+        with pytest.raises(ValueError, match=message):
+            call(d, square_structure(d))
 
     def test_open_polygon_has_residual(self):
         d = one_square_torus()

@@ -7,49 +7,10 @@ from dessins import permutations as perms
 import oracles
 
 
-def test_identity():
-    assert perms.identity(4) == (0, 1, 2, 3)
-    assert perms.identity(0) == ()
-
-
-def test_is_permutation():
-    assert perms.is_permutation((1, 0, 2))
-    assert not perms.is_permutation((1, 1, 2))
-    assert not perms.is_permutation((0, 3))
-    assert not perms.is_permutation((0, -1))
-    # bools are not dart indices
-    assert not perms.is_permutation((True, 0))
-
-
-def test_compose_rightmost_first():
-    p = (1, 2, 0)
-    q = (0, 2, 1)
-    # compose(p, q)[x] = p[q[x]]
-    assert perms.compose(p, q) == (1, 0, 2)
-
-
-def test_inverse():
-    p = (2, 0, 1)
-    assert perms.inverse(p) == (1, 2, 0)
-    assert perms.compose(p, perms.inverse(p)) == perms.identity(3)
-
-
 def test_orbits_order_and_content():
     # cycles (0 2)(1)(3 4), listed from their smallest element
     p = (2, 1, 0, 4, 3)
     assert perms.orbits(p) == ((0, 2), (1,), (3, 4))
-
-
-def test_cycle_type_sorted_descending():
-    p = (1, 0, 3, 4, 2)
-    assert perms.cycle_type(p) == (3, 2)
-    assert oracles.orbit_sizes(p) == [3, 2]
-
-
-def test_are_transitive():
-    assert perms.are_transitive(((1, 0), (0, 1)), 2)
-    # two disjoint transpositions generate nothing across the gap
-    assert not perms.are_transitive(((1, 0, 3, 2),), 4)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 17])
@@ -57,8 +18,7 @@ def test_random_permutation_properties(n):
     rng = random.Random(99)
     for _ in range(20):
         p = perms.random_permutation(n, rng)
-        assert perms.is_permutation(p)
-        assert perms.compose(p, perms.inverse(p)) == perms.identity(n)
+        assert sorted(p) == list(range(n))
         assert oracles.orbit_count(p) == len(perms.orbits(p))
 
 
@@ -74,3 +34,12 @@ def test_random_involution_fixed_point_free():
 def test_random_involution_rejects_odd():
     with pytest.raises(ValueError):
         perms.random_fixed_point_free_involution(3, random.Random(0))
+
+
+def test_random_streams_are_pinned():
+    # catalog, the property tests and the benchmark replay seeded draws,
+    # so the images a seed gives must not change
+    assert perms.random_permutation(8, random.Random(2022)) == (
+        6, 1, 5, 0, 2, 7, 3, 4)
+    assert perms.random_fixed_point_free_involution(
+        8, random.Random(2022)) == (5, 6, 7, 4, 3, 0, 1, 2)

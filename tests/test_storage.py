@@ -18,7 +18,9 @@ from dessins.cartography import CellKind, Dessin, Violation
 from dessins.catalog import (octahedron_tricolored, pillow_sphere,
                              random_origami, square_torus_grid)
 from dessins.document import from_tricolored, parse
-from dessins.metric import MetricData, metric_violations
+from dessins.metric import (R0, R0_INV, R1, MetricData, chart_transition,
+                            cone_angle, face_closure_residual,
+                            metric_violations, square_structure)
 from dessins.tiling import (Color, Shade, TricoloredDessin, VertexLabel,
                             corner_bipartition, diagonal_subdivision,
                             refine_2x2, validate_tricoloring)
@@ -29,6 +31,7 @@ PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
 INT_DTYPES = (np.intp, np.int64, np.int32, np.int8, np.uint16)
 DESSIN_VIEWS = {"rho0", "rho1", "rho2"}
 COLORING_VIEWS = {"edge_color", "face_shade", "vertex_label"}
+METRIC_VIEWS = {"lengths", "angles"}
 DOCUMENT_VIEWS = {"rho0", "rho1", "lengths", "angles", "edge_colors",
                   "face_shades", "vertex_labels"}
 
@@ -201,6 +204,12 @@ class TestTricoloredStorage:
             assert DESSIN_VIEWS.isdisjoint(dessin.__dict__)
         for tri in (t, out):
             assert COLORING_VIEWS.isdisjoint(tri.__dict__)
+        m = square_structure(d)
+        assert cone_angle(d, m, 0) == 2 * np.pi
+        assert chart_transition(d, m, 0, [R0_INV, R1, R0]).a == -1
+        assert abs(face_closure_residual(d, m, 0)[0]) < 1e-12
+        assert DESSIN_VIEWS.isdisjoint(d.__dict__)
+        assert METRIC_VIEWS.isdisjoint(m.__dict__)
         # a view is built on first use and then kept
         assert out.face_shade.count(Shade.WHITE) == len(out.face_shade) // 2
         assert "face_shade" in out.__dict__
