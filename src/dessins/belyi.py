@@ -123,9 +123,10 @@ def barycentric_rational(b0):
         den = 27 * b0 * b0 * (1 - b0) ** 2
     except OverflowError:
         return INFINITY
-    # a symbolic denominator may say itself whether it vanishes
+    # a symbolic denominator may say itself whether it vanishes: sympy
+    # answers True, False or None, while Decimal.is_zero is a method
     is_zero = getattr(den, "is_zero", None)
-    if is_zero is None:
+    if not isinstance(is_zero, bool):
         is_zero = den == 0
     if is_zero:
         return INFINITY

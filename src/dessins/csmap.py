@@ -24,9 +24,11 @@ s^(a-1) is absorbed by Gauss-Jacobi nodes; when the path passes near
 w = 1 the reflection I(a,b;t) = B(a,b) - I(b,a;1-t) moves the
 singularity out of the way, and for |t| > 1 the s-interval is covered
 by a short geometric ladder of Gauss-Legendre panels away from the
-scaled branch point.  Every panel is evaluated at n and 2n nodes; the
-difference drives panel bisection within a configured split budget.
-Both Gauss rules come from one Golub-Welsch eigenproblem in numpy.
+scaled branch point.  The ladder is fixed: every panel is evaluated at
+n and 2n nodes, and when the summed differences exceed 1e-12 of the
+value, as they do only for a node count far below the default, the
+map raises NonConvergenceError instead of splitting panels.  Both Gauss
+rules come from one Golub-Welsch eigenproblem in numpy.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ class CutCrossingError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """The requested tolerance was not reached within the split budget
-    or the Newton iteration failed to settle.
+    """The quadrature's n- against 2n-node estimate missed its 1e-12
+    relative tolerance, or the Newton iteration failed to settle.
 
     ``stage`` is "quadrature" or "newton", ``evaluations`` the number of
     cs_map calls the failed stage spent (1 for the quadrature), and
@@ -87,19 +89,16 @@ def _require_finite_modulus(t: complex) -> None:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Gauss nodes per quadrature panel; each panel also runs at twice
+    as many to estimate its error."""
+
     node_count: int = 48
-    target_rel_error: float = 1e-12
-    max_path_splits: int = 40
 
     def __post_init__(self):
         if not isinstance(self.node_count, int) or self.node_count < 2:
             raise ValueError("node_count must be an integer >= 2")
         if self.node_count > MAX_NODE_COUNT:
             raise ValueError(f"node_count must be <= {MAX_NODE_COUNT}")
-        if not self.target_rel_error >= 1e-13:
-            raise ValueError("target_rel_error must be >= 1e-13")
-        if not isinstance(self.max_path_splits, int) or self.max_path_splits < 1:
-            raise ValueError("max_path_splits must be a positive integer")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -217,68 +216,46 @@ def _node_pair(n: int, a: float):
     return s, rules[0][1], rules[1][1]
 
 
-def _panel_value(kind: str, s0: float, s1: float, a: float, b: float,
-                 t: complex, n: int) -> tuple[complex, complex]:
-    """One panel of integral_{s0}^{s1} s^(a-1) (1 - t*s)^(b-1) ds by the
-    n- and the 2n-node rule, evaluated together.  Panels of kind "gj"
-    start at s0 = 0 and absorb the weight."""
-    if kind == "gj":
-        s, w, w2 = _node_pair(n, a)
-        vals = (1.0 - t * (s1 * s)) ** (b - 1.0)
-        scale = s1 ** a
-    else:
-        s, w, w2 = _node_pair(n, 1.0)
-        nodes = s0 + (s1 - s0) * s
-        vals = nodes ** (a - 1.0) * (1.0 - t * nodes) ** (b - 1.0)
-        scale = s1 - s0
-    return scale * complex(w @ vals[:n]), scale * complex(w2 @ vals[n:])
+_TARGET_REL_ERROR = 1e-12
 
 
 def _scaled_integral(a: float, b: float, t: complex,
                      cfg: QuadratureConfig) -> complex:
-    """integral_0^1 s^(a-1) (1 - t*s)^(b-1) ds with adaptive panels."""
-    r = abs(t)
-    panels: list[tuple[str, float, float]] = []
-    if r <= 1.0:
-        panels.append(("gj", 0.0, 1.0))
-    else:
-        s_edge = 0.5 / r
-        panels.append(("gj", 0.0, s_edge))
-        lo = s_edge
-        while lo < 1.0:
-            hi = min(2.0 * lo, 1.0)
-            panels.append(("gl", lo, hi))
-            lo = hi
+    """integral_0^1 s^(a-1) (1 - t*s)^(b-1) ds on a fixed ladder: one
+    Gauss-Jacobi panel from 0, which absorbs the weight, up to 1 or, for
+    |t| > 1, up to 0.5/|t|, then Gauss-Legendre panels that double in
+    length up to 1.  Each panel runs at n and 2n nodes; the summed
+    differences estimate the error of the summed 2n-node values."""
     n = cfg.node_count
+    r = abs(t)
+    s_edge = 1.0 if r <= 1.0 else 0.5 / r
     values = []
     errors = []
-    for kind, s0, s1 in panels:
-        coarse, fine = _panel_value(kind, s0, s1, a, b, t, n)
+
+    def panel(w, w2, vals, scale):
+        fine = scale * complex(w2 @ vals[n:])
         values.append(fine)
-        errors.append(abs(fine - coarse))
-    splits = 0
-    while True:
-        total = sum(values)
-        err = sum(errors)
-        if err <= cfg.target_rel_error * max(abs(total), 1e-300):
-            return total
-        if splits >= cfg.max_path_splits:
-            rel_err = err / max(abs(total), 1e-300)
-            raise NonConvergenceError(
-                f"panel split budget ({cfg.max_path_splits}) exhausted; "
-                f"estimated relative error {rel_err:.2e}",
-                stage="quadrature", evaluations=1, best_residual=rel_err)
-        worst = max(range(len(panels)), key=lambda i: errors[i])
-        kind, s0, s1 = panels[worst]
-        mid = 0.5 * (s0 + s1)
-        halves = [(kind, s0, mid), ("gl", mid, s1)]
-        del panels[worst], values[worst], errors[worst]
-        for kind2, a0, a1 in halves:
-            coarse, fine = _panel_value(kind2, a0, a1, a, b, t, n)
-            panels.append((kind2, a0, a1))
-            values.append(fine)
-            errors.append(abs(fine - coarse))
-        splits += 1
+        errors.append(abs(fine - scale * complex(w @ vals[:n])))
+
+    s, w, w2 = _node_pair(n, a)
+    panel(w, w2, (1.0 - t * (s_edge * s)) ** (b - 1.0), s_edge ** a)
+    s, w, w2 = _node_pair(n, 1.0)
+    lo = s_edge
+    while lo < 1.0:
+        hi = min(2.0 * lo, 1.0)
+        nodes = lo + (hi - lo) * s
+        panel(w, w2, nodes ** (a - 1.0) * (1.0 - t * nodes) ** (b - 1.0),
+              hi - lo)
+        lo = hi
+    total = sum(values)
+    err = sum(errors)
+    if err <= _TARGET_REL_ERROR * max(abs(total), 1e-300):
+        return total
+    rel_err = err / max(abs(total), 1e-300)
+    raise NonConvergenceError(
+        f"estimated relative error {rel_err:.2e} of the quadrature at "
+        f"node_count {n} exceeds {_TARGET_REL_ERROR:.0e}",
+        stage="quadrature", evaluations=1, best_residual=rel_err)
 
 
 _NEAR_ONE = 0.1
@@ -291,8 +268,9 @@ def incomplete_cs_integral(a: float, b: float, t,
     The endpoint t = 1 is allowed (the integral converges to the
     complete value); real t > 1 raises CutCrossingError, and a t with
     an infinite or NaN part, or whose modulus exceeds the largest
-    float, raises ValueError.  NonConvergenceError means the quadrature
-    missed its tolerance within the split budget.
+    float, raises ValueError.  NonConvergenceError means the n- and
+    2n-node values of the panel ladder differ by more than 1e-12
+    relative, as they do for a node count far below the default.
     """
     cfg = cfg or DEFAULT_CONFIG
     _check_exponents(a, b)
@@ -356,8 +334,13 @@ def cs_map_derivative(spec: CsMapSpec, t,
     if t.imag == 0.0 and t.real > 1.0:
         raise CutCrossingError(
             f"t = {t.real} lies on the branch cut (1, inf)")
+    return _derivative(spec, t, complete_beta(spec.a, spec.b, cfg))
+
+
+def _derivative(spec: CsMapSpec, t: complex, beta_ab: float) -> complex:
+    """prefactor * t^(a-1) (1-t)^(b-1) / B(a, b) at a t off 0 and 1."""
     return spec.prefactor * _pow_lower(t, spec.a - 1.0) \
-        * (1.0 - t) ** (spec.b - 1.0) / complete_beta(spec.a, spec.b, cfg)
+        * (1.0 - t) ** (spec.b - 1.0) / beta_ab
 
 
 def image_triangle(spec: CsMapSpec,
@@ -414,10 +397,9 @@ _CORNER_SNAP = 1e-12
 _NEWTON_TARGET = 1e-13
 _NEWTON_PROMISE = 1e-10
 _MAX_ITERATIONS = 100
-_MAX_RESEEDS = 5
-# a seed whose best residual is below this (times the diameter) and has
+# a run whose best residual is below this (times the diameter) and has
 # not halved in _STALL_ITERATIONS iterations sits next to the answer at
-# the precision of t itself; another seed would stall there too
+# the precision of t itself
 _STALL_RESIDUAL = 1e-4
 _STALL_ITERATIONS = 3
 
@@ -446,8 +428,7 @@ def _newton_step(spec: CsMapSpec, t: complex, residual: complex,
             / (c * beta_ab)
         q_new = q - residual / dq
         return _from_q(q_new, c)
-    deriv = pf * _pow_lower(t, a - 1.0) * (1.0 - t) ** (b - 1.0) / beta_ab
-    step = residual / deriv
+    step = residual / _derivative(spec, t, beta_ab)
     if abs(step) > 2.0:
         step *= 2.0 / abs(step)
     return t - step
@@ -516,15 +497,15 @@ def invert_cs_map(spec: CsMapSpec, z,
     z with an infinite or NaN part raises ValueError, and a Newton
     iteration that does not settle raises NonConvergenceError.
 
-    Newton starts from the nearest values of a precomputed grid, or
-    from the local inverse at the nearest corner when that is expected
-    to land closer to z.  Near the image of t = 1 the promise can be out
-    of reach: the solution is 1 - d with |Re d| below the spacing of
-    doubles next to 1, and the map magnifies that spacing by about
-    |d|^(b-1).  For SQUARE_CELL this holds within about 2e-3 of 1j,
-    except on the bisector of that corner, where d is imaginary.  Such
-    points raise NonConvergenceError after a few evaluations, once the
-    residual stops improving.
+    Newton runs once, from one seed: the nearest value of a precomputed
+    grid, or the local inverse at the nearest corner when that is
+    expected to land closer to z.  Near the image of t = 1 the promise
+    can be out of reach: the solution is 1 - d with |Re d| below the
+    spacing of doubles next to 1, and the map magnifies that spacing by
+    about |d|^(b-1).  For SQUARE_CELL this holds within about 2e-3 of
+    1j, except on the bisector of that corner, where d is imaginary.
+    Such points raise NonConvergenceError after a few evaluations, once
+    the residual stops improving.
     """
     cfg = cfg or DEFAULT_CONFIG
     z = complex(z)
@@ -540,53 +521,50 @@ def invert_cs_map(spec: CsMapSpec, z,
     beta_ab = complete_beta(spec.a, spec.b, cfg)
     ts, zs = _seed_grid(spec, cfg)
     distance = np.abs(zs - z)
-    order = np.argsort(distance)[:1 + _MAX_RESEEDS]
-    # each seed comes with its value when it is already known
-    seeds = [(complex(ts[i]), complex(zs[i])) for i in order]
+    i = np.argmin(distance)
+    # a grid seed comes with its value
+    t, value = complex(ts[i]), complex(zs[i])
     corner_t, corner_error = _corner_seed(spec, z, tri, beta_ab)
-    if corner_error < distance[order[0]]:
-        seeds.insert(0, (corner_t, None))
-        seeds.pop()
+    # at (or within about 1e-100 of) the image of infinity the corner
+    # inverse overflows to t = inf, which is no seed
+    if corner_error < distance[i] and cmath.isfinite(corner_t):
+        t, value = corner_t, None
     stall = _STALL_RESIDUAL * diam
     evaluations = 0
     best_t = None
     best_r = math.inf
-    for t, value in seeds:
-        seed_r = math.inf  # this seed's residual when it last halved
-        since_halved = 0
-        for _ in range(_MAX_ITERATIONS):
-            if value is None:
-                evaluations += 1
-                try:
-                    value = cs_map(spec, t, cfg)
-                except (CutCrossingError, ValueError):
-                    break
-            r = abs(value - z)
-            if r < best_r:
-                best_r = r
-                best_t = t
-            if r <= _NEWTON_TARGET:
-                return _onto_lower(t)
-            if r <= 0.5 * seed_r:
-                seed_r = r
-                since_halved = 0
-            else:
-                since_halved += 1
-                if seed_r < stall and since_halved >= _STALL_ITERATIONS:
-                    break
-            t_new = _newton_step(spec, t, value - z, beta_ab)
-            value = None
-            if not cmath.isfinite(t_new):
+    halved_r = math.inf  # the residual when it last halved
+    since_halved = 0
+    for _ in range(_MAX_ITERATIONS):
+        if value is None:
+            evaluations += 1
+            try:
+                value = cs_map(spec, t, cfg)
+            except (CutCrossingError, ValueError):
                 break
-            t_new = _onto_sheet(t_new)
-            if t_new == t:
+        r = abs(value - z)
+        if r < best_r:
+            best_r = r
+            best_t = t
+        if r <= _NEWTON_TARGET:
+            return _onto_lower(t)
+        if r <= 0.5 * halved_r:
+            halved_r = r
+            since_halved = 0
+        else:
+            since_halved += 1
+            if halved_r < stall and since_halved >= _STALL_ITERATIONS:
                 break
-            t = t_new
-        if best_r <= _NEWTON_PROMISE:
-            return _onto_lower(best_t)
-        if best_r < stall:
-            # this seed failed next to the answer
+        t_new = _newton_step(spec, t, value - z, beta_ab)
+        value = None
+        if not cmath.isfinite(t_new):
             break
+        t_new = _onto_sheet(t_new)
+        if t_new == t:
+            break
+        t = t_new
+    if best_r <= _NEWTON_PROMISE:
+        return _onto_lower(best_t)
     raise NonConvergenceError(
         f"Newton iteration for {z} stalled at residual {best_r:.2e}",
         stage="newton", evaluations=evaluations, best_residual=best_r)

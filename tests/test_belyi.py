@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,13 @@ class TestRationalMap:
     def test_bool_rejected(self):
         with pytest.raises(TypeError):
             barycentric_rational(True)
+
+    def test_decimal_input(self):
+        # Decimal has an is_zero() method, which is not a vanishing flag
+        assert barycentric_rational(Decimal(2)) == 1
+        assert barycentric_rational(Decimal("0.5")) == 1
+        assert barycentric_rational(Decimal(0)) is INFINITY
+        assert barycentric_rational(Decimal(1)) is INFINITY
 
     def test_sixth_root_maps_to_zero_exactly(self):
         sympy = pytest.importorskip("sympy")

@@ -430,3 +430,48 @@ def test_output_bytes_pinned(capsys, tmp_path, fixture):
             for then in ("validate", "info", "barycentric", "passport"):
                 record(f"subdivide | {then}", [then, str(tri)])
     assert got == CLI_DIGESTS[fixture]
+
+
+# Per spec and grid size: the first 16 hex digits of the sha256 of the
+# `map-eval` CSV.  Recorded before the quadrature lost its panel
+# splitting, which no grid point ever reached.
+MAP_EVAL_DIGESTS = {
+    ("square_cell", 16): "38390bd0c0fb1790",
+    ("square_cell", 64): "4aaec9afadc02c9a",
+    ("square_coord", 16): "c1133a27bab10b9e",
+    ("square_coord", 64): "a8aa7f14607ea457",
+    ("triangle_coord", 16): "43a6265279971c78",
+    ("triangle_coord", 64): "1a7e5e0272dc2bb2",
+}
+
+
+@pytest.mark.parametrize("spec, grid", sorted(MAP_EVAL_DIGESTS))
+def test_map_eval_bytes_pinned(capsys, spec, grid):
+    code, out, err = run(capsys, ["map-eval", "--spec", spec,
+                                  "--grid", str(grid)])
+    assert (code, err) == (0, "")
+    assert _digest(out) == MAP_EVAL_DIGESTS[spec, grid]
+
+
+# In-image points of the triangle 0, 1, 1 - i/sqrt(3): corners, an
+# edge, the interior, and points near the corners at t = 0 and t = 1.
+TRANSFORM_POINTS = (
+    "0,0\n1,0\n0.5,0\n0.25,-0.1\n0.5,-0.05\n0.5,-0.25\n0.6,-0.1\n"
+    "0.7,-0.2\n0.8,-0.1\n0.85,-0.3\n0.9,-0.5\n0.95,-0.05\n0.999,-0.57\n"
+    "1,-0.5\n0.39423,-0.20921\n0.001,-0.0005\n0.999999,-1e-07\n")
+# next to the image of t = 1, where no double t meets the promise
+TRANSFORM_STALL = "0.999999995684091,-7.893618444382483e-09\n"
+
+
+@pytest.mark.parametrize("text, expected", [
+    (TRANSFORM_POINTS, (0, "b3ebb4781b6d58bc", "e3b0c44298fc1c14")),
+    (TRANSFORM_POINTS + TRANSFORM_STALL,
+     (1, "e3b0c44298fc1c14", "bf36a51acceafc61")),
+], ids=["in_image", "with_stall"])
+def test_transform_bytes_pinned(capsys, tmp_path, text, expected):
+    """The exit code and the digests of stdout and stderr, recorded
+    before Newton lost its reseeding loop, which no point reached."""
+    src = tmp_path / "points.csv"
+    src.write_text(text)
+    code, out, err = run(capsys, ["transform", str(src)])
+    assert (code, _digest(out), _digest(err)) == expected

@@ -8,6 +8,7 @@ neither of which shares code with the package quadrature.
 """
 
 import cmath
+import dataclasses
 import math
 import random
 import signal
@@ -48,18 +49,18 @@ class TestConfigAndSpec:
     def test_default_config(self):
         cfg = QuadratureConfig()
         assert cfg.node_count == 48
-        assert cfg.target_rel_error == 1e-12
-        assert cfg.max_path_splits == 40
+        assert [f.name for f in dataclasses.fields(cfg)] == ["node_count"]
 
     def test_config_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             QuadratureConfig(node_count=1)
         with pytest.raises(ValueError):
             QuadratureConfig(node_count=2.5)
-        with pytest.raises(ValueError):
-            QuadratureConfig(target_rel_error=1e-14)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_path_splits=0)
+        # the 1e-12 tolerance is fixed and panels are never split
+        with pytest.raises(TypeError):
+            QuadratureConfig(target_rel_error=1e-8)
+        with pytest.raises(TypeError):
+            QuadratureConfig(max_path_splits=40)
 
     def test_node_count_capped(self):
         # the cap bounds one rule build to a dense 2n-node eigenproblem;
@@ -622,22 +623,118 @@ class TestNewtonSeedsAndStalls:
         assert 1e-10 < info.value.best_residual <= 1e-4
 
     def test_quadrature_failure_carries_its_stage(self):
-        cfg = QuadratureConfig(node_count=2, max_path_splits=1)
+        # two nodes per panel are far too few for the fixed ladder
+        cfg = QuadratureConfig(node_count=2)
         with pytest.raises(NonConvergenceError,
-                           match=r"^panel split budget \(1\) exhausted; "
-                                 r"estimated relative error \d\.\d\de-\d\d$"
-                           ) as info:
+                           match=r"^estimated relative error \d\.\d\de-\d\d "
+                                 r"of the quadrature at node_count 2 "
+                                 r"exceeds 1e-12$") as info:
             cs_map(SQUARE_CELL, 0.5 - 0.5j, cfg)
         assert info.value.stage == "quadrature"
         assert info.value.evaluations == 1
-        assert info.value.best_residual > cfg.target_rel_error
+        assert info.value.best_residual > 1e-12
 
     def test_seed_values_are_the_forward_map(self):
         # a grid value stands in for the first evaluation at its seed, so
-        # it must be what cs_map returns under the same config; a looser
-        # tolerance than the default changes most of the values
-        cfg = QuadratureConfig(target_rel_error=1e-8)
+        # it must be what cs_map returns under the same config; twice the
+        # default node count changes most of the values
+        cfg = QuadratureConfig(node_count=96)
         ts, zs = csmap_module._seed_grid(TRIANGLE_COORD, cfg)
         for i in range(0, len(ts), 31):
             assert complex(zs[i]) == cs_map(TRIANGLE_COORD, complex(ts[i]),
                                             cfg)
+
+
+# The quadrature panels are fixed and Newton runs from one seed; these
+# two properties are what that rests on.
+# below about 1.1e-16 an exponent's a - 1 rounds to -1, and the
+# Golub-Welsch matrix of its Gauss rule divides 0 by 0
+EXPONENT = st.floats(1e-12, 1.0, exclude_max=True)
+
+
+@st.composite
+def log_uniform_t(draw):
+    """t with |t| log-uniform in [1e-300, 1e300] at an angle in the
+    closed lower half-plane, some within 1e-300 to 1e-1 of either real
+    half-axis, or t within 1e-15 to 1e-1 of 1."""
+    kind = draw(st.sampled_from(("angle", "near_axis", "near_one")))
+    if kind == "near_one":
+        r = 10.0 ** draw(st.floats(-15.0, -1.0))
+        return 1.0 + r * cmath.exp(-1j * draw(st.floats(0.0, math.pi)))
+    r = 10.0 ** draw(st.floats(-300.0, 300.0))
+    if kind == "angle":
+        theta = draw(st.floats(0.0, math.pi))
+    else:
+        eps = 10.0 ** draw(st.floats(-300.0, -1.0))
+        theta = draw(st.sampled_from((eps, math.pi - eps)))
+    return r * cmath.exp(-1j * theta)
+
+
+@st.composite
+def closed_triangle_point(draw):
+    """A spec and a z in or next to its closed image triangle: an
+    interior point, a point on an edge (corners included) or 1e-12 to
+    1e-6 of the diameter to either side of it, or a point 1e-14 to 0.3
+    of the diameter from a corner."""
+    spec = draw(st.sampled_from(ALL_SPECS))
+    tri = image_triangle(spec)
+    diam = max(abs(p - q) for p in tri for q in tri)
+    kind = draw(st.sampled_from(("interior", "edge", "corner")))
+    u = draw(st.floats(0.0, 1.0))
+    i = draw(st.integers(0, 2))
+    if kind == "interior":
+        v = draw(st.floats(0.0, 1.0))
+        if u + v > 1.0:
+            u, v = 1.0 - u, 1.0 - v
+        return spec, tri[0] + u * (tri[1] - tri[0]) + v * (tri[2] - tri[0])
+    if kind == "edge":
+        z = tri[i] + u * (tri[(i + 1) % 3] - tri[i])
+        inward = sum(tri) / 3.0 - z
+        side = draw(st.sampled_from((-1.0, 0.0, 1.0)))
+        offset = side * 10.0 ** draw(st.floats(-12.0, -6.0))
+        return spec, z + offset * diam * inward / abs(inward)
+    d = (u * (tri[(i + 1) % 3] - tri[i])
+         + (1.0 - u) * (tri[(i + 2) % 3] - tri[i]))
+    r = 10.0 ** draw(st.floats(-14.0, math.log10(0.3)))
+    return spec, tri[i] + r * diam * d / abs(d)
+
+
+class TestFixedLadderAndOneSeed:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(EXPONENT, st.floats(1e-12, 1.0), log_uniform_t(),
+           st.sampled_from((48, 96)))
+    def test_panel_ladder_meets_its_tolerance(self, a, b, t, node_count):
+        # a finite value or, for real t > 1, CutCrossingError; never a
+        # missed quadrature tolerance
+        spec = CsMapSpec(a, b, 1.0)
+        cfg = QuadratureConfig(node_count=node_count)
+        # the Gauss rules of new exponents are built outside the limit
+        for x in (a, b, 1.0):
+            csmap_module._node_pair(node_count, x)
+        complete_beta(a, b, cfg)
+        with time_limit(CALL_LIMIT_S):
+            try:
+                value = cs_map(spec, t, cfg)
+            except CutCrossingError:
+                return
+        assert cmath.isfinite(value)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(closed_triangle_point())
+    def test_one_newton_run_keeps_its_promise(self, point):
+        spec, z = point
+        tri = image_triangle(spec)
+        diam = max(abs(p - q) for p in tri for q in tri)
+        # the seed grid is built outside the time limit
+        csmap_module._seed_grid(spec, csmap_module.DEFAULT_CONFIG)
+        with time_limit(CALL_LIMIT_S):
+            try:
+                t = invert_cs_map(spec, z)
+            except OutsideImageError:
+                return
+            except NonConvergenceError as exc:
+                assert exc.stage == "newton"
+                assert exc.best_residual < 1e-4 * diam
+                return
+        assert t.imag <= 0.0
+        assert abs(cs_map(spec, t) - z) <= 1e-10 * max(1.0, abs(z))
