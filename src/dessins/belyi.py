@@ -108,7 +108,8 @@ def barycentric_rational(b0):
     Rational inputs (int, Fraction) are evaluated exactly; float and
     complex inputs in floating point; any other numeric object (e.g. a
     symbolic expression) is pushed through the same formula unchanged.
-    The poles 0, 1 and the input INFINITY map to INFINITY.
+    The poles 0, 1 and the inputs INFINITY and inf map to INFINITY; a
+    float or complex input with a NaN part raises ValueError.
     """
     if b0 is INFINITY:
         return INFINITY
@@ -118,6 +119,8 @@ def barycentric_rational(b0):
         b0 = Fraction(b0)
     elif isinstance(b0, (float, complex)):
         b0 = complex(b0)
+        if cmath.isnan(b0):
+            raise ValueError(f"b0 = {b0} has a NaN part")
     try:
         num = 4 * (b0 * b0 - b0 + 1) ** 3
         den = 27 * b0 * b0 * (1 - b0) ** 2

@@ -215,7 +215,8 @@ class Dessin:
     rho1: tuple[int, ...] = tuple_view("_r1")
 
     def __init__(self, n_darts: int, rho0, rho1):
-        if not isinstance(n_darts, int) or n_darts <= 0:
+        if (not isinstance(n_darts, int) or isinstance(n_darts, bool)
+                or n_darts <= 0):
             raise ValueError("n_darts must be a positive integer")
         rho0, rho1 = (p if isinstance(p, np.ndarray) else tuple(p)
                       for p in (rho0, rho1))

@@ -13,6 +13,8 @@ from .cartography import (CellKind, Dessin, _permutation_array,
                           from_rho1_rho2, inverse_array)
 from .tiling import TricoloredDessin, VertexLabel, tricolored_from_labels
 
+_MAX_TRIES = 1000  # samples drawn before giving up on connectivity
+
 
 def from_face_lists(faces: Sequence[Sequence[int]]) -> Dessin:
     """Build a dessin from counterclockwise face boundaries given as
@@ -139,30 +141,28 @@ def octahedron_tricolored() -> TricoloredDessin:
     return tricolored_from_labels(d, labels)
 
 
-def random_origami(n_squares: int, rng: random.Random,
-                   max_tries: int = 1000) -> Dessin:
+def random_origami(n_squares: int, rng: random.Random) -> Dessin:
     """Connected random origami on n_squares squares."""
     if n_squares < 1:
         raise ValueError("need at least one square")
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         h = perms.random_permutation(n_squares, rng)
         v = perms.random_permutation(n_squares, rng)
         d = origami(h, v)
         if d.is_valid():
             return d
-    raise RuntimeError(f"no connected origami found in {max_tries} tries")
+    raise RuntimeError(f"no connected origami found in {_MAX_TRIES} tries")
 
 
-def random_dessin(n_darts: int, rng: random.Random,
-                  max_tries: int = 1000) -> Dessin:
+def random_dessin(n_darts: int, rng: random.Random) -> Dessin:
     """Random valid dessin: a random vertex rotation together with a
     random fixed-point-free pairing, resampled until connected."""
     if n_darts < 2 or n_darts % 2:
         raise ValueError("n_darts must be even and at least 2")
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         rho0 = perms.random_permutation(n_darts, rng)
         rho1 = perms.random_fixed_point_free_involution(n_darts, rng)
         d = Dessin(n_darts, rho0, rho1)
         if d.is_valid():
             return d
-    raise RuntimeError(f"no connected dessin found in {max_tries} tries")
+    raise RuntimeError(f"no connected dessin found in {_MAX_TRIES} tries")

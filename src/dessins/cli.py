@@ -195,10 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "and their planar coordinate maps.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, with_file=True, with_out=False):
+    def add(name, func, help_text, with_out=False):
         p = sub.add_parser(name, help=help_text)
-        if with_file:
-            p.add_argument("file", help="input document ('-' for stdin)")
+        p.add_argument("file", help="input document ('-' for stdin)")
         if with_out:
             p.add_argument("-o", "--out", default=None,
                            help="output path (default stdout)")

@@ -28,7 +28,9 @@ scaled branch point.  The ladder is fixed: every panel is evaluated at
 n and 2n nodes, and when the summed differences exceed 1e-12 of the
 value, as they do only for a node count far below the default, the
 map raises NonConvergenceError instead of splitting panels.  Both Gauss
-rules come from one Golub-Welsch eigenproblem in numpy.
+rules come from one Golub-Welsch eigenproblem in numpy.  A
+QuadratureConfig sets n for cs_map, incomplete_cs_integral and
+complete_beta; every other function, inversion included, uses n = 48.
 """
 
 from __future__ import annotations
@@ -104,6 +106,18 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
+#: smallest exponent: below about 1.2e-16 a - 1 rounds to -1 or next to
+#: it, and the Golub-Welsch matrix of its Gauss rule divides 0 by 0
+MIN_EXPONENT = 1e-15
+
+
+def _check_exponents(a: float, b: float) -> None:
+    for name, x in (("a", a), ("b", b)):
+        if not (isinstance(x, (int, float)) and MIN_EXPONENT <= x <= 1.0):
+            raise ValueError(
+                f"exponent {name} must lie in [{MIN_EXPONENT}, 1]")
+
+
 @dataclass(frozen=True)
 class CsMapSpec:
     """Exponent pair and unimodular prefactor of a coordinate map."""
@@ -114,10 +128,9 @@ class CsMapSpec:
     name: str = "custom"
 
     def __post_init__(self):
-        if not 0.0 < self.a < 1.0:
-            raise ValueError("exponent a must lie in (0, 1)")
-        if not 0.0 < self.b <= 1.0:
-            raise ValueError("exponent b must lie in (0, 1]")
+        _check_exponents(self.a, self.b)
+        if self.a == 1.0:
+            raise ValueError("exponent a must lie below 1")
         if abs(abs(complex(self.prefactor)) - 1.0) > 1e-12:
             raise ValueError("prefactor must have modulus 1")
 
@@ -163,9 +176,6 @@ def _pow_lower(t: complex, p: float) -> complex:
     return cmath.exp(p * complex(math.log(abs(t)), _arg_lower(t)))
 
 
-# The caches below are keyed by user-supplied specs and node counts, so
-# each holds a bounded number of entries.
-@lru_cache(maxsize=64)
 def _gauss01(n: int, a: float):
     """Nodes s and weights w with sum(w * f(s)) = integral_0^1
     s^(a-1) f(s) ds for polynomials f of degree < 2n (a = 1: Legendre).
@@ -179,16 +189,8 @@ def _gauss01(n: int, a: float):
     off = k * (k + c) / (m * np.sqrt((m - 1.0) * (m + 1.0)))
     s, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     w = v[0] ** 2 / a
-    s.setflags(write=False)
     w.setflags(write=False)
     return s, w
-
-
-def _check_exponents(a: float, b: float) -> None:
-    if not (isinstance(a, (int, float)) and 0.0 < a <= 1.0):
-        raise ValueError("exponent a must lie in (0, 1]")
-    if not (isinstance(b, (int, float)) and 0.0 < b <= 1.0):
-        raise ValueError("exponent b must lie in (0, 1]")
 
 
 _INF = math.inf
@@ -206,6 +208,8 @@ def _segment_distance_to_one(t: complex) -> float:
     return abs(1.0 - u * t)
 
 
+# The caches below are keyed by user-supplied specs and node counts, so
+# each holds a bounded number of entries.
 @lru_cache(maxsize=64)
 def _node_pair(n: int, a: float):
     """The n- and 2n-node rules of a panel side by side for the weight
@@ -292,8 +296,8 @@ def incomplete_cs_integral(a: float, b: float, t,
 def _beta_cached(a: float, b: float, node_count: int) -> float:
     def half(x: float, y: float) -> float:
         # integral_0^(1/2) w^(x-1) (1-w)^(y-1) dw, scaled to [0, 1]
-        s, w = _gauss01(node_count, x)
-        vals = (1.0 - 0.5 * s) ** (y - 1.0)
+        s, w, _ = _node_pair(node_count, x)
+        vals = (1.0 - 0.5 * s[:node_count]) ** (y - 1.0)
         return 0.5 ** x * float(w @ vals)
 
     return half(a, b) + half(b, a)
@@ -320,13 +324,11 @@ def cs_map(spec: CsMapSpec, t, cfg: QuadratureConfig | None = None) -> complex:
         / complete_beta(spec.a, spec.b, cfg)
 
 
-def cs_map_derivative(spec: CsMapSpec, t,
-                      cfg: QuadratureConfig | None = None) -> complex:
+def cs_map_derivative(spec: CsMapSpec, t) -> complex:
     """Closed-form derivative prefactor * t^(a-1) (1-t)^(b-1) / B(a, b),
     with the same branch convention as the map itself.  Raises
     ValueError at t = 0, at t = 1 and for non-finite t or t whose
     modulus overflows, and CutCrossingError for real t > 1."""
-    cfg = cfg or DEFAULT_CONFIG
     t = complex(t)
     _require_finite_modulus(t)
     if t == 0 or t == 1:
@@ -334,7 +336,7 @@ def cs_map_derivative(spec: CsMapSpec, t,
     if t.imag == 0.0 and t.real > 1.0:
         raise CutCrossingError(
             f"t = {t.real} lies on the branch cut (1, inf)")
-    return _derivative(spec, t, complete_beta(spec.a, spec.b, cfg))
+    return _derivative(spec, t, complete_beta(spec.a, spec.b))
 
 
 def _derivative(spec: CsMapSpec, t: complex, beta_ab: float) -> complex:
@@ -343,27 +345,25 @@ def _derivative(spec: CsMapSpec, t: complex, beta_ab: float) -> complex:
         * (1.0 - t) ** (spec.b - 1.0) / beta_ab
 
 
-def image_triangle(spec: CsMapSpec,
-                   cfg: QuadratureConfig | None = None
-                   ) -> tuple[complex, complex, complex]:
+def image_triangle(spec: CsMapSpec) -> tuple[complex, complex, complex]:
     """Vertices of the image triangle: cs_map at 0, at 1, and the limit
     along the negative real axis (the image of infinity)."""
-    cfg = cfg or DEFAULT_CONFIG
     a, b = spec.a, spec.b
     if not a + b < 1.0:
         raise ValueError("image is a triangle only for a + b < 1")
     v_inf = spec.prefactor * cmath.exp(-1j * math.pi * a) \
-        * complete_beta(a, 1.0 - a - b, cfg) / complete_beta(a, b, cfg)
+        * complete_beta(a, 1.0 - a - b) / complete_beta(a, b)
     return 0j, complex(spec.prefactor), v_inf
 
 
 def _inside_triangle(z: complex, tri, tol: float) -> bool:
+    """Whether z lies inside tri or within distance tol of it."""
     p0, p1, p2 = tri
     orient = ((p1 - p0).conjugate() * (p2 - p0)).imag
     sign = 1.0 if orient >= 0 else -1.0
     for q0, q1 in ((p0, p1), (p1, p2), (p2, p0)):
         cross = ((q1 - q0).conjugate() * (z - q0)).imag
-        if sign * cross < -tol:
+        if sign * cross < -tol * abs(q1 - q0):
             return False
     return True
 
@@ -372,11 +372,11 @@ _GRID_SIZE = 32
 
 
 @lru_cache(maxsize=8)
-def _seed_grid(spec: CsMapSpec, cfg: QuadratureConfig):
+def _seed_grid(spec: CsMapSpec):
     """Forward values on a 32 x 32 grid over the lower half-plane, used
-    to seed Newton inversion.  Each value is cs_map(spec, t, cfg) itself,
-    so it stands in for the first evaluation at its seed.  Kept for the
-    most recently used specs and configs, and frozen."""
+    to seed Newton inversion.  Each value is cs_map(spec, t) itself, so
+    it stands in for the first evaluation at its seed.  Kept for the
+    most recently used specs, and frozen."""
     xs = np.linspace(-4.0, 5.0, _GRID_SIZE)
     ys = -np.geomspace(0.015, 8.0, _GRID_SIZE)
     ts = []
@@ -385,7 +385,7 @@ def _seed_grid(spec: CsMapSpec, cfg: QuadratureConfig):
         for x in xs:
             t = complex(x, y)
             ts.append(t)
-            zs.append(cs_map(spec, t, cfg))
+            zs.append(cs_map(spec, t))
     ts = np.array(ts)
     zs = np.array(zs)
     ts.setflags(write=False)
@@ -393,7 +393,9 @@ def _seed_grid(spec: CsMapSpec, cfg: QuadratureConfig):
     return ts, zs
 
 
-_CORNER_SNAP = 1e-12
+# points this share of the diameter from a corner snap to it, and points
+# this far past an edge count as on it: well inside the Newton promise
+_SNAP = 1e-12
 _NEWTON_TARGET = 1e-13
 _NEWTON_PROMISE = 1e-10
 _MAX_ITERATIONS = 100
@@ -488,14 +490,14 @@ def _onto_lower(t: complex) -> complex:
     return complex(t.real, 0.0) if t.imag > 0.0 else t
 
 
-def invert_cs_map(spec: CsMapSpec, z,
-                  cfg: QuadratureConfig | None = None) -> complex:
+def invert_cs_map(spec: CsMapSpec, z) -> complex:
     """Solve cs_map(spec, t) = z for t in the closed lower half-plane.
 
     The returned t satisfies |cs_map(t) - z| <= 1e-10 * max(1, |z|).
-    Points outside the closed image triangle raise OutsideImageError, a
-    z with an infinite or NaN part raises ValueError, and a Newton
-    iteration that does not settle raises NonConvergenceError.
+    Points more than 1e-12 of its diameter outside the closed image
+    triangle raise OutsideImageError, a z with an infinite or NaN part
+    raises ValueError, and a Newton iteration that does not settle
+    raises NonConvergenceError.
 
     Newton runs once, from one seed: the nearest value of a precomputed
     grid, or the local inverse at the nearest corner when that is
@@ -507,19 +509,18 @@ def invert_cs_map(spec: CsMapSpec, z,
     Such points raise NonConvergenceError after a few evaluations, once
     the residual stops improving.
     """
-    cfg = cfg or DEFAULT_CONFIG
     z = complex(z)
     _require_finite("z", z)
-    tri = image_triangle(spec, cfg)
+    tri = image_triangle(spec)
     diam = max(abs(p - q) for p in tri for q in tri)
-    if not _inside_triangle(z, tri, 1e-9 * diam):
+    if not _inside_triangle(z, tri, _SNAP * diam):
         raise OutsideImageError(f"{z} is outside the image triangle")
-    if abs(z - tri[0]) <= _CORNER_SNAP * diam:
+    if abs(z - tri[0]) <= _SNAP * diam:
         return 0j
-    if abs(z - tri[1]) <= _CORNER_SNAP * diam:
+    if abs(z - tri[1]) <= _SNAP * diam:
         return 1.0 + 0j
-    beta_ab = complete_beta(spec.a, spec.b, cfg)
-    ts, zs = _seed_grid(spec, cfg)
+    beta_ab = complete_beta(spec.a, spec.b)
+    ts, zs = _seed_grid(spec)
     distance = np.abs(zs - z)
     i = np.argmin(distance)
     # a grid seed comes with its value
@@ -539,7 +540,7 @@ def invert_cs_map(spec: CsMapSpec, z,
         if value is None:
             evaluations += 1
             try:
-                value = cs_map(spec, t, cfg)
+                value = cs_map(spec, t)
             except (CutCrossingError, ValueError):
                 break
         r = abs(value - z)
@@ -570,11 +571,9 @@ def invert_cs_map(spec: CsMapSpec, z,
         stage="newton", evaluations=evaluations, best_residual=best_r)
 
 
-def triangle_to_square(z, cfg: QuadratureConfig | None = None) -> complex:
+def triangle_to_square(z) -> complex:
     """Conformal change of coordinate from the triangle-shaped image of
     TRIANGLE_COORD to the half-square image of SQUARE_COORD, fixing 0
     and 1 and matching the maps' shared parameter t.  Raises the errors
     of :func:`invert_cs_map`."""
-    cfg = cfg or DEFAULT_CONFIG
-    t = invert_cs_map(TRIANGLE_COORD, z, cfg)
-    return cs_map(SQUARE_COORD, t, cfg)
+    return cs_map(SQUARE_COORD, invert_cs_map(TRIANGLE_COORD, z))

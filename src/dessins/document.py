@@ -81,8 +81,7 @@ class DessinDocument:
     format_version: str = FORMAT_VERSION
 
     def __init__(self, n_darts: int, rho0, rho1, lengths=None, angles=None,
-                 edge_colors=None, face_shades=None, vertex_labels=None,
-                 format_version: str = FORMAT_VERSION):
+                 edge_colors=None, face_shades=None, vertex_labels=None):
         if (lengths is None) != (angles is None):
             raise ValueError("lengths and angles must be given together")
         colors = (edge_colors, face_shades, vertex_labels)
@@ -90,8 +89,7 @@ class DessinDocument:
         if any(given) and not all(given):
             raise ValueError("edge_colors, face_shades and vertex_labels "
                              "must be given together")
-        stored = {"_dessin": Dessin(n_darts, rho0, rho1),
-                  "n_darts": n_darts, "format_version": format_version}
+        stored = {"_dessin": Dessin(n_darts, rho0, rho1), "n_darts": n_darts}
         for key, values in zip(_METRIC_KEYS, (lengths, angles)):
             if values is not None:
                 values = _floats(key, values)
@@ -321,11 +319,8 @@ def parse(text: str) -> DessinDocument:
             for key, cls in zip(_COLOR_KEYS, _COLOR_ENUMS))
 
     try:
-        return DessinDocument(
-            n_darts=n, rho0=rho0, rho1=rho1,
-            lengths=lengths, angles=angles,
-            edge_colors=edge_colors, face_shades=face_shades,
-            vertex_labels=vertex_labels, format_version=version)
+        return DessinDocument(n, rho0, rho1, lengths, angles,
+                              edge_colors, face_shades, vertex_labels)
     except ValueError as exc:
         raise DocumentParseError(1, str(exc)) from None
 

@@ -148,8 +148,9 @@ class AffineChart:
         """self o inner (inner acts first)."""
         return AffineChart(self.a * inner.a, self.a * inner.b + self.b)
 
-    def is_identity(self, tol: float = 1e-12) -> bool:
-        return abs(self.a - 1.0) <= tol and abs(self.b) <= tol
+    def is_identity(self) -> bool:
+        """Whether a and b lie within 1e-12 of 1 and 0."""
+        return abs(self.a - 1.0) <= 1e-12 and abs(self.b) <= 1e-12
 
     @staticmethod
     def identity() -> "AffineChart":

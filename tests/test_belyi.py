@@ -113,6 +113,17 @@ class TestRationalMap:
         assert barycentric_rational(0.0) is INFINITY
         assert barycentric_rational(1.0 + 0j) is INFINITY
 
+    @pytest.mark.parametrize("b0", [float("nan"), complex("nan"),
+                                    complex(1.0, float("nan")),
+                                    complex(float("inf"), float("nan"))])
+    def test_nan_rejected(self, b0):
+        with pytest.raises(ValueError, match="NaN"):
+            barycentric_rational(b0)
+
+    def test_infinite_float_is_the_pole_at_infinity(self):
+        assert barycentric_rational(float("inf")) is INFINITY
+        assert barycentric_rational(complex(0.5, float("-inf"))) is INFINITY
+
     def test_bool_rejected(self):
         with pytest.raises(TypeError):
             barycentric_rational(True)

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from dessins.csmap import (
     CsMapSpec,
     CutCrossingError,
+    MIN_EXPONENT,
     NonConvergenceError,
     OutsideImageError,
     QuadratureConfig,
@@ -86,6 +87,10 @@ class TestConfigAndSpec:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             CsMapSpec(0.0, 0.5, 1.0)
+        with pytest.raises(ValueError, match="exponent a must lie in"):
+            CsMapSpec(1e-300, 0.5, 1)
+        with pytest.raises(ValueError, match="exponent b must lie in"):
+            CsMapSpec(0.5, MIN_EXPONENT / 2, 1)
         with pytest.raises(ValueError):
             CsMapSpec(1.0, 0.5, 1.0)
         with pytest.raises(ValueError):
@@ -140,6 +145,15 @@ class TestCompleteBeta:
             complete_beta(0.0, 0.5)
         with pytest.raises(ValueError):
             complete_beta(0.5, 1.2)
+        # below the floor, a - 1 rounds to -1 and the Gauss rule's
+        # matrix would divide 0 by 0
+        with pytest.raises(ValueError, match="exponent a must lie in"):
+            incomplete_cs_integral(5e-324, 0.5, 0.5 - 0.5j)
+
+    def test_floor_exponent_is_finite(self):
+        assert math.isfinite(complete_beta(MIN_EXPONENT, MIN_EXPONENT))
+        value = incomplete_cs_integral(MIN_EXPONENT, 0.5, 0.5 - 0.5j)
+        assert cmath.isfinite(value)
 
 
 class TestIncompleteIntegral:
@@ -535,13 +549,12 @@ class TestInversionStaysInLowerHalfPlane:
 
 class TestBoundedCaches:
     def test_every_cache_is_finite(self):
-        for fn in (csmap_module._gauss01,
-                   csmap_module._node_pair, csmap_module._beta_cached,
+        for fn in (csmap_module._node_pair, csmap_module._beta_cached,
                    csmap_module._seed_grid):
             assert fn.cache_info().maxsize is not None
 
     def test_quadrature_rule_caches_stay_bounded(self):
-        fn = csmap_module._gauss01
+        fn = csmap_module._node_pair
         cap = fn.cache_info().maxsize
         for n in range(2, cap + 12):
             fn(n, 0.5)
@@ -605,7 +618,7 @@ class TestNewtonSeedsAndStalls:
         tri = image_triangle(SQUARE_CELL)
         z = tri[1] + 1e-6 * _toward_centroid(tri, 1)
         # built outside the count: a grid value is not a call per inversion
-        csmap_module._seed_grid(SQUARE_CELL, csmap_module.DEFAULT_CONFIG)
+        csmap_module._seed_grid(SQUARE_CELL)
         calls = []
 
         def counting(*args):
@@ -636,20 +649,15 @@ class TestNewtonSeedsAndStalls:
 
     def test_seed_values_are_the_forward_map(self):
         # a grid value stands in for the first evaluation at its seed, so
-        # it must be what cs_map returns under the same config; twice the
-        # default node count changes most of the values
-        cfg = QuadratureConfig(node_count=96)
-        ts, zs = csmap_module._seed_grid(TRIANGLE_COORD, cfg)
+        # it must be what cs_map returns
+        ts, zs = csmap_module._seed_grid(TRIANGLE_COORD)
         for i in range(0, len(ts), 31):
-            assert complex(zs[i]) == cs_map(TRIANGLE_COORD, complex(ts[i]),
-                                            cfg)
+            assert complex(zs[i]) == cs_map(TRIANGLE_COORD, complex(ts[i]))
 
 
 # The quadrature panels are fixed and Newton runs from one seed; these
 # two properties are what that rests on.
-# below about 1.1e-16 an exponent's a - 1 rounds to -1, and the
-# Golub-Welsch matrix of its Gauss rule divides 0 by 0
-EXPONENT = st.floats(1e-12, 1.0, exclude_max=True)
+EXPONENT = st.floats(MIN_EXPONENT, 1.0, exclude_max=True)
 
 
 @st.composite
@@ -701,7 +709,7 @@ def closed_triangle_point(draw):
 
 class TestFixedLadderAndOneSeed:
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(EXPONENT, st.floats(1e-12, 1.0), log_uniform_t(),
+    @given(EXPONENT, st.floats(MIN_EXPONENT, 1.0), log_uniform_t(),
            st.sampled_from((48, 96)))
     def test_panel_ladder_meets_its_tolerance(self, a, b, t, node_count):
         # a finite value or, for real t > 1, CutCrossingError; never a
@@ -726,7 +734,7 @@ class TestFixedLadderAndOneSeed:
         tri = image_triangle(spec)
         diam = max(abs(p - q) for p in tri for q in tri)
         # the seed grid is built outside the time limit
-        csmap_module._seed_grid(spec, csmap_module.DEFAULT_CONFIG)
+        csmap_module._seed_grid(spec)
         with time_limit(CALL_LIMIT_S):
             try:
                 t = invert_cs_map(spec, z)

@@ -24,8 +24,9 @@ from dessins.document import (
     parse,
 )
 from dessins.metric import MetricData, equilateral_structure, square_structure
-from dessins.tiling import (NonBipartiteError, corner_bipartition,
-                            diagonal_subdivision, refine_2x2)
+from dessins.tiling import (Color, NonBipartiteError, Shade, VertexLabel,
+                            corner_bipartition, diagonal_subdivision,
+                            refine_2x2)
 
 import oracles
 
@@ -206,6 +207,30 @@ class TestParseErrors:
         assert "rho1-fixed-point" in codes
 
 
+@st.composite
+def accepted_documents(draw):
+    """A document of a random dessin, given as sequences or as arrays,
+    with or without a metric block of any floats and a coloring block
+    of any members, as many as the constructor takes."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    n = 2 * draw(st.integers(1, 12))
+    d = catalog.random_dessin(n, rng)
+    as_arrays = draw(st.booleans())
+    fields = {"rho0": d.rho0, "rho1": d.rho1}
+    if draw(st.booleans()):
+        for key in ("lengths", "angles"):
+            fields[key] = draw(st.lists(st.floats(), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        for key, cls in (("edge_colors", Color), ("face_shades", Shade),
+                         ("vertex_labels", VertexLabel)):
+            members = draw(st.lists(st.sampled_from(list(cls)), max_size=n))
+            fields[key] = ([list(cls).index(m) for m in members]
+                           if as_arrays else members)
+    if as_arrays:
+        fields = {key: np.array(value) for key, value in fields.items()}
+    return DessinDocument(n, **fields)
+
+
 class TestSerialization:
     def test_round_trip_plain(self):
         d_doc = from_dessin(catalog.tetrahedron())
@@ -266,6 +291,24 @@ class TestSerialization:
         dessin = catalog.tetrahedron()
         d_doc = from_dessin(dessin, equilateral_structure(dessin))
         assert d_doc.has_metric
+
+    def test_format_version_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            DessinDocument(4, (1, 2, 3, 0), (2, 3, 0, 1), format_version="7")
+        d_doc = DessinDocument(4, (1, 2, 3, 0), (2, 3, 0, 1))
+        assert d_doc.format_version == FORMAT_VERSION == "1"
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(accepted_documents())
+    def test_every_accepted_document_round_trips(self, d_doc):
+        text = d_doc.serialize()
+        again = parse(text)
+        assert again.serialize() == text
+        # NaN equals no other NaN, so a document holding one equals no
+        # other document, its own round trip included
+        if not np.isnan(np.concatenate([d_doc.lengths or (),
+                                        d_doc.angles or ()])).any():
+            assert again == d_doc
 
 
 class TestBlockPairing:
@@ -457,6 +500,8 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"n_darts": 0, "rho0": (), "rho1": ()},
+         "n_darts must be a positive integer"),
+        ({"n_darts": True, "rho0": (0,), "rho1": (0,)},
          "n_darts must be a positive integer"),
         ({"rho0": (1, 2, 3, 9)}, "rho0[3] = 9 out of range 0..3"),
         ({"rho1": (2, 3, 0)}, "rho1 has 3 entries, expected 4"),

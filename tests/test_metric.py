@@ -164,9 +164,9 @@ class TestChartTransition:
         m = random_metric(d, rng)
         for dart in range(d.n_darts):
             assert chart_transition(d, m, dart, [R0_INV, R0]) \
-                .is_identity(TOL)
+                .is_identity()
             assert chart_transition(d, m, dart, [R0, R0_INV]) \
-                .is_identity(TOL)
+                .is_identity()
 
     def test_group_relators_give_identity_charts(self):
         rng = random.Random(4)
@@ -175,10 +175,10 @@ class TestChartTransition:
             m = random_metric(d, rng)
             for dart in range(0, d.n_darts, 3):
                 assert chart_transition(d, m, dart, [R1, R1]) \
-                    .is_identity(TOL)
+                    .is_identity()
                 # rho2 rho1 rho0 spelled in the available letters
                 word = [R0_INV, R1, R1, R0]
-                assert chart_transition(d, m, dart, word).is_identity(TOL)
+                assert chart_transition(d, m, dart, word).is_identity()
 
     def test_face_loop_of_square_tiling_is_identity(self):
         # developing a full face boundary must close up: the rho2 step
@@ -188,14 +188,14 @@ class TestChartTransition:
             m = square_structure(d)
             for dart in range(d.n_darts):
                 word = [R0_INV, R1] * 4
-                assert chart_transition(d, m, dart, word).is_identity(1e-9)
+                assert chart_transition(d, m, dart, word).is_identity()
 
     def test_face_loop_of_triangulation_is_identity(self):
         for d in (tetrahedron(), octahedron()):
             m = equilateral_structure(d)
             for dart in range(d.n_darts):
                 word = [R0_INV, R1] * 3
-                assert chart_transition(d, m, dart, word).is_identity(1e-9)
+                assert chart_transition(d, m, dart, word).is_identity()
 
     def test_unknown_token(self):
         d = one_square_torus()
@@ -330,4 +330,4 @@ class TestMetricCheckedOnce:
         m = random_metric(d, random.Random(9))
         for x in range(d.n_darts):
             back = chart_transition(d, m, x, [R0_INV, R0])
-            assert back.is_identity(1e-12)
+            assert back.is_identity()
