@@ -41,7 +41,10 @@ class Passport:
     over_infinity: tuple[int, ...]
 
     def __init__(self, degree, over_zero, over_one, over_infinity):
-        object.__setattr__(self, "degree", int(degree))
+        degree = int(degree)
+        if degree < 1:
+            raise ValueError(f"degree {degree} is not positive")
+        object.__setattr__(self, "degree", degree)
         for name, val in (("over_zero", over_zero),
                           ("over_one", over_one),
                           ("over_infinity", over_infinity)):

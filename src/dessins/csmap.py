@@ -31,6 +31,11 @@ map raises NonConvergenceError instead of splitting panels.  Both Gauss
 rules come from one Golub-Welsch eigenproblem in numpy.  A
 QuadratureConfig sets n for cs_map, incomplete_cs_integral and
 complete_beta; every other function, inversion included, uses n = 48.
+
+Inversion runs Newton from the expansion of the map at one of the three
+prevertices 0, 1 and infinity (Driscoll & Trefethen, Schwarz-Christoffel
+Mapping, 2002), chosen per point; nothing is precomputed for a spec
+beyond its complete beta and its Gauss rules.
 """
 
 from __future__ import annotations
@@ -113,7 +118,8 @@ MIN_EXPONENT = 1e-15
 
 def _check_exponents(a: float, b: float) -> None:
     for name, x in (("a", a), ("b", b)):
-        if not (isinstance(x, (int, float)) and MIN_EXPONENT <= x <= 1.0):
+        if (not isinstance(x, (int, float)) or isinstance(x, bool)
+                or not MIN_EXPONENT <= x <= 1.0):
             raise ValueError(
                 f"exponent {name} must lie in [{MIN_EXPONENT}, 1]")
 
@@ -368,35 +374,10 @@ def _inside_triangle(z: complex, tri, tol: float) -> bool:
     return True
 
 
-_GRID_SIZE = 32
-
-
-@lru_cache(maxsize=8)
-def _seed_grid(spec: CsMapSpec):
-    """Forward values on a 32 x 32 grid over the lower half-plane, used
-    to seed Newton inversion.  Each value is cs_map(spec, t) itself, so
-    it stands in for the first evaluation at its seed.  Kept for the
-    most recently used specs, and frozen."""
-    xs = np.linspace(-4.0, 5.0, _GRID_SIZE)
-    ys = -np.geomspace(0.015, 8.0, _GRID_SIZE)
-    ts = []
-    zs = []
-    for y in ys:
-        for x in xs:
-            t = complex(x, y)
-            ts.append(t)
-            zs.append(cs_map(spec, t))
-    ts = np.array(ts)
-    zs = np.array(zs)
-    ts.setflags(write=False)
-    zs.setflags(write=False)
-    return ts, zs
-
-
 # points this share of the diameter from a corner snap to it, and points
 # this far past an edge count as on it: well inside the Newton promise
 _SNAP = 1e-12
-_NEWTON_TARGET = 1e-13
+_NEWTON_TARGET = 1e-14
 _NEWTON_PROMISE = 1e-10
 _MAX_ITERATIONS = 100
 # a run whose best residual is below this (times the diameter) and has
@@ -449,27 +430,49 @@ def _from_q(q: complex, c: float) -> complex:
 
 
 def _corner_seed(spec: CsMapSpec, z: complex, tri,
-                 beta_ab: float) -> tuple[complex, float]:
-    """The local inverse at the corner of the image nearest z, and the
-    distance from z expected of its value.  The seed solves the leading
-    term of the map in the uniformizing variable of that corner: t^a at
-    0, (1-t)^b at 1 and t^(a+b-1) at infinity.  The next term of the
-    expansion is smaller by a factor of |t|, |1-t| or 1/|t|."""
+                 beta_ab: float) -> complex:
+    """The local inverse at the corner of the image expected to land
+    closest to z.  Each corner's seed solves the first two terms of the
+    map's expansion in the uniformizing variable of that corner: t^a at
+    0, (1-t)^b at 1 and t^(a+b-1) at infinity.  The leading solve t0
+    ranks the seeds: the second term is smaller than the first by
+    k*|t0|, k*|1-t0| or k/|t0| for its coefficient k, and the seed with
+    the smallest such share of |z - corner| wins.  A seed that overflows
+    or is not finite is skipped."""
     a, b, pf = spec.a, spec.b, spec.prefactor
-    corner = min(range(3), key=lambda i: abs(z - tri[i]))
-    if corner == 0:
+    c = a + b - 1.0
+
+    def at_zero():
         t = (z * a * beta_ab / pf) ** (1.0 / a)
-        scale = a * (1.0 - b) / (a + 1.0) * abs(t)
-    elif corner == 1:
-        t = 1.0 - ((1.0 - z / pf) * b * beta_ab) ** (1.0 / b)
-        scale = b * (1.0 - a) / (b + 1.0) * abs(1.0 - t)
-    else:
+        k = a * (1.0 - b) / (a + 1.0)
+        return t * (1.0 + k * t) ** (-1.0 / a), k * abs(t)
+
+    def at_one():
+        d = ((1.0 - z / pf) * b * beta_ab) ** (1.0 / b)
+        k = b * (1.0 - a) / (b + 1.0)
+        return 1.0 - d * (1.0 + k * d) ** (-1.0 / b), k * abs(d)
+
+    def at_infinity():
         # the map tends to tri[2] like pf * e^(i*pi*(b-1)) * q / (c*B)
-        c = a + b - 1.0
         t = _from_q((z - tri[2]) * c * beta_ab
                     / (pf * cmath.exp(1j * math.pi * (b - 1.0))), c)
-        scale = (1.0 - b) * c / (c - 1.0) / abs(t)
-    return _onto_sheet(t), scale * abs(z - tri[corner])
+        k = (1.0 - b) * c / (c - 1.0)
+        return t * (1.0 + k / t) ** (-1.0 / c), k / abs(t)
+
+    best_t, best_error = None, math.inf
+    for corner, seed in zip(tri, (at_zero, at_one, at_infinity)):
+        try:
+            t, scale = seed()
+        except (OverflowError, ZeroDivisionError):
+            continue
+        error = scale * abs(z - corner)
+        if cmath.isfinite(t) and error < best_error:
+            best_t, best_error = t, error
+    if best_t is None:
+        raise NonConvergenceError(
+            f"no corner of the image gives a finite seed for {z}",
+            stage="newton", evaluations=0, best_residual=math.inf)
+    return _onto_sheet(best_t)
 
 
 def _onto_sheet(t: complex) -> complex:
@@ -499,12 +502,14 @@ def invert_cs_map(spec: CsMapSpec, z) -> complex:
     raises ValueError, and a Newton iteration that does not settle
     raises NonConvergenceError.
 
-    Newton runs once, from one seed: the nearest value of a precomputed
-    grid, or the local inverse at the nearest corner when that is
-    expected to land closer to z.  Near the image of t = 1 the promise
-    can be out of reach: the solution is 1 - d with |Re d| below the
-    spacing of doubles next to 1, and the map magnifies that spacing by
-    about |d|^(b-1).  For SQUARE_CELL this holds within about 2e-3 of
+    Newton runs once, from one seed: the two-term local inverse at the
+    corner whose expansion is expected to land closest to z (see
+    _corner_seed).  No corner giving a finite seed, as for exponents
+    whose powers overflow, is a NonConvergenceError with no
+    evaluations.  Near the image of t = 1 the promise can be out of
+    reach: the solution is 1 - d with |Re d| below the spacing of
+    doubles next to 1, and the map magnifies that spacing by about
+    |d|^(b-1).  For SQUARE_CELL this holds within about 2e-3 of
     1j, except on the bisector of that corner, where d is imaginary.
     Such points raise NonConvergenceError after a few evaluations, once
     the residual stops improving.
@@ -520,29 +525,17 @@ def invert_cs_map(spec: CsMapSpec, z) -> complex:
     if abs(z - tri[1]) <= _SNAP * diam:
         return 1.0 + 0j
     beta_ab = complete_beta(spec.a, spec.b)
-    ts, zs = _seed_grid(spec)
-    distance = np.abs(zs - z)
-    i = np.argmin(distance)
-    # a grid seed comes with its value
-    t, value = complex(ts[i]), complex(zs[i])
-    corner_t, corner_error = _corner_seed(spec, z, tri, beta_ab)
-    # at (or within about 1e-100 of) the image of infinity the corner
-    # inverse overflows to t = inf, which is no seed
-    if corner_error < distance[i] and cmath.isfinite(corner_t):
-        t, value = corner_t, None
+    t = _corner_seed(spec, z, tri, beta_ab)
     stall = _STALL_RESIDUAL * diam
-    evaluations = 0
     best_t = None
     best_r = math.inf
     halved_r = math.inf  # the residual when it last halved
     since_halved = 0
-    for _ in range(_MAX_ITERATIONS):
-        if value is None:
-            evaluations += 1
-            try:
-                value = cs_map(spec, t)
-            except (CutCrossingError, ValueError):
-                break
+    for evaluations in range(1, _MAX_ITERATIONS + 1):
+        try:
+            value = cs_map(spec, t)
+        except (CutCrossingError, ValueError):
+            break
         r = abs(value - z)
         if r < best_r:
             best_r = r
@@ -557,7 +550,6 @@ def invert_cs_map(spec: CsMapSpec, z) -> complex:
             if halved_r < stall and since_halved >= _STALL_ITERATIONS:
                 break
         t_new = _newton_step(spec, t, value - z, beta_ab)
-        value = None
         if not cmath.isfinite(t_new):
             break
         t_new = _onto_sheet(t_new)

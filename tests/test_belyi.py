@@ -34,6 +34,13 @@ class TestPassportType:
         with pytest.raises(ValueError, match="non-positive"):
             Passport(2, (2,), (0, 2), (2,))
 
+    def test_rejects_nonpositive_degree(self):
+        # a cover has at least one sheet; degree 0 would pass
+        # riemann_hurwitz_genus with empty parts as a torus
+        for degree in (0, -2):
+            with pytest.raises(ValueError, match="is not positive"):
+                Passport(degree, (), (), ())
+
 
 class TestPassportComputation:
     def test_subdivided_grid(self):

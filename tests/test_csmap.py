@@ -91,6 +91,9 @@ class TestConfigAndSpec:
             CsMapSpec(1e-300, 0.5, 1)
         with pytest.raises(ValueError, match="exponent b must lie in"):
             CsMapSpec(0.5, MIN_EXPONENT / 2, 1)
+        # a bool is an int, but no exponent, as for Dessin's n_darts
+        with pytest.raises(ValueError, match="exponent b must lie in"):
+            CsMapSpec(0.5, True, 1)
         with pytest.raises(ValueError):
             CsMapSpec(1.0, 0.5, 1.0)
         with pytest.raises(ValueError):
@@ -149,6 +152,8 @@ class TestCompleteBeta:
         # matrix would divide 0 by 0
         with pytest.raises(ValueError, match="exponent a must lie in"):
             incomplete_cs_integral(5e-324, 0.5, 0.5 - 0.5j)
+        with pytest.raises(ValueError, match="exponent a must lie in"):
+            incomplete_cs_integral(True, 0.5, 0.5 - 0.5j)
 
     def test_floor_exponent_is_finite(self):
         assert math.isfinite(complete_beta(MIN_EXPONENT, MIN_EXPONENT))
@@ -549,8 +554,7 @@ class TestInversionStaysInLowerHalfPlane:
 
 class TestBoundedCaches:
     def test_every_cache_is_finite(self):
-        for fn in (csmap_module._node_pair, csmap_module._beta_cached,
-                   csmap_module._seed_grid):
+        for fn in (csmap_module._node_pair, csmap_module._beta_cached):
             assert fn.cache_info().maxsize is not None
 
     def test_quadrature_rule_caches_stay_bounded(self):
@@ -565,13 +569,6 @@ class TestBoundedCaches:
         for i in range(cap + 10):
             complete_beta(0.5, (i + 1) / (cap + 11))
         assert csmap_module._beta_cached.cache_info().currsize == cap
-
-    def test_seed_grid_cache_stays_bounded(self):
-        cap = csmap_module._seed_grid.cache_info().maxsize
-        for i in range(cap + 2):
-            spec = CsMapSpec(0.25, 0.25, cmath.exp(0.1j * i), f"spin{i}")
-            invert_cs_map(spec, cs_map(spec, 0.3 - 0.4j))
-        assert csmap_module._seed_grid.cache_info().currsize == cap
 
 
 def _toward_centroid(tri, i):
@@ -597,8 +594,9 @@ class TestNewtonSeedsAndStalls:
         (SQUARE_CELL, 0.135402 + 0.135402j),
     ], ids=["triangle_coord", "square_cell_upper", "square_cell_lower"])
     def test_points_far_from_the_seed_grid_invert(self, spec, z):
-        # their preimages lie near t = 0 or t = 1, between the seed grid
-        # and the corner: seeded from the grid alone, Newton diverged
+        # their preimages lie within 0.03 of t = 0 or t = 1 although z
+        # is 0.19 to 0.45 from that corner's image; the corner expansion
+        # seeds them within 4e-7, where Newton from farther out diverged
         t = invert_cs_map(spec, z)
         assert t.imag <= 0.0
         assert abs(cs_map(spec, t) - z) <= 1e-10 * max(1.0, abs(z))
@@ -617,8 +615,6 @@ class TestNewtonSeedsAndStalls:
         # bisector d is imaginary and exact, hence the centroid direction)
         tri = image_triangle(SQUARE_CELL)
         z = tri[1] + 1e-6 * _toward_centroid(tri, 1)
-        # built outside the count: a grid value is not a call per inversion
-        csmap_module._seed_grid(SQUARE_CELL)
         calls = []
 
         def counting(*args):
@@ -635,6 +631,23 @@ class TestNewtonSeedsAndStalls:
         assert info.value.evaluations == len(calls)
         assert 1e-10 < info.value.best_residual <= 1e-4
 
+    def test_cold_inversion_evaluates_only_newton_iterates(
+            self, monkeypatch):
+        # a spec never seen before costs no precomputed values: every
+        # cs_map call is one Newton iterate
+        spec = CsMapSpec(0.3, 0.4, cmath.exp(0.7j), "cold")
+        z = cs_map(spec, 0.4 - 0.6j)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return cs_map(*args)
+
+        monkeypatch.setattr(csmap_module, "cs_map", counting)
+        t = invert_cs_map(spec, z)
+        assert abs(cs_map(spec, t) - z) <= 1e-10
+        assert 1 <= len(calls) <= csmap_module._MAX_ITERATIONS
+
     def test_quadrature_failure_carries_its_stage(self):
         # two nodes per panel are far too few for the fixed ladder
         cfg = QuadratureConfig(node_count=2)
@@ -646,13 +659,6 @@ class TestNewtonSeedsAndStalls:
         assert info.value.stage == "quadrature"
         assert info.value.evaluations == 1
         assert info.value.best_residual > 1e-12
-
-    def test_seed_values_are_the_forward_map(self):
-        # a grid value stands in for the first evaluation at its seed, so
-        # it must be what cs_map returns
-        ts, zs = csmap_module._seed_grid(TRIANGLE_COORD)
-        for i in range(0, len(ts), 31):
-            assert complex(zs[i]) == cs_map(TRIANGLE_COORD, complex(ts[i]))
 
 
 # The quadrature panels are fixed and Newton runs from one seed; these
@@ -679,12 +685,12 @@ def log_uniform_t(draw):
 
 
 @st.composite
-def closed_triangle_point(draw):
+def closed_triangle_point(draw, specs=st.sampled_from(ALL_SPECS)):
     """A spec and a z in or next to its closed image triangle: an
     interior point, a point on an edge (corners included) or 1e-12 to
     1e-6 of the diameter to either side of it, or a point 1e-14 to 0.3
     of the diameter from a corner."""
-    spec = draw(st.sampled_from(ALL_SPECS))
+    spec = draw(specs)
     tri = image_triangle(spec)
     diam = max(abs(p - q) for p in tri for q in tri)
     kind = draw(st.sampled_from(("interior", "edge", "corner")))
@@ -705,6 +711,15 @@ def closed_triangle_point(draw):
          + (1.0 - u) * (tri[(i + 2) % 3] - tri[i]))
     r = 10.0 ** draw(st.floats(-14.0, math.log10(0.3)))
     return spec, tri[i] + r * diam * d / abs(d)
+
+
+@st.composite
+def custom_spec(draw):
+    """A spec with a and b log-uniform in [1e-8, 1) and a + b < 1."""
+    exponent = st.floats(-8.0, 0.0, exclude_max=True).map(lambda x: 10.0 ** x)
+    a = draw(exponent)
+    b = draw(exponent.filter(lambda b: a + b < 1.0))
+    return CsMapSpec(a, b, 1.0)
 
 
 class TestFixedLadderAndOneSeed:
@@ -733,8 +748,6 @@ class TestFixedLadderAndOneSeed:
         spec, z = point
         tri = image_triangle(spec)
         diam = max(abs(p - q) for p in tri for q in tri)
-        # the seed grid is built outside the time limit
-        csmap_module._seed_grid(spec)
         with time_limit(CALL_LIMIT_S):
             try:
                 t = invert_cs_map(spec, z)
@@ -743,6 +756,26 @@ class TestFixedLadderAndOneSeed:
             except NonConvergenceError as exc:
                 assert exc.stage == "newton"
                 assert exc.best_residual < 1e-4 * diam
+                return
+        assert t.imag <= 0.0
+        assert abs(cs_map(spec, t) - z) <= 1e-10 * max(1.0, abs(z))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(closed_triangle_point(custom_spec()))
+    def test_custom_specs_keep_the_promise_or_fail_in_newton(self, point):
+        # small exponents push the corner expansions past the float
+        # range; that is a failed seed, never an escaped OverflowError
+        spec, z = point
+        # image_triangle built the Jacobi rules; the Legendre one too
+        # is built outside the limit
+        csmap_module._node_pair(48, 1.0)
+        with time_limit(CALL_LIMIT_S):
+            try:
+                t = invert_cs_map(spec, z)
+            except OutsideImageError:
+                return
+            except NonConvergenceError as exc:
+                assert exc.stage == "newton"
                 return
         assert t.imag <= 0.0
         assert abs(cs_map(spec, t) - z) <= 1e-10 * max(1.0, abs(z))
