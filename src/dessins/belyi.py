@@ -33,7 +33,8 @@ class InconsistentPassportError(ValueError):
 @dataclass(frozen=True)
 class Passport:
     """Cycle-type triple of a degree-``degree`` cover ramified over the
-    three labels; each multiset is stored sorted decreasingly."""
+    three labels; each multiset is stored sorted decreasingly, an
+    integer array sorted by numpy and anything else entry by entry."""
 
     degree: int
     over_zero: tuple[int, ...]
@@ -48,8 +49,12 @@ class Passport:
         for name, val in (("over_zero", over_zero),
                           ("over_one", over_one),
                           ("over_infinity", over_infinity)):
-            val = tuple(sorted((int(x) for x in val), reverse=True))
-            if any(x <= 0 for x in val):
+            if (isinstance(val, np.ndarray) and val.ndim == 1
+                    and val.dtype.kind in "iu"):
+                val = tuple(np.sort(val)[::-1].tolist())
+            else:
+                val = tuple(sorted(map(int, val), reverse=True))
+            if val and val[-1] <= 0:
                 raise ValueError(f"{name} contains a non-positive part")
             object.__setattr__(self, name, val)
 
@@ -79,8 +84,10 @@ def riemann_hurwitz_genus(p: Passport) -> int:
         if sum(val) != p.degree:
             raise InconsistentPassportError(
                 f"{name} sums to {sum(val)}, expected degree {p.degree}")
-    excess = sum(x - 1 for val in (p.over_zero, p.over_one, p.over_infinity)
-                 for x in val)
+    # each multiset sums to the degree, so the parts less one sum to
+    # 3 * degree less the number of parts
+    excess = 3 * p.degree - sum(
+        map(len, (p.over_zero, p.over_one, p.over_infinity)))
     two_g = 2 - 2 * p.degree + excess
     if two_g % 2 or two_g < 0:
         raise InconsistentPassportError(

@@ -23,12 +23,20 @@ parse errors carry the offending line number.
 Each datum of a :class:`DessinDocument` has one owner.  The images
 belong to the document's :class:`~dessins.cartography.Dessin`, built
 with the document and returned by ``to_dessin()``; ``rho0`` and
-``rho1`` are its tuples.  The metric block is read-only float arrays
-and the coloring block int8 codes (the codes of :mod:`dessins.tiling`).
-:func:`from_dessin` and :func:`from_tricolored` share the arrays of the
-objects they are given, :func:`parse` reads image lines of ASCII digits
-and single spaces with numpy and enum lines straight to codes, and
-:meth:`DessinDocument.serialize` writes from the arrays.
+``rho1`` are its tuples.  The metric block is read-only float arrays,
+with no NaN, and the coloring block int8 codes (the codes of
+:mod:`dessins.tiling`).  :func:`from_dessin` and :func:`from_tricolored`
+share the arrays of the objects they are given.
+
+Image and enum lines have one writer, :func:`_joined`: each token is a
+row of a uint8 table padded to the longest token plus a space, and the
+line is the kept bytes of the table.  Image tables are filled one digit
+place at a time, enum tables gathered from a code -> text table.
+:func:`parse` reads an image line with numpy when it is ASCII digits and
+single spaces.  It reads an enum line by the first byte of each token,
+and keeps those codes when writing them gives back the line byte for
+byte.  Any other line goes through the per-token loop, which names the
+first bad entry.
 """
 
 from __future__ import annotations
@@ -96,6 +104,9 @@ class DessinDocument:
                 if len(values) != n_darts:
                     raise ValueError(f"{key} has {len(values)} entries, "
                                      f"expected {n_darts}")
+                nan = _first_nan(key, values)
+                if nan:
+                    raise ValueError(nan)
             stored["_" + key] = values
         for key, cls, values in zip(_COLOR_KEYS, _COLOR_ENUMS, colors):
             stored["_" + key] = (None if values is None
@@ -128,39 +139,76 @@ class DessinDocument:
                                 self._face_shades, self._vertex_labels)
 
     def serialize(self) -> str:
-        lines = [f"format_version: {self.format_version}",
-                 f"n_darts: {self.n_darts}",
-                 "rho0: " + _int_text(self._dessin._r0),
-                 "rho1: " + _int_text(self._dessin._r1)]
+        lines = [f"format_version: {self.format_version}".encode(),
+                 f"n_darts: {self.n_darts}".encode(),
+                 b"rho0: " + _int_text(self._dessin._r0),
+                 b"rho1: " + _int_text(self._dessin._r1)]
         if self.has_metric:
             for key in _METRIC_KEYS:
                 values = getattr(self, "_" + key).tolist()
-                lines.append(f"{key}: " + " ".join(map(repr, values)))
+                lines.append(f"{key}: {' '.join(map(repr, values))}".encode())
         if self.has_coloring:
             for key, cls in zip(_COLOR_KEYS, _COLOR_ENUMS):
-                codes = getattr(self, "_" + key).tolist()
-                lines.append(f"{key}: "
-                             + " ".join(map(_TEXT[cls].__getitem__, codes)))
-        return "\n".join(lines) + "\n"
+                lines.append(f"{key}: ".encode()
+                             + _enum_text(cls, getattr(self, "_" + key)))
+        return (b"\n".join(lines) + b"\n").decode("ascii")
 
 
-def _int_text(images: np.ndarray) -> str:
+def _first_nan(key: str, values: np.ndarray) -> str | None:
+    """The message naming the first NaN of ``values``, None for none.
+    A NaN equals nothing, so a document holding one would not equal its
+    own parse; documents take no NaN."""
+    nan = np.flatnonzero(np.isnan(values))
+    return f"{key}[{nan[0]}] is NaN" if len(nan) else None
+
+
+def _joined(rows: np.ndarray, keep: np.ndarray) -> bytes:
+    """The kept bytes of the row-major ``(n, width + 1)`` uint8 table
+    ``rows``, one token and a space per row, without the last space."""
+    return rows[keep][:-1].tobytes()
+
+
+def _int_text(images: np.ndarray) -> bytes:
     """The entries of ``images`` (non-negative) in decimal, separated by
-    single spaces, written in one byte buffer: one row per digit place
-    plus a row of spaces, read column by column without the leading
-    zeros."""
-    width = len(str(int(images.max())))
-    rows = np.empty((width + 1, len(images)), np.uint8)
-    keep = np.ones((width + 1, len(images)), bool)
-    rows[width] = ord(" ")
-    rest = images.astype(np.uint64)
+    single spaces: a table of each entry's digits right-aligned, filled
+    one digit place at a time, keeping no leading zeros."""
+    top = int(images.max())
+    width = len(str(top))
+    rows = np.empty((len(images), width + 1), np.uint8)
+    keep = np.ones(rows.shape, bool)
+    rows[:, width] = ord(" ")
+    rest = images.astype(np.uint32 if top < 2 ** 32 else np.uint64)
     for k in range(width - 1, -1, -1):
-        rows[k] = rest % 10
-        rest = rest // 10
+        quotient = rest // 10
+        rows[:, k] = rest - 10 * quotient + ord("0")
+        rest = quotient
         if k:
-            keep[k - 1] = rest > 0
-    rows[:width] += ord("0")
-    return rows.T[keep.T][:-1].tobytes().decode("ascii")
+            np.greater(rest, 0, out=keep[:, k - 1])
+    return _joined(rows, keep)
+
+
+def _enum_tables(texts: tuple[str, ...]):
+    """Per code of an enum, its text padded to the longest plus a space
+    and which of those bytes to keep; and per byte, the code of the text
+    starting with it, -1 for none.  The texts of each enum differ in
+    their first letter (b/g/r, b/w, z/o/i); were two to share one, the
+    rewrite check of _parse_codes would send lines with one to the loop."""
+    width = max(map(len, texts))
+    rows = np.array([list(f"{text:<{width}} ".encode("ascii"))
+                     for text in texts], np.uint8)
+    keep = rows != ord(" ")
+    keep[:, width] = True
+    first_byte_code = np.full(256, -1, np.int8)
+    first_byte_code[[ord(text[0]) for text in texts]] = range(len(texts))
+    return rows, keep, first_byte_code
+
+
+_ENUM_TABLES = {cls: _enum_tables(_TEXT[cls]) for cls in _COLOR_ENUMS}
+
+
+def _enum_text(enum_cls, codes: np.ndarray) -> bytes:
+    rows, keep, _ = _ENUM_TABLES[enum_cls]
+    return _joined(np.take(rows, codes, axis=0), np.take(keep, codes, axis=0))
 
 
 def _from_parts(d: Dessin, m: MetricData | None,
@@ -229,9 +277,14 @@ def _parse_floats(raw: str, line: int, key: str, n: int) -> np.ndarray:
         raise DocumentParseError(
             line, f"{key}: expected {n} entries, got {len(parts)}")
     try:
-        return _floats(key, parts)
+        values = _floats(key, parts)
     except ValueError:
         pass
+    else:
+        nan = _first_nan(key, values)
+        if nan:
+            raise DocumentParseError(line, nan)
+        return values
     # the loop below names the first bad entry
     for i, p in enumerate(parts):
         try:
@@ -242,6 +295,17 @@ def _parse_floats(raw: str, line: int, key: str, n: int) -> np.ndarray:
 
 
 def _parse_codes(raw: str, line: int, key: str, enum_cls) -> np.ndarray:
+    data = raw.encode()
+    if data:
+        # each token's code from its first byte, taken only when the
+        # codes write ``raw`` back byte for byte; a first byte of no
+        # text gives -1, the last text, whose first byte differs
+        _, _, first_byte_code = _ENUM_TABLES[enum_cls]
+        chars = np.frombuffer(data, np.uint8)
+        starts = np.r_[0, np.flatnonzero(chars[:-1] == ord(" ")) + 1]
+        codes = first_byte_code[chars[starts]]
+        if _enum_text(enum_cls, codes) == data:
+            return _frozen(codes)
     parts = raw.split()
     code = _CODE[enum_cls]
     try:

@@ -2,6 +2,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dessins.belyi import (INFINITY, InconsistentPassportError, Passport,
@@ -33,6 +34,22 @@ class TestPassportType:
     def test_rejects_nonpositive_parts(self):
         with pytest.raises(ValueError, match="non-positive"):
             Passport(2, (2,), (0, 2), (2,))
+
+    @pytest.mark.parametrize("part", [np.array([0, 2]), np.array([2, -1]),
+                                      np.array([0, 2], dtype=np.uint8)])
+    def test_rejects_nonpositive_array_parts(self, part):
+        with pytest.raises(ValueError) as info:
+            Passport(2, (2,), part, (2,))
+        assert str(info.value) == "over_one contains a non-positive part"
+
+    def test_arrays_tuples_and_floats_agree(self):
+        from_array = Passport(5, np.array([1, 3, 1]), np.array([2, 3]),
+                              np.array([5], dtype=np.int8))
+        from_tuples = Passport(5, (1, 3, 1), (2, 3), (5,))
+        from_floats = Passport(5.0, [1.0, 3.0, 1.0], [2.0, 3.0], [5.0])
+        assert from_array == from_tuples == from_floats
+        assert hash(from_array) == hash(from_tuples)
+        assert all(type(x) is int for x in from_array.over_zero)
 
     def test_rejects_nonpositive_degree(self):
         # a cover has at least one sheet; degree 0 would pass

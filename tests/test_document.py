@@ -18,6 +18,7 @@ from dessins.document import (
     DessinDocument,
     DocumentParseError,
     FORMAT_VERSION,
+    _int_text,
     canonicalize,
     from_dessin,
     from_tricolored,
@@ -167,6 +168,15 @@ class TestParseErrors:
         assert err.line == 5
         assert "lengths[2]" in str(err)
 
+    @pytest.mark.parametrize("lengths, angles, message", [
+        ("1 nan 1 NaN", "1 1 1 1", "line 5: lengths[1] is NaN"),
+        ("1 1 1 1", "1 1 -nan 1", "line 6: angles[2] is NaN"),
+    ])
+    def test_nan_metric_entry(self, lengths, angles, message):
+        # a NaN would make the document unequal to its own parse
+        err = self.error(make_text(lengths=lengths, angles=angles))
+        assert str(err) == message
+
     def test_partial_coloring_block(self):
         err = self.error(make_text() + "edge_colors: blue blue\n")
         assert "coloring block requires" in str(err)
@@ -210,8 +220,8 @@ class TestParseErrors:
 @st.composite
 def accepted_documents(draw):
     """A document of a random dessin, given as sequences or as arrays,
-    with or without a metric block of any floats and a coloring block
-    of any members, as many as the constructor takes."""
+    with or without a metric block of any floats but NaN and a coloring
+    block of any members, as many as the constructor takes."""
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     n = 2 * draw(st.integers(1, 12))
     d = catalog.random_dessin(n, rng)
@@ -219,7 +229,8 @@ def accepted_documents(draw):
     fields = {"rho0": d.rho0, "rho1": d.rho1}
     if draw(st.booleans()):
         for key in ("lengths", "angles"):
-            fields[key] = draw(st.lists(st.floats(), min_size=n, max_size=n))
+            fields[key] = draw(st.lists(st.floats(allow_nan=False),
+                                        min_size=n, max_size=n))
     if draw(st.booleans()):
         for key, cls in (("edge_colors", Color), ("face_shades", Shade),
                          ("vertex_labels", VertexLabel)):
@@ -277,6 +288,17 @@ class TestSerialization:
         assert hashlib.sha256(data).hexdigest() == (
             "6d0bea4ce4b0332bcdc5b617f7e051a459d0a9e68f0d4919ba10a422a3808144")
 
+    @pytest.mark.parametrize("values", [
+        [0], [9], [10], [0, 9, 10, 0],
+        [10 ** k - 1 for k in range(1, 11)] + [10 ** k for k in range(10)],
+        [2 ** 32 - 1, 0, 7],
+        [2 ** 32, 0, 10 ** 18, 10 ** 18 - 1, 5],
+    ])
+    def test_int_text(self, values):
+        # uint32 digits up to 2**32 - 1, uint64 above
+        assert _int_text(np.array(values, dtype=np.intp)) == (
+            " ".join(map(str, values)).encode())
+
     def test_metric_must_fit(self):
         dessin = catalog.tetrahedron()
         wrong_size = MetricData((1.0,) * 4, (2.0,) * 4)
@@ -304,11 +326,7 @@ class TestSerialization:
         text = d_doc.serialize()
         again = parse(text)
         assert again.serialize() == text
-        # NaN equals no other NaN, so a document holding one equals no
-        # other document, its own round trip included
-        if not np.isnan(np.concatenate([d_doc.lengths or (),
-                                        d_doc.angles or ()])).any():
-            assert again == d_doc
+        assert again == d_doc
 
 
 class TestBlockPairing:
@@ -407,6 +425,12 @@ MUTATIONS = {
     "decimal": lambda tok, n: tok + ".0",
     "exponent": lambda tok, n: "1e400",
     "unknown enum": lambda tok, n: "mauve",
+    # right first letter, wrong text
+    "enum bleu": lambda tok, n: "bleu",
+    "enum b": lambda tok, n: "b",
+    "enum Blue": lambda tok, n: "Blue",
+    "enum blues": lambda tok, n: "blues",
+    "enum whitee": lambda tok, n: "whitee",
     "dropped": lambda tok, n: "",
     "doubled": lambda tok, n: tok + " " + tok,
 }
@@ -452,6 +476,28 @@ class TestAgainstOracle:
         expected = outcome(oracles.parse_document, text)
         got = outcome(lambda x: fields_of(parse(x)), text)
         assert got == expected
+
+    @pytest.mark.parametrize("key, token", [
+        ("edge_colors", "bleu"), ("edge_colors", "b"),
+        ("edge_colors", "Blue"), ("edge_colors", "blues"),
+        ("face_shades", "whitee"), ("vertex_labels", "infinite"),
+    ])
+    def test_enum_tokens_with_a_known_first_letter(self, key, token):
+        """A token whose first letter names a member but whose text is
+        wrong fails the rewrite check; the loop names it."""
+        lines = {"edge_colors": ["blue", "red", "green"],
+                 "face_shades": ["white", "black"],
+                 "vertex_labels": ["zero", "one", "infinity"]}
+        lines[key][1] = token
+        text = make_text(**{k: " ".join(v) for k, v in lines.items()})
+        line = 5 + list(lines).index(key)
+        allowed = {"edge_colors": "blue, green, red",
+                   "face_shades": "black, white",
+                   "vertex_labels": "zero, one, infinity"}[key]
+        message = f"line {line}: {key}[1]: {token!r} is not one of {allowed}"
+        assert outcome(parse, text) == ("error", line, message)
+        assert outcome(oracles.parse_document, text) == ("error", line,
+                                                         message)
 
     @pytest.mark.parametrize("rho0", [
         "+1 2 3 0", "01 2 3 0", "1_0 2 3 0", "١ 2 3 0", "1\t2 3 0",
@@ -509,6 +555,10 @@ class TestAgainstOracle:
           "vertex_labels": ()}, "'mauve' is not a valid Color"),
         ({"lengths": [1.0], "angles": [1.0]},
          "lengths has 1 entries, expected 4"),
+        ({"lengths": [1.0, math.nan, 2.0, math.nan], "angles": [1.0] * 4},
+         "lengths[1] is NaN"),
+        ({"lengths": np.ones(4), "angles": np.array([1.0, 1.0, math.nan, 1])},
+         "angles[2] is NaN"),
         ({"lengths": np.ones((2, 2)), "angles": np.ones(4)},
          "lengths must be a 1-D array, got shape (2, 2)"),
     ])
