@@ -43,6 +43,26 @@ class CellIndex:
     id: int
 
 
+def _index(value, name: str, count: int) -> int:
+    """``value`` as an id in 0..count-1 of a ``name`` ("dart" or a cell
+    kind): an int or numpy integer, or a :class:`CellIndex` of that
+    kind.  A bool, any other type or an id out of range raises
+    ValueError."""
+    # a plain int, the common case, is tested first
+    if type(value) is not int:
+        if isinstance(value, CellIndex):
+            if value.kind != name:
+                raise ValueError(f"expected a {name} cell, got {value.kind}")
+            return _index(value.id, name, count)
+        # bool and numpy bool are not numpy integers
+        if not isinstance(value, np.integer):
+            raise ValueError(f"{name} {value!r} is not an integer")
+        value = int(value)
+    if not 0 <= value < count:
+        raise ValueError(f"{name} {value} out of range")
+    return value
+
+
 @dataclass(frozen=True)
 class Violation:
     """One violated structural invariant, with an offending dart when
@@ -349,8 +369,7 @@ class Dessin:
     def dart_cell(self, dart: int, kind: CellKind) -> CellIndex:
         """The cell of ``kind`` containing ``dart``."""
         kind = CellKind(kind)
-        if not 0 <= dart < self.n_darts:
-            raise ValueError(f"dart {dart} out of range")
+        dart = _index(dart, "dart", self.n_darts)
         return CellIndex(kind, int(self.cell_arrays(kind).id[dart]))
 
     def genus(self) -> int:

@@ -83,8 +83,10 @@ def _require_finite(name: str, value: complex) -> None:
         raise ValueError(f"{name} = {value} is not finite")
 
 
-def _require_finite_modulus(t: complex) -> None:
-    """A finite t whose modulus is still a float."""
+def _path_end(t) -> complex:
+    """``t`` as the complex end of the straight path from 0: finite,
+    with a modulus that is still a float, and off the branch cut."""
+    t = complex(t)
     if not cmath.isfinite(t):
         raise ValueError(f"t = {t} is not finite")
     try:
@@ -92,6 +94,10 @@ def _require_finite_modulus(t: complex) -> None:
     except OverflowError:
         raise ValueError(
             f"t = {t} has a modulus beyond the float range") from None
+    if t.imag == 0.0 and t.real > 1.0:
+        raise CutCrossingError(
+            f"t = {t.real} lies on the branch cut (1, inf)")
+    return t
 
 
 @dataclass(frozen=True)
@@ -284,13 +290,9 @@ def incomplete_cs_integral(a: float, b: float, t,
     """
     cfg = cfg or DEFAULT_CONFIG
     _check_exponents(a, b)
-    t = complex(t)
-    _require_finite_modulus(t)
+    t = _path_end(t)
     if t == 0:
         return 0j
-    if t.imag == 0.0 and t.real > 1.0:
-        raise CutCrossingError(
-            f"t = {t.real} lies on the branch cut (1, inf)")
     if _segment_distance_to_one(t) < _NEAR_ONE:
         # reflect the troublesome end across w -> 1 - w
         return complete_beta(a, b, cfg) - incomplete_cs_integral(
@@ -335,13 +337,9 @@ def cs_map_derivative(spec: CsMapSpec, t) -> complex:
     with the same branch convention as the map itself.  Raises
     ValueError at t = 0, at t = 1 and for non-finite t or t whose
     modulus overflows, and CutCrossingError for real t > 1."""
-    t = complex(t)
-    _require_finite_modulus(t)
+    t = _path_end(t)
     if t == 0 or t == 1:
         raise ValueError(f"derivative is singular at t = {t}")
-    if t.imag == 0.0 and t.real > 1.0:
-        raise CutCrossingError(
-            f"t = {t.real} lies on the branch cut (1, inf)")
     return _derivative(spec, t, complete_beta(spec.a, spec.b))
 
 

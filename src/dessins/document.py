@@ -23,10 +23,13 @@ parse errors carry the offending line number.
 Each datum of a :class:`DessinDocument` has one owner.  The images
 belong to the document's :class:`~dessins.cartography.Dessin`, built
 with the document and returned by ``to_dessin()``; ``rho0`` and
-``rho1`` are its tuples.  The metric block is read-only float arrays,
-with no NaN, and the coloring block int8 codes (the codes of
-:mod:`dessins.tiling`).  :func:`from_dessin` and :func:`from_tricolored`
-share the arrays of the objects they are given.
+``rho1`` are its tuples.  The metric block likewise belongs to its
+:class:`~dessins.metric.MetricData`, returned by ``to_metric()``, so a
+document takes exactly the metric blocks that ``MetricData`` takes:
+lengths positive and finite, angles in (0, 2*pi), no NaN.  The
+coloring block is int8 codes (the codes of :mod:`dessins.tiling`).
+:func:`from_dessin` and :func:`from_tricolored` share the arrays of the
+objects they are given.
 
 Image and enum lines have one writer, :func:`_joined`: each token is a
 row of a uint8 table padded to the longest token plus a space, and the
@@ -36,7 +39,9 @@ place at a time, enum tables gathered from a code -> text table.
 single spaces.  It reads an enum line by the first byte of each token,
 and keeps those codes when writing them gives back the line byte for
 byte.  Any other line goes through the per-token loop, which names the
-first bad entry.
+first bad entry.  A metric line goes through
+:func:`~dessins.metric.metric_array`, and a value it rejects is a parse
+error at that line, with its message.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cartography import Dessin, _frozen, tuple_view
-from .metric import MetricData, _floats, metric_violations
+from .metric import MetricData, metric_array, metric_violations
 from .tiling import (_CODE, _MEMBERS, _TEXT, Color, Shade, TricoloredDessin,
                      VertexLabel, _code_array)
 
@@ -72,14 +77,17 @@ class DocumentParseError(ValueError):
 class DessinDocument:
     """The fields of a document.  The images are checked and held by the
     document's :class:`Dessin`, and ``rho0``/``rho1`` are its tuples;
-    metric and coloring are given as arrays or sequences and stored as
-    read-only arrays, with tuple views as fields, None when absent."""
+    the metric block is held as the :class:`MetricData` of ``lengths``
+    and ``angles``, and the coloring block as read-only code arrays; the
+    fields are tuple views of them, None when absent."""
 
     n_darts: int
     rho0: tuple[int, ...] = property(lambda self: self._dessin.rho0)
     rho1: tuple[int, ...] = property(lambda self: self._dessin.rho1)
-    lengths: tuple[float, ...] | None = tuple_view("_lengths")
-    angles: tuple[float, ...] | None = tuple_view("_angles")
+    lengths: tuple[float, ...] | None = property(
+        lambda self: None if self._metric is None else self._metric.lengths)
+    angles: tuple[float, ...] | None = property(
+        lambda self: None if self._metric is None else self._metric.angles)
     edge_colors: tuple[Color, ...] | None = tuple_view(
         "_edge_colors", _MEMBERS[Color])
     face_shades: tuple[Shade, ...] | None = tuple_view(
@@ -97,17 +105,14 @@ class DessinDocument:
         if any(given) and not all(given):
             raise ValueError("edge_colors, face_shades and vertex_labels "
                              "must be given together")
-        stored = {"_dessin": Dessin(n_darts, rho0, rho1), "n_darts": n_darts}
-        for key, values in zip(_METRIC_KEYS, (lengths, angles)):
-            if values is not None:
-                values = _floats(key, values)
+        stored = {"_dessin": Dessin(n_darts, rho0, rho1), "n_darts": n_darts,
+                  "_metric": None}
+        if lengths is not None:
+            m = stored["_metric"] = MetricData(lengths, angles)
+            for key, values in zip(_METRIC_KEYS, (m._lengths, m._angles)):
                 if len(values) != n_darts:
                     raise ValueError(f"{key} has {len(values)} entries, "
                                      f"expected {n_darts}")
-                nan = _first_nan(key, values)
-                if nan:
-                    raise ValueError(nan)
-            stored["_" + key] = values
         for key, cls, values in zip(_COLOR_KEYS, _COLOR_ENUMS, colors):
             stored["_" + key] = (None if values is None
                                  else _code_array(cls, values))
@@ -116,7 +121,7 @@ class DessinDocument:
 
     @property
     def has_metric(self) -> bool:
-        return self._lengths is not None
+        return self._metric is not None
 
     @property
     def has_coloring(self) -> bool:
@@ -128,9 +133,9 @@ class DessinDocument:
         return self._dessin
 
     def to_metric(self) -> MetricData | None:
-        if not self.has_metric:
-            return None
-        return MetricData(self._lengths, self._angles)
+        """The document's metric, None when it has none: the same object
+        on every call."""
+        return self._metric
 
     def to_tricolored(self) -> TricoloredDessin:
         if not self.has_coloring:
@@ -145,21 +150,13 @@ class DessinDocument:
                  b"rho1: " + _int_text(self._dessin._r1)]
         if self.has_metric:
             for key in _METRIC_KEYS:
-                values = getattr(self, "_" + key).tolist()
+                values = getattr(self._metric, "_" + key).tolist()
                 lines.append(f"{key}: {' '.join(map(repr, values))}".encode())
         if self.has_coloring:
             for key, cls in zip(_COLOR_KEYS, _COLOR_ENUMS):
                 lines.append(f"{key}: ".encode()
                              + _enum_text(cls, getattr(self, "_" + key)))
         return (b"\n".join(lines) + b"\n").decode("ascii")
-
-
-def _first_nan(key: str, values: np.ndarray) -> str | None:
-    """The message naming the first NaN of ``values``, None for none.
-    A NaN equals nothing, so a document holding one would not equal its
-    own parse; documents take no NaN."""
-    nan = np.flatnonzero(np.isnan(values))
-    return f"{key}[{nan[0]}] is NaN" if len(nan) else None
 
 
 def _joined(rows: np.ndarray, keep: np.ndarray) -> bytes:
@@ -277,21 +274,18 @@ def _parse_floats(raw: str, line: int, key: str, n: int) -> np.ndarray:
         raise DocumentParseError(
             line, f"{key}: expected {n} entries, got {len(parts)}")
     try:
-        values = _floats(key, parts)
-    except ValueError:
-        pass
-    else:
-        nan = _first_nan(key, values)
-        if nan:
-            raise DocumentParseError(line, nan)
-        return values
-    # the loop below names the first bad entry
+        return metric_array(key, parts)
+    except ValueError as exc:
+        rule = str(exc)
+    # the loop below names the first token that is not a number; when
+    # every token is one, an entry broke the rule of the metric array
     for i, p in enumerate(parts):
         try:
             float(p)
         except ValueError:
             raise DocumentParseError(
                 line, f"{key}[{i}]: not a number: {p!r}") from None
+    raise DocumentParseError(line, rule)
 
 
 def _parse_codes(raw: str, line: int, key: str, enum_cls) -> np.ndarray:
@@ -306,19 +300,16 @@ def _parse_codes(raw: str, line: int, key: str, enum_cls) -> np.ndarray:
         codes = first_byte_code[chars[starts]]
         if _enum_text(enum_cls, codes) == data:
             return _frozen(codes)
-    parts = raw.split()
+    # any other line: the codes of its tokens, or the first bad token
     code = _CODE[enum_cls]
-    try:
-        return _frozen(np.fromiter(map(code.__getitem__, parts), np.int8,
-                                   len(parts)))
-    except KeyError:
-        pass
-    # the loop below names the first bad entry
-    for i, p in enumerate(parts):
+    codes = []
+    for i, p in enumerate(raw.split()):
         if p not in code:
             allowed = ", ".join(_TEXT[enum_cls])
             raise DocumentParseError(
                 line, f"{key}[{i}]: {p!r} is not one of {allowed}")
+        codes.append(code[p])
+    return _frozen(np.array(codes, np.int8))
 
 
 def parse(text: str) -> DessinDocument:
@@ -382,11 +373,8 @@ def parse(text: str) -> DessinDocument:
             _parse_codes(entries[key][1], entries[key][0], key, cls)
             for key, cls in zip(_COLOR_KEYS, _COLOR_ENUMS))
 
-    try:
-        return DessinDocument(n, rho0, rho1, lengths, angles,
-                              edge_colors, face_shades, vertex_labels)
-    except ValueError as exc:
-        raise DocumentParseError(1, str(exc)) from None
+    return DessinDocument(n, rho0, rho1, lengths, angles,
+                          edge_colors, face_shades, vertex_labels)
 
 
 def canonicalize(text: str) -> str:

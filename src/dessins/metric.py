@@ -9,8 +9,9 @@ charts are glued by the affine relations
     z_{rho0 e} = exp(i phi(e)) z_e        z_{rho1 e} = l(e) - z_e
 
 :class:`MetricData` stores lengths and angles as read-only float
-arrays, which the metrics built here and the documents share; the
-tuples ``lengths`` and ``angles`` are views built on first use.
+arrays built by :func:`metric_array`, the one rule for them, which the
+document reader also applies to each metric line; the tuples
+``lengths`` and ``angles`` are views built on first use.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartography import (CellIndex, CellKind, Dessin, Violation, _frozen,
+from .cartography import (CellKind, Dessin, Violation, _frozen, _index,
                           _read_only, tuple_view)
 
 R0 = "rho0"
@@ -35,46 +36,50 @@ class FaceDegreeMismatch(ValueError):
     """A face has the wrong number of sides for the requested structure."""
 
 
-def _floats(name: str, values) -> np.ndarray:
-    """``values`` as a read-only float array, shared when it already is
-    one; a sequence goes through float() entry by entry.  Complex
-    values raise TypeError, in an array as in a sequence."""
+# per metric array: the top of its open interval (0, top), and the
+# words of the message naming an entry outside it
+_RANGE = {"lengths": (math.inf, "is not positive"),
+          "angles": (_TWO_PI, "outside (0, 2*pi)")}
+
+
+def metric_array(name: str, values) -> np.ndarray:
+    """``values`` as the read-only float array ``name`` ("lengths" or
+    "angles") of a :class:`MetricData`, shared when it already is one;
+    a sequence goes through float() entry by entry.  Every entry must
+    lie in the open interval of ``name``, so NaN fails; ValueError
+    names the first that does not.  A 2-D array raises ValueError, and
+    complex values TypeError, in an array as in a sequence."""
     if isinstance(values, np.ndarray):
         if values.ndim != 1:
             raise ValueError(f"{name} must be a 1-D array, "
                              f"got shape {values.shape}")
         if values.dtype.kind == "c":
             raise TypeError(f"{name} must be real, not {values.dtype}")
-        return _read_only(values, np.float64)
-    values = tuple(values)
-    return _frozen(np.fromiter(map(float, values), np.float64, len(values)))
+        values = _read_only(values, np.float64)
+    else:
+        values = _frozen(np.fromiter(map(float, values), np.float64))
+    top, words = _RANGE[name]
+    # one numpy pass; NaN fails both comparisons
+    bad = np.flatnonzero(~((values > 0.0) & (values < top)))
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(f"{name}[{i}] = {float(values[i])} {words}")
+    return values
 
 
 @dataclass(frozen=True)
 class MetricData:
     """Per-dart lengths and corner angles, given as arrays or sequences
     and stored as the read-only float arrays ``_lengths`` and
-    ``_angles``; ``lengths`` and ``angles`` are tuple views of them."""
+    ``_angles`` by :func:`metric_array`; ``lengths`` and ``angles`` are
+    tuple views of them."""
 
     lengths: tuple[float, ...] = tuple_view("_lengths")
     angles: tuple[float, ...] = tuple_view("_angles")
 
     def __init__(self, lengths, angles):
-        lengths = _floats("lengths", lengths)
-        angles = _floats("angles", angles)
-        # one numpy pass per array; NaN fails both tests
-        bad = np.flatnonzero(~((lengths > 0.0) & (lengths < math.inf)))
-        if len(bad):
-            i = int(bad[0])
-            raise ValueError(
-                f"lengths[{i}] = {float(lengths[i])} is not positive")
-        bad = np.flatnonzero(~((angles > 0.0) & (angles < _TWO_PI)))
-        if len(bad):
-            i = int(bad[0])
-            raise ValueError(
-                f"angles[{i}] = {float(angles[i])} outside (0, 2*pi)")
-        object.__setattr__(self, "_lengths", lengths)
-        object.__setattr__(self, "_angles", angles)
+        object.__setattr__(self, "_lengths", metric_array("lengths", lengths))
+        object.__setattr__(self, "_angles", metric_array("angles", angles))
 
 
 def metric_violations(d: Dessin, m: MetricData) -> list[Violation]:
@@ -165,8 +170,7 @@ def chart_transition(d: Dessin, m: MetricData, dart: int, word) -> AffineChart:
     group word, the rightmost token acting first.
     """
     _require_metric(d, m)
-    if not 0 <= dart < d.n_darts:
-        raise ValueError(f"dart {dart} out of range")
+    dart = _index(dart, "dart", d.n_darts)
     chart = AffineChart.identity()
     cur = dart
     # entries read with .item() as Python numbers: no tuple view is built
@@ -200,13 +204,8 @@ def face_closure_residual(d: Dessin, m: MetricData, face) -> tuple[complex, floa
     turning minus 2*pi.
     """
     _require_metric(d, m)
-    if isinstance(face, CellIndex):
-        if face.kind != CellKind.FACE:
-            raise ValueError(f"expected a face cell, got {face.kind}")
-        face = face.id
     faces = d.cell_arrays(CellKind.FACE)
-    if not 0 <= face < len(faces.smallest):
-        raise ValueError(f"face {face} out of range")
+    face = _index(face, "face", len(faces.smallest))
     pos = 0j
     heading = 0.0
     turning = 0.0
@@ -223,13 +222,8 @@ def face_closure_residual(d: Dessin, m: MetricData, face) -> tuple[complex, floa
 def cone_angle(d: Dessin, m: MetricData, vertex) -> float:
     """Total angle at a vertex: the sum of phi over its darts."""
     _require_metric(d, m)
-    if isinstance(vertex, CellIndex):
-        if vertex.kind != CellKind.VERTEX:
-            raise ValueError(f"expected a vertex cell, got {vertex.kind}")
-        vertex = vertex.id
     vertices = d.cells(CellKind.VERTEX)
-    if not 0 <= vertex < len(vertices):
-        raise ValueError(f"vertex {vertex} out of range")
+    vertex = _index(vertex, "vertex", len(vertices))
     # the darts of the vertex in rho0-cycle order from the smallest; the
     # array's entries as floats, so no tuple view of the angles is built
     return sum(map(m._angles.item, vertices[vertex]))

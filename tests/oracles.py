@@ -447,6 +447,12 @@ def _document_values(raw: str, line: int, key: str, n: int) -> tuple:
             raise ParseError(line, f"{key}[{i}] = {v} out of range "
                                    f"0..{n - 1}")
         values.append(v)
+    if key in ("lengths", "angles"):
+        # each metric line must be an array that MetricData takes
+        error = (metric_data_error(values, ()) if key == "lengths"
+                 else metric_data_error((), values))
+        if error:
+            raise ParseError(line, error)
     return tuple(values)
 
 

@@ -88,6 +88,14 @@ class TestValidate:
         assert out == ""
         assert err.startswith("parse-error: line 4:")
 
+    @pytest.mark.parametrize("command", ["info", "validate"])
+    def test_metric_outside_its_range(self, capsys, command):
+        # an infinite length is no MetricData, so no command reads it
+        code, out, err = run(capsys, [command,
+                                      str(FIXTURES / "bad_metric.dessin")])
+        assert (code, out) == (1, "")
+        assert err == "parse-error: line 5: lengths[0] = inf is not positive\n"
+
     def test_coloring_of_wrong_length(self, capsys, tmp_path):
         # the dessin is valid, but the coloring names 11 of its 12 edges
         text = Path(OCTA).read_text().replace(

@@ -169,11 +169,12 @@ class TestParseErrors:
         assert "lengths[2]" in str(err)
 
     @pytest.mark.parametrize("lengths, angles, message", [
-        ("1 nan 1 NaN", "1 1 1 1", "line 5: lengths[1] is NaN"),
-        ("1 1 1 1", "1 1 -nan 1", "line 6: angles[2] is NaN"),
+        ("1 nan 1 NaN", "1 1 1 1",
+         "line 5: lengths[1] = nan is not positive"),
+        ("1 1 1 1", "1 1 -nan 1", "line 6: angles[2] = nan outside (0, 2*pi)"),
     ])
     def test_nan_metric_entry(self, lengths, angles, message):
-        # a NaN would make the document unequal to its own parse
+        # the metric block is a MetricData, which takes no NaN
         err = self.error(make_text(lengths=lengths, angles=angles))
         assert str(err) == message
 
@@ -220,17 +221,19 @@ class TestParseErrors:
 @st.composite
 def accepted_documents(draw):
     """A document of a random dessin, given as sequences or as arrays,
-    with or without a metric block of any floats but NaN and a coloring
-    block of any members, as many as the constructor takes."""
+    with or without a metric block of any lengths in (0, inf) and angles
+    in (0, 2*pi), and a coloring block of any members, as many as the
+    constructor takes."""
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     n = 2 * draw(st.integers(1, 12))
     d = catalog.random_dessin(n, rng)
     as_arrays = draw(st.booleans())
     fields = {"rho0": d.rho0, "rho1": d.rho1}
     if draw(st.booleans()):
-        for key in ("lengths", "angles"):
-            fields[key] = draw(st.lists(st.floats(allow_nan=False),
-                                        min_size=n, max_size=n))
+        for key, top in (("lengths", math.inf), ("angles", 2 * math.pi)):
+            fields[key] = draw(st.lists(
+                st.floats(0.0, top, exclude_min=True, exclude_max=True),
+                min_size=n, max_size=n))
     if draw(st.booleans()):
         for key, cls in (("edge_colors", Color), ("face_shades", Shade),
                          ("vertex_labels", VertexLabel)):
@@ -327,6 +330,48 @@ class TestSerialization:
         again = parse(text)
         assert again.serialize() == text
         assert again == d_doc
+
+
+METRIC_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from((math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e-300,
+                     2 * math.pi, 7.0, 1e308)))
+
+
+def raised(make) -> str | None:
+    """The message of the ValueError ``make()`` raises, None for none."""
+    try:
+        make()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestMetricBlockIsMetricData:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(METRIC_FLOATS, min_size=4, max_size=4),
+           st.lists(METRIC_FLOATS, min_size=4, max_size=4), st.booleans())
+    def test_one_accepted_set(self, lengths, angles, as_arrays):
+        """The constructor and the reader take exactly the metric blocks
+        that MetricData takes, and reject the others with its message,
+        the reader at the line of the offending key."""
+        expected = raised(lambda: MetricData(lengths, angles))
+        given_values = ((np.array(lengths), np.array(angles)) if as_arrays
+                        else (lengths, angles))
+        assert raised(lambda: DessinDocument(
+            4, (1, 2, 3, 0), (2, 3, 0, 1), *given_values)) == expected
+        text = make_text(lengths=" ".join(map(repr, lengths)),
+                         angles=" ".join(map(repr, angles)))
+        if expected is None:
+            d_doc = parse(text)
+            assert d_doc.to_metric() is d_doc.to_metric()
+            assert d_doc.to_metric() == MetricData(lengths, angles)
+            assert d_doc == DessinDocument(4, (1, 2, 3, 0), (2, 3, 0, 1),
+                                           *given_values)
+        else:
+            line = 5 if expected.startswith("lengths") else 6
+            assert outcome(parse, text) == ("error", line,
+                                            f"line {line}: {expected}")
 
 
 class TestBlockPairing:
@@ -518,7 +563,7 @@ class TestAgainstOracle:
         again = parse(d_doc.serialize())
         assert again.to_dessin()._r0.dtype == np.intp
         assert again._edge_colors.dtype == np.int8
-        assert again._lengths is None and again.lengths is None
+        assert again.to_metric() is None and again.lengths is None
         for arr in (again.to_dessin()._r0, again.to_dessin()._r1,
                     again._face_shades):
             assert not arr.flags.writeable
@@ -556,9 +601,9 @@ class TestAgainstOracle:
         ({"lengths": [1.0], "angles": [1.0]},
          "lengths has 1 entries, expected 4"),
         ({"lengths": [1.0, math.nan, 2.0, math.nan], "angles": [1.0] * 4},
-         "lengths[1] is NaN"),
+         "lengths[1] = nan is not positive"),
         ({"lengths": np.ones(4), "angles": np.array([1.0, 1.0, math.nan, 1])},
-         "angles[2] is NaN"),
+         "angles[2] = nan outside (0, 2*pi)"),
         ({"lengths": np.ones((2, 2)), "angles": np.ones(4)},
          "lengths must be a 1-D array, got shape (2, 2)"),
     ])

@@ -243,6 +243,27 @@ class TestClosureAndConeAngles:
         with pytest.raises(ValueError, match=message):
             call(d, square_structure(d))
 
+    @pytest.mark.parametrize("call", [
+        lambda d, m, x: d.dart_cell(x, CellKind.VERTEX),
+        lambda d, m, x: chart_transition(d, m, x, []),
+        face_closure_residual,
+        cone_angle,
+    ], ids=["dart_cell", "chart_transition", "face_closure_residual",
+            "cone_angle"])
+    def test_dart_and_cell_arguments_checked(self, call):
+        """A bool, a non-integer or an id out of range raises ValueError;
+        numpy integers are taken as the equal int."""
+        d = square_torus_grid(2, 2)  # 16 darts, 4 vertices, 4 faces
+        m = square_structure(d)
+        for bad in (True, False, np.True_, 1.5, np.float64(1.0), "1", None):
+            with pytest.raises(ValueError, match="is not an integer"):
+                call(d, m, bad)
+        for bad in (-1, 16, np.int64(16)):
+            with pytest.raises(ValueError, match="out of range"):
+                call(d, m, bad)
+        for good in (np.int64(3), np.uint8(2), np.intp(0)):
+            assert call(d, m, good) == call(d, m, int(good))
+
     def test_open_polygon_has_residual(self):
         d = one_square_torus()
         # lengths stay edge-constant but the quadrilateral cannot close:
