@@ -109,11 +109,28 @@ def _read_only(arr: np.ndarray, dtype) -> np.ndarray:
     return _frozen(arr.astype(dtype))
 
 
-def inverse_array(p: np.ndarray) -> np.ndarray:
-    """Inverse of a permutation given as an index array."""
-    inv = np.empty_like(p)
-    inv[p] = np.arange(len(p), dtype=p.dtype)
-    return inv
+_ARANGE = _frozen(np.arange(0))
+
+
+def _darts(n: int) -> np.ndarray:
+    """0..n-1 as a read-only view of one module-level arange, rebuilt
+    only for a larger n: dart-id scratch shared by every dessin and kept
+    by none.  The global is read once, so a concurrent rebuild cannot
+    shorten the view."""
+    global _ARANGE
+    arange = _ARANGE
+    if len(arange) < n:
+        arange = _ARANGE = _frozen(np.arange(n))
+    return arange[:n]
+
+
+def _inverse_or_none(p: np.ndarray) -> np.ndarray | None:
+    """The inverse of the in-range index array ``p`` when it is a
+    bijection, else None: scattered, so it is one exactly when every
+    slot is written."""
+    inv = np.full(len(p), -1, np.intp)
+    inv[p] = _darts(len(p))
+    return None if (inv < 0).any() else inv
 
 
 def tuple_view(array_name: str, members=None) -> cached_property:
@@ -158,19 +175,21 @@ def _image_array(name: str, images, n: int) -> np.ndarray:
     return _frozen(np.array([int(y) for y in images], dtype=np.intp))
 
 
-def _permutation_array(images, n: int, message: str) -> np.ndarray:
+def _permutation_array(images, n: int,
+                       message: str) -> tuple[np.ndarray, np.ndarray]:
     """``images``, an integer array or a sequence of ints, as a read-only
-    index array; ValueError(``message``) unless it is a permutation of
-    0..n-1."""
+    index array, and its inverse; ValueError(``message``) unless it is a
+    permutation of 0..n-1."""
     if not isinstance(images, np.ndarray):
         images = tuple(images)
     try:
         arr = _image_array("images", images, n)
     except ValueError:
         arr = None
-    if arr is None or not (np.bincount(arr, minlength=n) == 1).all():
+    inv = None if arr is None else _inverse_or_none(arr)
+    if inv is None:
         raise ValueError(message)
-    return arr
+    return arr, inv
 
 
 def _cycle_minima(p: np.ndarray) -> np.ndarray:
@@ -178,45 +197,56 @@ def _cycle_minima(p: np.ndarray) -> np.ndarray:
     pointer doubling: after k rounds m[x] is the minimum over the 2^k
     elements x, p(x), ..., and a round that changes nothing means the
     windows already cover every cycle."""
-    m = np.arange(len(p))
+    m = _darts(len(p))
     while True:
-        m_next = np.minimum(m, m[p])
-        if np.array_equal(m_next, m):
+        m_next = m[p]
+        np.minimum(m_next, m, out=m_next)
+        if (m_next == m).all():
             return m
         m = m_next
         p = p[p]
 
 
-def _component_minima(f: np.ndarray, u: np.ndarray,
-                      v: np.ndarray) -> np.ndarray:
-    """Per element, the smallest element of its connected component in
-    the graph with edges u[i] -- v[i], by hook-and-jump.  ``f`` is a
-    forest of pointers to roots with f[x] <= x (the identity, or orbit
-    minima of one permutation).  Each round every root with an edge to
-    a smaller root hooks under the smallest such root, then all
-    pointers jump to their roots; it ends when no edge joins two
-    roots."""
-    while True:
-        fu = f[u]
-        fv = f[v]
-        apart = fu != fv
-        if not apart.any():
-            return f
-        f = f.copy()
-        np.minimum.at(f, np.maximum(fu, fv)[apart], np.minimum(fu, fv)[apart])
-        while True:
-            ff = f[f]
-            if np.array_equal(ff, f):
-                break
-            f = ff
-
-
 def _cells_of(m: np.ndarray) -> Cells:
-    """Cells from the per-element cycle minima ``m``."""
-    is_min = m == np.arange(len(m))
-    ids = (np.cumsum(is_min) - 1)[m]
-    return Cells(_frozen(ids), _frozen(np.flatnonzero(is_min)),
-                 _frozen(np.bincount(ids)))
+    """Cells from the per-element cycle minima ``m``: the cycles are
+    numbered by their minima, scattered into a lookup by dart."""
+    darts = _darts(len(m))
+    smallest = np.flatnonzero(m == darts)
+    lookup = np.empty(len(m), np.intp)
+    lookup[smallest] = darts[:len(smallest)]
+    ids = lookup[m]
+    return Cells(_frozen(ids), _frozen(smallest), _frozen(np.bincount(ids)))
+
+
+def _first_stray_dart(verts: Cells, r1: np.ndarray) -> int | None:
+    """The smallest dart outside the component of dart 0 when the
+    vertices ``verts`` are joined along ``r1``, or None: hook-and-jump
+    (Shiloach & Vishkin, *J. Algorithms* 3, 1982) on vertex ids, each
+    round keeping only the edges that still join two roots."""
+    u = verts.id
+    v = u[r1]
+    lab = np.arange(len(verts.smallest))
+    while True:
+        # each root under its smallest neighbouring root, both ways (r1
+        # need not be an involution); a plain scatter's last write would
+        # take a round per leaf of a star
+        np.minimum.at(lab, u, v)
+        np.minimum.at(lab, v, u)
+        while True:
+            jumped = lab[lab]
+            if (jumped == lab).all():
+                break
+            lab = jumped
+        u = lab[u]
+        v = lab[v]
+        apart = u != v
+        if not apart.any():
+            break
+        u = u[apart]
+        v = v[apart]
+    # vertex ids follow smallest darts, and vertex 0 holds dart 0
+    stray = np.flatnonzero(lab)
+    return int(verts.smallest[stray[0]]) if len(stray) else None
 
 
 @dataclass(frozen=True)
@@ -253,25 +283,23 @@ class Dessin:
 
     @cached_property
     def _r2(self) -> np.ndarray:
-        """rho2 as an index array: rho2[x] = rho0^{-1}[rho1^{-1}[x]]."""
+        """rho2 as an index array: rho2[x] = rho0^{-1}[rho1^{-1}[x]], set
+        by validation from the inverses of its bijection check."""
         bad = [v for v in self._violations
                if v.code.endswith("not-bijection")]
         if bad:
             raise InvalidDessinError(bad)
-        return _frozen(inverse_array(self._r0)[inverse_array(self._r1)])
-
-    @cached_property
-    def _vertex_minima(self) -> np.ndarray:
-        """Per dart, the smallest dart of its rho0 orbit."""
-        return _frozen(_cycle_minima(self._r0))
+        return self.__dict__["_r2"]
 
     @cached_property
     def _violations(self) -> tuple[Violation, ...]:
         n = self.n_darts
-        darts = np.arange(n)
+        darts = _darts(n)
         out = []
+        inverses = []
         for name, p in (("rho0", self._r0), ("rho1", self._r1)):
-            if not (np.bincount(p, minlength=n) == 1).all():
+            inverses.append(_inverse_or_none(p))
+            if inverses[-1] is None:
                 # the first dart whose image an earlier dart already has
                 repeat = np.ones(n, dtype=bool)
                 repeat[np.unique(p, return_index=True)[1]] = False
@@ -279,6 +307,9 @@ class Dessin:
                     f"{name}-not-bijection", int(np.flatnonzero(repeat)[0]),
                     f"{name} is not a bijection"))
         bijective = not out
+        if bijective:
+            self.__dict__["_r2"] = _frozen(inverses[0][inverses[1]])
+        del inverses
         r1 = self._r1
         if not any(v.code == "rho1-not-bijection" for v in out):
             for x in np.flatnonzero(r1 == darts).tolist():
@@ -292,9 +323,10 @@ class Dessin:
                     "rho1-not-involution", x,
                     f"rho1 squared moves dart {x}"))
         if bijective:
-            # components joined along rho1 from the vertex orbits
-            stray = np.flatnonzero(
-                _component_minima(self._vertex_minima, darts, r1))
+            # components of the vertex quotient joined along rho1
+            verts = self._cell_arrays[CellKind.VERTEX] = _cells_of(
+                _cycle_minima(self._r0))
+            dart = _first_stray_dart(verts, r1)
         else:
             # images only: reachability from dart 0 along rho0 and rho1
             reached = np.zeros(n, dtype=bool)
@@ -304,7 +336,7 @@ class Dessin:
                 new = np.concatenate([self._r0[new], r1[new]])
                 new = np.unique(new[~reached[new]])
             stray = np.flatnonzero(~reached)
-        dart = int(stray[0]) if len(stray) else None
+            dart = int(stray[0]) if len(stray) else None
         if dart is not None:
             out.append(Violation(
                 "not-transitive", dart,
@@ -327,20 +359,19 @@ class Dessin:
 
     @cached_property
     def _cell_arrays(self) -> dict[CellKind, Cells]:
-        """The arrays of :meth:`cell_arrays`, built per kind on demand."""
+        """The arrays of :meth:`cell_arrays`: the vertex cells built by
+        validation, the others per kind on demand."""
         return {}
 
     def cell_arrays(self, kind: CellKind) -> Cells:
         """Cells of ``kind`` as per-dart ids plus per-cell smallest
         dart and size, numbered as in :meth:`cells`."""
         kind = CellKind(kind)
+        self.require_valid()
         cells = self._cell_arrays.get(kind)
         if cells is None:
-            self.require_valid()
-            if kind == CellKind.VERTEX:
-                minima = self._vertex_minima
-            elif kind == CellKind.EDGE:
-                minima = np.minimum(np.arange(self.n_darts), self._r1)
+            if kind == CellKind.EDGE:
+                minima = np.minimum(_darts(self.n_darts), self._r1)
             else:
                 minima = _cycle_minima(self._r2)
             cells = self._cell_arrays[kind] = _cells_of(minima)
@@ -386,10 +417,9 @@ class Dessin:
     def relabeled(self, sigma) -> "Dessin":
         """Conjugate by the dart relabeling ``sigma`` (old dart x becomes
         sigma[x])."""
-        s = _permutation_array(sigma, self.n_darts,
-                               "sigma must be a permutation of the darts")
+        s, s_inv = _permutation_array(
+            sigma, self.n_darts, "sigma must be a permutation of the darts")
         # new dart s[x] is sent to s[rho(x)]: s o rho o s^{-1}
-        s_inv = inverse_array(s)
         return Dessin(self.n_darts, s[self._r0][s_inv], s[self._r1][s_inv])
 
     @cached_property
@@ -501,10 +531,12 @@ class Dessin:
 def from_rho1_rho2(rho1, rho2) -> Dessin:
     """The dessin with edge involution ``rho1`` and face permutation
     ``rho2``, given as index arrays: rho0 = rho1 o rho2^{-1}, which is
-    rho2 rho1 rho0 = id for an involution rho1.  ``rho2`` must be a
-    permutation; the result is validated like any dessin."""
+    rho2 rho1 rho0 = id for an involution rho1, scattered as
+    rho0[rho2[x]] = rho1[x].  ``rho2`` must be a permutation: one that
+    is not leaves a -1 in rho0, which the constructor rejects."""
     rho1 = np.asarray(rho1, dtype=np.intp)
-    rho0 = rho1[inverse_array(np.asarray(rho2, dtype=np.intp))]
+    rho0 = np.full_like(rho1, -1)
+    rho0[np.asarray(rho2, dtype=np.intp)] = rho1
     return Dessin(len(rho1), rho0, rho1)
 
 
@@ -520,8 +552,9 @@ def substitute(d: Dessin, k: int, rho1_table, rho2_table) -> Dessin:
     ch. 1: refinements of a map are substitutions on its darts.
     """
     n = d.n_darts
-    sources = {"e": np.arange(n), "rho1": d._r1, "rho2": d._r2,
-               "rho2_inv": inverse_array(d._r2)}
+    # rho2^{-1} = rho1 o rho0
+    sources = {"e": _darts(n), "rho1": d._r1, "rho2": d._r2,
+               "rho2_inv": d._r1[d._r0]}
 
     def expand(table) -> np.ndarray:
         out = np.empty((n, k), dtype=np.intp)

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import permutations as perms
 from .cartography import (CellKind, Dessin, _permutation_array,
-                          from_rho1_rho2, inverse_array)
+                          from_rho1_rho2)
 from .tiling import TricoloredDessin, VertexLabel, tricolored_from_labels
 
 _MAX_TRIES = 1000  # samples drawn before giving up on connectivity
@@ -71,13 +71,14 @@ def origami(horizontal: Sequence[int], vertical: Sequence[int]) -> Dessin:
     n_sq = len(horizontal)
     if len(vertical) != n_sq:
         raise ValueError("gluing permutations must have equal length")
-    h, v = (_permutation_array(p, n_sq,
-                               "gluings must be permutations of the squares")
-            for p in (horizontal, vertical))
+    (h, h_inv), (v, v_inv) = (
+        _permutation_array(p, n_sq,
+                           "gluings must be permutations of the squares")
+        for p in (horizontal, vertical))
     # rho1 per square: bottom, right, top, left meet the top of the
     # square below, the left of the right neighbour, and so on
-    rho1 = np.stack([4 * inverse_array(v) + 2, 4 * h + 3, 4 * v,
-                     4 * inverse_array(h) + 1], axis=1).ravel()
+    rho1 = np.stack([4 * v_inv + 2, 4 * h + 3, 4 * v,
+                     4 * h_inv + 1], axis=1).ravel()
     darts = np.arange(4 * n_sq)
     rho2 = darts - darts % 4 + (darts + 1) % 4
     return from_rho1_rho2(rho1, rho2)

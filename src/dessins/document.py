@@ -210,12 +210,14 @@ def _enum_text(enum_cls, codes: np.ndarray) -> bytes:
 
 def _from_parts(d: Dessin, m: MetricData | None,
                 colors=(None, None, None)) -> DessinDocument:
+    """The document holding ``d`` and ``m`` themselves: neither is
+    checked again, and what each has computed stays with it."""
     if m is not None and metric_violations(d, m):
         raise ValueError("metric does not fit the dessin")
-    return DessinDocument(
-        d.n_darts, d._r0, d._r1,
-        None if m is None else m._lengths, None if m is None else m._angles,
-        *colors)
+    doc = DessinDocument(d.n_darts, d._r0, d._r1, None, None, *colors)
+    object.__setattr__(doc, "_dessin", d)
+    object.__setattr__(doc, "_metric", m)
+    return doc
 
 
 def from_dessin(d: Dessin, m: MetricData | None = None) -> DessinDocument:

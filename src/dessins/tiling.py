@@ -216,10 +216,11 @@ def _edge_ends(d: Dessin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, vert_id[x], vert_id[d._r1[x]]
 
 
-def _first_same_end_edge(d: Dessin, codes: np.ndarray):
+def _first_same_end_edge(d: Dessin, ends, codes: np.ndarray):
     """The first edge whose ends carry equal per-vertex ``codes``, as its
-    orbit (x, rho1(x)) from its smallest dart, with its vertex ids."""
-    x, u, v = _edge_ends(d)
+    orbit (x, rho1(x)) from its smallest dart, with its vertex ids;
+    ``ends`` is :func:`_edge_ends` of ``d``."""
+    x, u, v = ends
     same = np.flatnonzero(codes[u] == codes[v])
     if not len(same):
         return None
@@ -245,7 +246,7 @@ def diagonal_subdivision(d: Dessin, labels) -> TricoloredDessin:
             f"labels has {len(codes)} entries, expected {n_vertices}")
     if (codes == 2).any():
         raise InconsistentLabelsError("corner labels must be zero or one")
-    clash = _first_same_end_edge(d, codes)
+    clash = _first_same_end_edge(d, _edge_ends(d), codes)
     if clash is not None:
         edge, u, v = clash
         raise InconsistentLabelsError(
@@ -274,13 +275,14 @@ def tricolored_from_labels(base: Dessin, vertex_label) -> TricoloredDessin:
     if len(codes) < want:
         raise ValueError(
             f"vertex_label has {len(codes)} entries, expected {want}")
-    clash = _first_same_end_edge(base, codes)
+    ends = _edge_ends(base)
+    clash = _first_same_end_edge(base, ends, codes)
     if clash is not None:
         edge, u, _ = clash
         raise InconsistentLabelsError(
             f"edge {edge} joins two vertices labeled "
             f"{_TEXT[VertexLabel][codes[u]]}")
-    _, u, v = _edge_ends(base)
+    _, u, v = ends
     colors = _COLOR_OF_CODE_SUM[codes[u] + codes[v]]
     faces = base.cell_arrays(CellKind.FACE)
     dart_code = codes[base.cell_arrays(CellKind.VERTEX).id]

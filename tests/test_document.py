@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dessins import catalog
+from dessins import document as document_module
+from dessins import metric as metric_module
 from dessins.belyi import barycentric_subdivide
 from dessins.document import (
     DessinDocument,
@@ -372,6 +374,28 @@ class TestMetricBlockIsMetricData:
             line = 5 if expected.startswith("lengths") else 6
             assert outcome(parse, text) == ("error", line,
                                             f"line {line}: {expected}")
+
+
+    @pytest.mark.parametrize("tricolored", [False, True])
+    def test_from_parts_hold_what_they_are_given(self, monkeypatch,
+                                                 tricolored):
+        """from_dessin and from_tricolored keep the MetricData and the
+        Dessin they are given: no second range pass over the metric,
+        and the fit memo on it stays valid for the document's dessin."""
+        t = catalog.octahedron_tricolored() if tricolored else None
+        d = t.base if tricolored else catalog.square_torus_grid(2, 2)
+        m = equilateral_structure(d) if tricolored else square_structure(d)
+        passes = []
+        real = metric_module.metric_array
+        for module in (metric_module, document_module):
+            monkeypatch.setattr(module, "metric_array",
+                                lambda *args: passes.append(args[0])
+                                or real(*args))
+        d_doc = from_tricolored(t, m) if tricolored else from_dessin(d, m)
+        assert d_doc.to_metric() is m
+        assert d_doc.to_dessin() is d
+        assert passes == []
+        assert d_doc.angles == m.angles
 
 
 class TestBlockPairing:

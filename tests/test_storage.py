@@ -104,6 +104,35 @@ class TestDessinStorage:
             assert {type(x) for x in view} == {int}
             assert getattr(d, name) is view
 
+    @pytest.mark.parametrize("build", ["refined", "subdivided", "cover"])
+    def test_validated_dessin_keeps_no_scratch_array(self, build):
+        """Once validated, with all three kinds of cell arrays built, a
+        dessin holds no n-sized array but its three permutations and its
+        cells' dart ids, and no array it holds is a view of a larger
+        one, so no scratch array of validation outlives it."""
+        d = refine_2x2(random_origami(6, random.Random(2)))
+        if build != "refined":
+            t = diagonal_subdivision(d, corner_bipartition(d))
+            d = (barycentric_subdivide(t) if build == "cover" else t).base
+        assert d.violations() == []
+        cells = [d.cell_arrays(kind) for kind in CellKind]
+        allowed = {id(d._r0), id(d._r1), id(d._r2)}
+        allowed |= {id(c.id) for c in cells}
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, dict):
+                for item in value.values():
+                    yield from arrays(item)
+            elif isinstance(value, tuple):
+                for item in value:
+                    yield from arrays(item)
+
+        held = list(arrays(d.__dict__))
+        assert {id(a) for a in held if a.size >= d.n_darts} == allowed
+        assert all(a.base is None or a.base.size == a.size for a in held)
+
     def test_sequence_kept_as_its_view(self):
         rho0 = (1, 2, 3, 0)
         d = Dessin(4, rho0, [2, 3, 0, 1])

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -246,6 +247,101 @@ class TestViolationsMatchOracle:
         assert [v.code for v in d.violations()] == [
             "rho0-not-bijection", "rho1-fixed-point", "rho1-not-involution",
             "not-transitive"]
+
+
+def side_by_side(parts):
+    """Image lists of the dessins ``parts`` on consecutive dart ranges."""
+    rho0, rho1 = [], []
+    for r0, r1 in parts:
+        rho0 += [len(rho1) + x for x in r0]
+        rho1 += [len(rho1) + x for x in r1]
+    return rho0, rho1
+
+
+def path_tree(k):
+    """The plane tree that is a path of k edges: edge j runs from dart
+    2j at vertex j to dart 2j + 1 at vertex j + 1, so the vertex
+    quotient is a path of k + 1 vertices."""
+    rho0 = list(range(2 * k))
+    for j in range(1, k):
+        rho0[2 * j - 1], rho0[2 * j] = 2 * j, 2 * j - 1
+    return rho0, [x ^ 1 for x in range(2 * k)]
+
+
+def star_tree(k):
+    """The plane star with k leaves: leaf darts 0..k-1 first, then the
+    centre's darts k..2k-1, dart i paired with dart k + i."""
+    rho0 = list(range(k)) + [k + (i + 1) % k for i in range(k)]
+    return rho0, [k + i for i in range(k)] + list(range(k))
+
+
+def one_cycle(n, rng, face):
+    """A random fixed-point-free rho1 on n darts with a single n-cycle
+    as rho0 (one vertex) or as rho2 (one face)."""
+    rho1 = perms.random_fixed_point_free_involution(n, rng)
+    cycle = np.roll(np.arange(n), -1)
+    d = from_rho1_rho2(rho1, cycle) if face else Dessin(n, cycle, rho1)
+    return list(d.rho0), list(d.rho1)
+
+
+@st.composite
+def quotient_shapes(draw):
+    """Image lists whose vertex quotient stresses transitivity and the
+    cell kernels: 3 to 8 components side by side, one vertex or one
+    face of up to ~2000 darts (the most doubling rounds), a long path
+    of vertices, or a star whose centre's neighbours come in increasing
+    order; each possibly relabeled at random."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    shape = draw(st.sampled_from(
+        ("components", "one-vertex", "one-face", "path", "star")))
+    if shape == "components":
+        parts = []
+        for _ in range(draw(st.integers(3, 8))):
+            half = rng.randint(1, 12)
+            part = rng.choice(("path", "star", "cycle", "random"))
+            if part == "path":
+                parts.append(path_tree(half))
+            elif part == "star":
+                parts.append(star_tree(half))
+            elif part == "cycle":
+                parts.append(one_cycle(2 * half, rng, rng.random() < 0.5))
+            else:
+                d = random_dessin(2 * half, rng)
+                parts.append((d.rho0, d.rho1))
+        rho0, rho1 = side_by_side(parts)
+    elif shape in ("one-vertex", "one-face"):
+        n = 2 * draw(st.integers(1, 1000))
+        rho0, rho1 = one_cycle(n, rng, shape == "one-face")
+    else:
+        k = draw(st.integers(1, 1000))
+        rho0, rho1 = (path_tree if shape == "path" else star_tree)(k)
+    d = Dessin(len(rho0), rho0, rho1)
+    if draw(st.booleans()):
+        d = d.relabeled(perms.random_permutation(d.n_darts, rng))
+    return d
+
+
+class TestQuotientShapes:
+    """Shapes malformed_arrays never draws, against the oracles."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(quotient_shapes())
+    def test_violations_and_cells(self, d):
+        expected = oracles.dessin_violations(d.rho0, d.rho1)
+        assert [(v.code, v.dart, v.message)
+                for v in d.violations()] == expected
+        if not expected:
+            assert_cells_match(d)
+
+    def test_star_validates_in_few_hook_rounds(self):
+        # hooking each root under whichever smaller root a scatter keeps
+        # last takes one round per leaf here, quadratic time; under the
+        # smallest one, two rounds
+        d = Dessin(40000, *star_tree(20000))
+        start = time.perf_counter()
+        assert d.violations() == []
+        assert time.perf_counter() - start < 1.0
+        assert d.genus() == 0
 
 
 class TestLargeGrid:
