@@ -23,8 +23,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import permutations as perms
-
 
 class CellKind(str, Enum):
     VERTEX = "vertex"
@@ -218,18 +216,15 @@ def _cells_of(m: np.ndarray) -> Cells:
     return Cells(_frozen(ids), _frozen(smallest), _frozen(np.bincount(ids)))
 
 
-def _first_stray_dart(verts: Cells, r1: np.ndarray) -> int | None:
-    """The smallest dart outside the component of dart 0 when the
-    vertices ``verts`` are joined along ``r1``, or None: hook-and-jump
-    (Shiloach & Vishkin, *J. Algorithms* 3, 1982) on vertex ids, each
-    round keeping only the edges that still join two roots."""
-    u = verts.id
-    v = u[r1]
-    lab = np.arange(len(verts.smallest))
+def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per node of the graph on 0..n-1 with edges u[i]-v[i], the smallest
+    node of its component: hook-and-jump (Shiloach & Vishkin, *J.
+    Algorithms* 3, 1982), each round keeping only the edges that still
+    join two roots."""
+    lab = np.arange(n)
     while True:
-        # each root under its smallest neighbouring root, both ways (r1
-        # need not be an involution); a plain scatter's last write would
-        # take a round per leaf of a star
+        # each root under its smallest neighbouring root, both ways; a
+        # plain scatter's last write would take a round per leaf of a star
         np.minimum.at(lab, u, v)
         np.minimum.at(lab, v, u)
         while True:
@@ -241,12 +236,9 @@ def _first_stray_dart(verts: Cells, r1: np.ndarray) -> int | None:
         v = lab[v]
         apart = u != v
         if not apart.any():
-            break
+            return lab
         u = u[apart]
         v = v[apart]
-    # vertex ids follow smallest darts, and vertex 0 holds dart 0
-    stray = np.flatnonzero(lab)
-    return int(verts.smallest[stray[0]]) if len(stray) else None
 
 
 @dataclass(frozen=True)
@@ -323,10 +315,12 @@ class Dessin:
                     "rho1-not-involution", x,
                     f"rho1 squared moves dart {x}"))
         if bijective:
-            # components of the vertex quotient joined along rho1
+            # components of the vertex quotient joined along rho1; vertex
+            # ids follow smallest darts, and vertex 0 holds dart 0
             verts = self._cell_arrays[CellKind.VERTEX] = _cells_of(
                 _cycle_minima(self._r0))
-            dart = _first_stray_dart(verts, r1)
+            lab = _components(len(verts.smallest), verts.id, verts.id[r1])
+            stray = verts.smallest[np.flatnonzero(lab)]
         else:
             # images only: reachability from dart 0 along rho0 and rho1
             reached = np.zeros(n, dtype=bool)
@@ -336,8 +330,8 @@ class Dessin:
                 new = np.concatenate([self._r0[new], r1[new]])
                 new = np.unique(new[~reached[new]])
             stray = np.flatnonzero(~reached)
-            dart = int(stray[0]) if len(stray) else None
-        if dart is not None:
+        if len(stray):
+            dart = int(stray[0])
             out.append(Violation(
                 "not-transitive", dart,
                 f"dart {dart} is not reachable from dart 0"))
@@ -386,15 +380,23 @@ class Dessin:
         """Orbit partition of the darts under the generator of ``kind``.
 
         Orbits are in generator-cycle order starting from their smallest
-        dart and are indexed by position, so ids are dense and stable.
+        dart and are indexed by position, so ids are dense and stable:
+        a view of :meth:`cell_arrays`, walked from each smallest dart.
         """
         kind = CellKind(kind)
         cells = self._cells.get(kind)
         if cells is None:
-            self.require_valid()
+            c = self.cell_arrays(kind)
             # the generator's images as a list, so no tuple view is built
-            generator = getattr(self, _GENERATOR[kind]).tolist()
-            cells = self._cells[kind] = perms.orbits(generator)
+            p = getattr(self, _GENERATOR[kind]).tolist()
+            cells = []
+            for x, size in zip(c.smallest.tolist(), c.size.tolist()):
+                cycle = []
+                for _ in range(size):
+                    cycle.append(x)
+                    x = p[x]
+                cells.append(tuple(cycle))
+            cells = self._cells[kind] = tuple(cells)
         return cells
 
     def dart_cell(self, dart: int, kind: CellKind) -> CellIndex:

@@ -16,8 +16,8 @@ from . import document as doc
 from .belyi import (InconsistentPassportError, barycentric_subdivide,
                     passport, riemann_hurwitz_genus)
 from .cartography import CellKind, InvalidDessinError
-from .csmap import (NonConvergenceError, OutsideImageError, cs_map,
-                    named_spec, triangle_to_square)
+from .csmap import (NAMED_SPECS, NonConvergenceError, OutsideImageError,
+                    cs_map, named_spec, triangle_to_square)
 from .metric import FaceDegreeMismatch, metric_violations
 from .tiling import (InconsistentLabelsError, NonBipartiteError,
                      NotSquareTilingError, corner_bipartition,
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("map-eval",
                        help="sample a named coordinate map on a grid")
     p.add_argument("--spec", required=True,
-                   choices=["square_cell", "triangle_coord", "square_coord"])
+                   choices=list(NAMED_SPECS))
     p.add_argument("--grid", type=int, required=True, metavar="N",
                    help="N x N grid on [0,1] x [0,-1]")
     p.add_argument("--out", default=None, help="output CSV (default stdout)")

@@ -143,7 +143,8 @@ class CsMapSpec:
         _check_exponents(self.a, self.b)
         if self.a == 1.0:
             raise ValueError("exponent a must lie below 1")
-        if abs(abs(complex(self.prefactor)) - 1.0) > 1e-12:
+        # negated, so a NaN modulus fails too
+        if not abs(abs(complex(self.prefactor)) - 1.0) <= 1e-12:
             raise ValueError("prefactor must have modulus 1")
 
 

@@ -378,7 +378,3 @@ def parse(text: str) -> DessinDocument:
     return DessinDocument(n, rho0, rho1, lengths, angles,
                           edge_colors, face_shades, vertex_labels)
 
-
-def canonicalize(text: str) -> str:
-    """Parse and re-serialize: the canonical form of a document."""
-    return parse(text).serialize()

@@ -22,8 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .cartography import (CellKind, Dessin, Violation, _frozen, _read_only,
-                          substitute, tuple_view)
+from .cartography import (CellKind, Dessin, Violation, _components, _frozen,
+                          _read_only, substitute, tuple_view)
 
 
 class Color(str, Enum):
@@ -144,49 +144,51 @@ def _require_square_tiling(d: Dessin) -> None:
 def corner_bipartition(d: Dessin) -> tuple[VertexLabel, ...]:
     """2-coloring of the corner graph of a square tiling.
 
-    Deterministic: vertex 0 receives ``zero`` and colors propagate
-    breadth-first, so the only other valid coloring is the global swap.
-    Raises :class:`NonBipartiteError` with an odd closed walk otherwise.
+    Deterministic: vertex 0 receives ``zero``; the only other valid
+    coloring is the global swap.  In the bipartite double cover, vertex
+    v lifts to 2v and 2v + 1 and edge u-v to 2u-(2v + 1) and (2u + 1)-2v;
+    the (connected) corner graph is bipartite exactly when 0 and 1 lie
+    apart there, and v is colored as vertex 0 when 2v lies with 0.
+    Raises :class:`NonBipartiteError` otherwise, with a shortest odd
+    closed walk through vertex 0 as the witness.
     """
     _require_square_tiling(d)
     n_vertices = len(d.cell_arrays(CellKind.VERTEX).smallest)
-    adj: list[list[int]] = [[] for _ in range(n_vertices)]
-    _, ends_u, ends_v = _edge_ends(d)
-    for u, v in zip(ends_u.tolist(), ends_v.tolist()):
-        adj[u].append(v)
-        adj[v].append(u)
-    color = [-1] * n_vertices
-    parent = [-1] * n_vertices
-    color[0] = 0
+    _, u, v = _edge_ends(d)
+    lab = _components(2 * n_vertices, np.concatenate([2 * u, 2 * u + 1]),
+                      np.concatenate([2 * v + 1, 2 * v]))
+    if lab[1] == 0:
+        raise NonBipartiteError(_odd_walk(n_vertices, u, v))
+    return tuple(map(_MEMBERS[VertexLabel].__getitem__,
+                     (lab[::2] != 0).tolist()))
+
+
+def _odd_walk(n_vertices: int, u: np.ndarray, v: np.ndarray) -> list[int]:
+    """A shortest odd closed walk through vertex 0 of the non-bipartite
+    graph with edges u[i]-v[i]: breadth-first from vertex 0 to the first
+    edge x-y whose ends lie at one depth d, then 0 -> x -> y -> 0 along
+    the search tree, 2d + 1 steps.  An odd closed walk crosses such an
+    edge, so none through vertex 0 is shorter."""
+    ends = np.concatenate([u, v])
+    order = np.argsort(ends, kind="stable")
+    neighbours = np.concatenate([v, u])[order].tolist()
+    first = np.searchsorted(ends[order], np.arange(n_vertices + 1)).tolist()
+    parent = {0: 0}
+    depth = {0: 0}
     queue = [0]
-    i = 0
-    while i < len(queue):
-        u = queue[i]
-        i += 1
-        for v in adj[u]:
-            if color[v] == -1:
-                color[v] = 1 - color[u]
-                parent[v] = u
-                queue.append(v)
-            elif color[v] == color[u]:
-                raise NonBipartiteError(_odd_walk(parent, u, v))
-    # the corner graph of a connected dessin is connected
-    return tuple(map(_MEMBERS[VertexLabel].__getitem__, color))
-
-
-def _odd_walk(parent, u, v):
-    def chain(x):
-        out = [x]
-        while parent[out[-1]] != -1:
-            out.append(parent[out[-1]])
-        return out
-
-    cu, cv = chain(u), chain(v)
-    common = set(cu) & set(cv)
-    iu = next(i for i, x in enumerate(cu) if x in common)
-    iv = next(i for i, x in enumerate(cv) if x in common)
-    # walk u -> lca -> v plus the closing edge (v, u); odd total length
-    return cu[:iu + 1] + cv[:iv][::-1] + [u]
+    for x in queue:
+        for y in neighbours[first[x]:first[x + 1]]:
+            if y not in depth:
+                parent[y] = x
+                depth[y] = depth[x] + 1
+                queue.append(y)
+            elif depth[y] == depth[x]:
+                # x and y lie at one depth, so both reach 0 at one step
+                walk_x, walk_y = [x], [y]
+                while walk_x[-1]:
+                    walk_x.append(parent[walk_x[-1]])
+                    walk_y.append(parent[walk_y[-1]])
+                return walk_x[::-1] + walk_y
 
 
 # Dart substitution tables (see cartography.substitute): entry i is the
@@ -265,8 +267,9 @@ def tricolored_from_labels(base: Dessin, vertex_label) -> TricoloredDessin:
     dessin whose vertices already carry one label each.
 
     Every edge must join two distinct labels (its color is then forced)
-    and every face must see all three labels; the face is white exactly
-    when its counterclockwise boundary reads zero -> one -> infinity.
+    and every face must be a triangle, which then sees all three labels;
+    the face is white exactly when its counterclockwise boundary reads
+    zero -> one -> infinity.
     The labels may also be given as codes (0 zero, 1 one, 2 infinity).
     """
     base.require_valid()
@@ -286,19 +289,14 @@ def tricolored_from_labels(base: Dessin, vertex_label) -> TricoloredDessin:
     colors = _COLOR_OF_CODE_SUM[codes[u] + codes[v]]
     faces = base.cell_arrays(CellKind.FACE)
     dart_code = codes[base.cell_arrays(CellKind.VERTEX).id]
+    wrong_size = np.flatnonzero(faces.size != 3)
+    if len(wrong_size):
+        i = int(wrong_size[0])
+        raise ValueError(f"face {i} has {faces.size[i]} sides, expected 3")
+    # vertex(rho2 y) = vertex(rho1 y): corner pairs are edge ends, unequal
     x = faces.smallest
     a = dart_code[x]
     b = dart_code[base._r2[x]]
-    c = dart_code[base._r2[base._r2[x]]]
-    wrong_size = faces.size != 3
-    bad = np.flatnonzero(wrong_size | (a == b) | (b == c) | (a == c))
-    if len(bad):
-        i = int(bad[0])
-        if wrong_size[i]:
-            raise ValueError(
-                f"face {i} has {faces.size[i]} sides, expected 3")
-        raise InconsistentLabelsError(
-            f"face {i} does not see all three labels")
     # three distinct labels read zero -> one -> infinity exactly when
     # the second follows the first in the cycle; white is shade code 1
     shades = (b - a) % 3 == 1

@@ -172,6 +172,52 @@ def cell_ids(images) -> list:
     return ids
 
 
+def corner_edges(rho0, rho1) -> list:
+    """The corner graph: per edge, the vertex ids at its smallest dart
+    and at that dart's rho1 image."""
+    vert_id = cell_ids(rho0)
+    return [(vert_id[e[0]], vert_id[rho1[e[0]]]) for e in cycles(rho1)]
+
+
+def corner_bipartition(rho0, rho1):
+    """Corner labels of a square tiling by breadth-first search from
+    vertex 0 ("zero") over adjacency lists, or None when an edge joins
+    two corners of one color."""
+    n = len(cycles(rho0))
+    adj = [[] for _ in range(n)]
+    for u, v in corner_edges(rho0, rho1):
+        adj[u].append(v)
+        adj[v].append(u)
+    color = [None] * n
+    color[0] = 0
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if color[v] is None:
+                color[v] = 1 - color[u]
+                queue.append(v)
+            elif color[v] == color[u]:
+                return None
+    return [("zero", "one")[c] for c in color]
+
+
+def odd_walk_length(rho0, rho1):
+    """The least odd k for which a walk of length k in the corner graph
+    goes from vertex 0 back to vertex 0, from the sets of vertices that
+    walks of each length reach; None when there is none (a shortest
+    such walk lifts to a path of at most 2V - 1 steps in the bipartite
+    double cover)."""
+    edges = corner_edges(rho0, rho1)
+    edges += [(v, u) for u, v in edges]
+    reach = {0}
+    for k in range(1, 2 * len(cycles(rho0))):
+        reach = {v for u, v in edges if u in reach}
+        if k % 2 and 0 in reach:
+            return k
+    return None
+
+
 def _rho0_from(r1, r2) -> list:
     """rho0 = rho1 o rho2^{-1}, solved pointwise."""
     r0 = [None] * len(r1)

@@ -101,6 +101,14 @@ class TestConfigAndSpec:
         with pytest.raises(ValueError):
             CsMapSpec(0.25, 0.25, 2.0)
 
+    @pytest.mark.parametrize("prefactor", [
+        complex("nan"), complex(1, float("nan")), complex("inf"),
+        complex(float("inf"), float("nan"))])
+    def test_non_finite_prefactor_rejected(self, prefactor):
+        # a NaN modulus compares False against any bound
+        with pytest.raises(ValueError, match="prefactor must have modulus 1"):
+            CsMapSpec(0.5, 0.25, prefactor)
+
     def test_named_spec_lookup(self):
         assert named_spec("square_cell") is SQUARE_CELL
         assert named_spec("triangle_coord") is TRIANGLE_COORD

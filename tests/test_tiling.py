@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dessins import permutations as perms
 from dessins.cartography import CellKind, Dessin
 from dessins.catalog import (octahedron, octahedron_tricolored,
                              one_square_torus, pillow_sphere, random_origami,
@@ -23,6 +26,42 @@ def vertex_count(d):
 def counts(d):
     return (vertex_count(d), len(d.cells(CellKind.EDGE)),
             len(d.cells(CellKind.FACE)))
+
+
+@st.composite
+def corner_graphs(draw):
+    """Square tilings whose corner graphs are bipartite or not: random
+    origamis of up to 24 squares, possibly refined 2x2, and torus grids
+    of up to 8x8 squares, each possibly relabeled."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        d = random_origami(draw(st.integers(1, 24)), rng)
+        if draw(st.booleans()):
+            d = refine_2x2(d)
+    else:
+        d = square_torus_grid(draw(st.integers(1, 8)),
+                              draw(st.integers(1, 8)))
+    if draw(st.booleans()):
+        d = d.relabeled(perms.random_permutation(d.n_darts, rng))
+    return d
+
+
+def assert_bipartition_matches_oracle(d):
+    """Same verdict and labels as the breadth-first oracle; a witness is
+    a closed walk at vertex 0 in the corner graph, of the least odd
+    length that one can have."""
+    expected = oracles.corner_bipartition(d.rho0, d.rho1)
+    try:
+        labels = corner_bipartition(d)
+    except NonBipartiteError as e:
+        assert expected is None
+        walk = e.witness
+        edges = {frozenset(uv) for uv in oracles.corner_edges(d.rho0, d.rho1)}
+        assert walk[0] == walk[-1] == 0
+        assert all(frozenset(uv) in edges for uv in zip(walk, walk[1:]))
+        assert len(walk) - 1 == oracles.odd_walk_length(d.rho0, d.rho1)
+    else:
+        assert [x.value for x in labels] == expected
 
 
 class TestSquareTiling:
@@ -74,6 +113,16 @@ class TestCornerBipartition:
     def test_rejects_non_tiling(self):
         with pytest.raises(NotSquareTilingError):
             corner_bipartition(tetrahedron())
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(corner_graphs())
+    def test_matches_breadth_first_oracle(self, d):
+        assert_bipartition_matches_oracle(d)
+
+    def test_every_small_grid_matches_oracle(self):
+        for w in range(1, 9):
+            for h in range(1, 9):
+                assert_bipartition_matches_oracle(square_torus_grid(w, h))
 
 
 class TestRefine:
