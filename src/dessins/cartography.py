@@ -241,6 +241,53 @@ def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         v = v[apart]
 
 
+# Length K of the rho0 prefix that prunes start darts.  On the random
+# origamis of 64-256 squares of the classify_surfaces benchmark (seeds
+# 1-5), K = 2 kept all 1024 starts of one and all 512 of another; K = 4
+# kept at most 10 starts of any.
+_PREFIX_LEN = 4
+# The prefix pass costs 0.2-0.3 ms at 512-1024 darts whatever it prunes,
+# and a torus grid gains nothing from it: its darts form at most two
+# automorphism orbits, so its best code improves at most once.  The pass
+# therefore runs only once the search has improved its best code this
+# many times, which a random origami does within a few starts.
+_PREFIX_AFTER = 2
+
+
+def _prefix_survivors(r0: np.ndarray, r1: np.ndarray, k: int) -> np.ndarray:
+    """The start darts whose breadth-first relabeling (as in
+    :attr:`Dessin.canonical_code`) has the smallest first k rho0 images,
+    for the valid dessin with image arrays ``r0`` and ``r1``.
+
+    Those images depend only on the first k dequeued darts, so all
+    starts run in lockstep: row s of ``seen`` holds the darts start s
+    has labeled, in label order, and a row leaves as soon as its rho0
+    image exceeds the smallest one of that step.  A start that gives
+    the code is never dropped."""
+    k = min(k, len(r0))
+    seen = np.full((len(r0), 2 * k + 1), -1, np.intp)
+    seen[:, 0] = _darts(len(r0))
+    count = np.ones(len(r0), np.intp)
+
+    def label(y: np.ndarray) -> np.ndarray:
+        # y is written at the row's next free slot first, so its first
+        # match is its label, old or new; an unused slot is rewritten
+        seen[_darts(len(y)), count] = y
+        lab = (seen == y[:, None]).argmax(axis=1)
+        count[:] += lab == count
+        return lab
+
+    for i in range(k):
+        # dart i of a row is dequeued: the search is transitive, so a
+        # row has labeled at least i + 1 darts while i < n
+        x = seen[:, i]
+        lab = label(r0[x])
+        keep = np.flatnonzero(lab == lab.min())
+        seen, count, x = seen[keep], count[keep], x[keep]
+        label(r1[x])
+    return seen[:, 0]
+
+
 @dataclass(frozen=True)
 class Dessin:
     """Immutable dessin; construction rejects malformed arrays, while
@@ -449,8 +496,10 @@ class Dessin:
         best_r0: list[int] = []
         best_r1: list[int] = []
         best_order: list[int] = []
+        improvements = 0
+        kept = None  # after the prefix pass: the starts that can be minimal
         for s in range(n):
-            if evaluated[find(s)]:
+            if (kept is not None and s not in kept) or evaluated[find(s)]:
                 continue
             # breadth-first relabeling from s; r0[i] is final as soon as
             # dart order[i] is dequeued, so compare it on the fly
@@ -485,6 +534,11 @@ class Dessin:
             if larger:
                 continue
             if not tied or r1 < best_r1:
+                if best_order:
+                    improvements += 1
+                    if improvements == _PREFIX_AFTER:
+                        kept = set(_prefix_survivors(
+                            self._r0, self._r1, _PREFIX_LEN).tolist())
                 best_r0, best_r1, best_order = r0, r1, order
             elif r1 == best_r1:
                 # equal codes: best_order[k] -> order[k] is an automorphism
@@ -516,6 +570,15 @@ class Dessin:
         II", 2014).  The starts that reach the code are one orbit of the
         automorphism group, and their number is
         :meth:`automorphism_count`, which the same search computes.
+
+        Once the best code has improved twice, one numpy pass computes
+        the first four relabeled rho0 images of every start in
+        lockstep, and the search then skips each start whose four
+        images exceed the smallest ones: such a start cannot give the
+        code.  A dessin with few automorphism orbits of darts, such as
+        a torus grid (at most two), never improves its best code twice
+        and so never pays for the pass; a random origami reaches it
+        within a few starts, and the pass leaves it a handful of them.
         """
         return self._canonical[0]
 
@@ -568,7 +631,15 @@ def substitute(d: Dessin, k: int, rho1_table, rho2_table) -> Dessin:
 
 
 def is_isomorphic(d1: Dessin, d2: Dessin) -> bool:
-    """Whether two valid dessins differ only by a relabeling of darts."""
+    """Whether two valid dessins differ only by a relabeling of darts.
+
+    Raises TypeError, naming the argument, when either is not a
+    :class:`Dessin`, and :class:`InvalidDessinError` when either is not
+    valid."""
+    for name, d in (("d1", d1), ("d2", d2)):
+        if not isinstance(d, Dessin):
+            raise TypeError(f"{name} must be a Dessin, not "
+                            f"{type(d).__name__}")
     if d1.n_darts != d2.n_darts:
         d1.require_valid()
         d2.require_valid()

@@ -91,6 +91,8 @@ def one_square_torus() -> Dessin:
 
 def square_torus_grid(width: int, height: int) -> Dessin:
     """Torus tiled by a width x height grid of squares."""
+    if any(isinstance(x, (bool, np.bool_)) for x in (width, height)):
+        raise ValueError("grid dimensions must be integers, not bool")
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be positive")
     # square s = y * width + x; its right and upper neighbours, cyclically

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -88,12 +89,26 @@ class NotSquareTilingError(ValueError):
 
 class NonBipartiteError(ValueError):
     """The corner graph admits no 2-coloring; ``witness`` is an odd
-    closed walk (vertex ids, first equal to last)."""
+    closed walk (vertex ids, first equal to last).
+
+    The witness may be given as a function of no arguments instead: it
+    is then called when the witness or the message is first read, so a
+    caller that only catches the error does not pay for the walk."""
 
     def __init__(self, witness):
-        self.witness = list(witness)
-        super().__init__(
-            f"corner graph has an odd closed walk through {self.witness}")
+        super().__init__()
+        self._witness = witness
+
+    @cached_property
+    def witness(self) -> list[int]:
+        w = self._witness
+        return list(w() if callable(w) else w)
+
+    def __str__(self) -> str:
+        return f"corner graph has an odd closed walk through {self.witness}"
+
+    def __reduce__(self):
+        return type(self), (self.witness,)
 
 
 class InconsistentLabelsError(ValueError):
@@ -158,7 +173,7 @@ def corner_bipartition(d: Dessin) -> tuple[VertexLabel, ...]:
     lab = _components(2 * n_vertices, np.concatenate([2 * u, 2 * u + 1]),
                       np.concatenate([2 * v + 1, 2 * v]))
     if lab[1] == 0:
-        raise NonBipartiteError(_odd_walk(n_vertices, u, v))
+        raise NonBipartiteError(lambda: _odd_walk(n_vertices, u, v))
     return tuple(map(_MEMBERS[VertexLabel].__getitem__,
                      (lab[::2] != 0).tolist()))
 

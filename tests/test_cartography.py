@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dessins import cartography
 from dessins import permutations as perms
-from dessins.cartography import (CellIndex, CellKind, Dessin,
-                                 InvalidDessinError, is_isomorphic)
+from dessins.cartography import (_PREFIX_LEN, CellIndex, CellKind, Dessin,
+                                 InvalidDessinError, _prefix_survivors,
+                                 is_isomorphic)
 from dessins.catalog import (from_face_lists, octahedron, one_square_torus,
-                             origami, random_dessin, random_origami,
-                             square_torus_grid, tetrahedron)
+                             origami, pillow_sphere, random_dessin,
+                             random_origami, square_torus_grid, tetrahedron)
 
 import oracles
 
@@ -173,6 +175,8 @@ class TestCells:
     (from_face_lists, ([[0, 1, 2]],), "side 0->1 has no reverse"),
     (origami, ([0, 1], [0]), "gluing permutations must have equal length"),
     (square_torus_grid, (0, 3), "grid dimensions must be positive"),
+    (square_torus_grid, (True, 2), "grid dimensions must be integers"),
+    (square_torus_grid, (2, np.True_), "grid dimensions must be integers"),
     (random_origami, (0, random.Random(0)), "need at least one square"),
     (random_dessin, (3, random.Random(0)), "n_darts must be even"),
 ])
@@ -241,6 +245,16 @@ class TestIsomorphism:
                     len(d.cells(CellKind.FACE)),
                     d.genus()) == (2, 4, 2, 1)
         assert not is_isomorphic(cylinder, twisted)
+
+    @pytest.mark.parametrize("args, message", [
+        ((None, loop_on_sphere()), "d1 must be a Dessin, not NoneType"),
+        ((loop_on_sphere(), None), "d2 must be a Dessin, not NoneType"),
+        ((loop_on_sphere(), ((1, 0), (1, 0))),
+         "d2 must be a Dessin, not tuple"),
+    ])
+    def test_non_dessin_rejected(self, args, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            is_isomorphic(*args)
 
     def test_invalid_input_rejected(self):
         bad = Dessin(4, (1, 0, 3, 2), (1, 0, 3, 2))
@@ -330,3 +344,74 @@ class TestCanonicalCodeProperties:
         assert d.automorphism_count() == d.n_darts
         sigma = perms.random_permutation(d.n_darts, random.Random(k))
         assert d.relabeled(sigma).automorphism_count() == d.n_darts
+
+
+def prefix_oracle(d: Dessin, k: int) -> tuple[set, set]:
+    """From the oracle codes: the starts whose first k relabeled rho0
+    images are the smallest, and the starts that give the code."""
+    codes = oracles.start_codes(d.rho0, d.rho1)
+    smallest = min(r0[:k] for r0, _ in codes)
+    best = min(codes)
+    return ({s for s, (r0, _) in enumerate(codes) if r0[:k] == smallest},
+            {s for s, code in enumerate(codes) if code == best})
+
+
+def path_of_two_edges() -> Dessin:
+    # vertex 0 - vertex 1 - vertex 2: two degree-1 vertices, so rho0
+    # fixes darts 0 and 3
+    return Dessin(4, (0, 2, 1, 3), (1, 0, 3, 2))
+
+
+class TestPrefixPass:
+    """``_prefix_survivors`` drops only starts that cannot give the code."""
+
+    @PROPERTY
+    @given(small_dessins(), st.integers(1, 8))
+    def test_matches_oracle_prefixes(self, d, k):
+        survivors = set(_prefix_survivors(d._r0, d._r1, k).tolist())
+        smallest_prefix, minimal = prefix_oracle(d, k)
+        assert minimal <= survivors
+        assert survivors == smallest_prefix
+
+    @pytest.mark.parametrize("build", [
+        loop_on_sphere, arc_on_sphere, path_of_two_edges,
+        one_square_torus, pillow_sphere])
+    def test_small_maps_and_fixed_points(self, build):
+        # at most 8 darts, so k = 8 covers the whole rho0 code, and the
+        # 2-dart maps have fewer darts than _PREFIX_LEN
+        d = build()
+        for k in (1, _PREFIX_LEN, 8):
+            survivors = set(_prefix_survivors(d._r0, d._r1, k).tolist())
+            assert survivors == prefix_oracle(d, k)[0]
+
+    def test_origamis_take_the_deferred_pass(self, monkeypatch):
+        # the pass runs only after the best code improved twice, which a
+        # random origami of this size reaches within a few starts
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _prefix_survivors(*args)
+
+        monkeypatch.setattr(cartography, "_prefix_survivors", counted)
+        rng = random.Random(17)
+        for n_squares in (32, 48, 64):
+            d = random_origami(n_squares, rng)
+            d = d.relabeled(perms.random_permutation(d.n_darts, rng))
+            before = len(calls)
+            codes = oracles.start_codes(d.rho0, d.rho1)
+            best = min(codes)
+            assert d.canonical_code == best
+            assert d.automorphism_count() == codes.count(best)
+            assert len(calls) == before + 1
+
+    @pytest.mark.parametrize("shape", [(1, 16), (2, 8), (3, 12), (6, 6),
+                                       (2, 32), (4, 16), (5, 7)])
+    def test_grids_skip_the_pass(self, shape, monkeypatch):
+        # a grid's darts form at most two automorphism orbits (one when
+        # it is square), so its best code improves at most once
+        monkeypatch.setattr(cartography, "_prefix_survivors", None)
+        d = square_torus_grid(*shape)
+        d = d.relabeled(perms.random_permutation(d.n_darts, random.Random(1)))
+        orbits = 1 if shape[0] == shape[1] else 2
+        assert d.automorphism_count() == d.n_darts // orbits

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dessins import permutations as perms
+from dessins import tiling
 from dessins.cartography import CellKind, Dessin
 from dessins.catalog import (octahedron, octahedron_tricolored,
                              one_square_torus, pillow_sphere, random_origami,
@@ -98,6 +100,28 @@ class TestCornerBipartition:
             adjacent.add(frozenset((u, v)))
         for u, v in zip(walk, walk[1:]):
             assert frozenset((u, v)) in adjacent
+
+    def test_witness_is_found_on_first_read(self, monkeypatch):
+        """A caller that only catches the error runs no walk search; the
+        witness and message are those of the error built from the walk."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return odd_walk(*args)
+
+        odd_walk = tiling._odd_walk
+        monkeypatch.setattr(tiling, "_odd_walk", counted)
+        with pytest.raises(NonBipartiteError) as info:
+            corner_bipartition(square_torus_grid(7, 9))
+        assert not calls
+        exc = info.value
+        assert str(exc) == ("corner graph has an odd closed walk through "
+                            "[0, 1, 4, 6, 8, 10, 12, 0]")
+        assert str(exc) == str(NonBipartiteError(exc.witness))
+        assert len(calls) == 1
+        copy = pickle.loads(pickle.dumps(exc))
+        assert (copy.witness, str(copy)) == (exc.witness, str(exc))
 
     def test_pillow_bipartition(self):
         d = pillow_sphere()
