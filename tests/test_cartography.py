@@ -175,10 +175,10 @@ class TestCells:
     (from_face_lists, ([[0, 1, 2]],), "side 0->1 has no reverse"),
     (origami, ([0, 1], [0]), "gluing permutations must have equal length"),
     (square_torus_grid, (0, 3), "grid dimensions must be positive"),
-    (square_torus_grid, (True, 2), "grid dimensions must be integers"),
-    (square_torus_grid, (2, np.True_), "grid dimensions must be integers"),
     (random_origami, (0, random.Random(0)), "need at least one square"),
     (random_dessin, (3, random.Random(0)), "n_darts must be even"),
+    (square_torus_grid, (True, 2), "grid dimensions must be integers"),
+    (square_torus_grid, (2, np.True_), "grid dimensions must be integers"),
 ])
 def test_catalog_rejects_bad_input(build, args, message):
     with pytest.raises(ValueError, match=f"^{message}"):
