@@ -21,8 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cartography import CellKind, substitute
-from .metric import _require_face_size
+from .cartography import CellKind, _require_face_size, substitute
 from .tiling import TricoloredDessin, tricolored_from_labels
 
 
@@ -62,6 +61,9 @@ class Passport:
 def passport(t: TricoloredDessin) -> Passport:
     """Passport of a tricolored dessin: degree = number of white faces,
     local degree at a vertex = (incident face count) / 2."""
+    if not isinstance(t, TricoloredDessin):
+        raise TypeError(
+            f"t must be a TricoloredDessin, not {type(t).__name__}")
     n_white = int(t._face_shade.sum())  # white is shade code 1
     n_black = len(t._face_shade) - n_white
     if n_white != n_black:

@@ -81,6 +81,13 @@ class InvalidDessinError(ValueError):
         self.violations = list(violations)
         super().__init__("; ".join(str(v) for v in self.violations))
 
+    def __reduce__(self):
+        return type(self), (self.violations,)
+
+
+class FaceDegreeMismatch(ValueError):
+    """A face has the wrong number of sides for the requested structure."""
+
 
 class Cells(NamedTuple):
     """Cells of one kind as arrays: ``id[x]`` is the dense cell id of
@@ -144,13 +151,18 @@ def tuple_view(array_name: str, members=None) -> cached_property:
     return cached_property(view)
 
 
+def _require_length(name: str, values, n: int) -> None:
+    """Raise ValueError unless ``values`` has ``n`` entries."""
+    if len(values) != n:
+        raise ValueError(f"{name} has {len(values)} entries, expected {n}")
+
+
 def _image_array(name: str, images, n: int) -> np.ndarray:
     """``images``, an integer array or a sequence of ints in 0..n-1, as a
     read-only index array, shared when it already is one; the per-entry
     loop runs only to name the first bad entry when the whole-array
     check fails."""
-    if len(images) != n:
-        raise ValueError(f"{name} has {len(images)} entries, expected {n}")
+    _require_length(name, images, n)
     arr = None
     if isinstance(images, np.ndarray):
         if images.dtype.kind in "iu" and images.ndim == 1:
@@ -456,12 +468,8 @@ class Dessin:
         """Genus of the underlying closed oriented surface, from the
         Euler formula 2 - 2g = V - E + F."""
         v, e, f = (len(self.cell_arrays(k).smallest) for k in CellKind)
-        chi = v - e + f
-        if chi % 2:
-            raise InvalidDessinError([Violation(
-                "odd-euler-characteristic", None,
-                f"V - E + F = {chi} is odd")])
-        return (2 - chi) // 2
+        # V - E + F is even, since rho2 rho1 rho0 = id and n = 2E
+        return (2 - v + e - f) // 2
 
     def relabeled(self, sigma) -> "Dessin":
         """Conjugate by the dart relabeling ``sigma`` (old dart x becomes
@@ -591,6 +599,15 @@ class Dessin:
         the count equals ``n_darts``.
         """
         return self._canonical[1]
+
+
+def _require_face_size(d: Dessin, face_size: int) -> None:
+    """Raise unless every face of the valid ``d`` has ``face_size`` sides."""
+    size = d.cell_arrays(CellKind.FACE).size
+    bad = np.flatnonzero(size != face_size)
+    if len(bad):
+        raise FaceDegreeMismatch(
+            f"face {bad[0]} has {size[bad[0]]} sides, expected {face_size}")
 
 
 def from_rho1_rho2(rho1, rho2) -> Dessin:

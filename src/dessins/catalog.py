@@ -144,17 +144,22 @@ def octahedron_tricolored() -> TricoloredDessin:
     return tricolored_from_labels(d, labels)
 
 
+def _connected(what: str, draw) -> Dessin:
+    """The first valid dessin of up to _MAX_TRIES calls of ``draw``."""
+    for _ in range(_MAX_TRIES):
+        d = draw()
+        if d.is_valid():
+            return d
+    raise RuntimeError(f"no connected {what} found in {_MAX_TRIES} tries")
+
+
 def random_origami(n_squares: int, rng: random.Random) -> Dessin:
     """Connected random origami on n_squares squares."""
     if n_squares < 1:
         raise ValueError("need at least one square")
-    for _ in range(_MAX_TRIES):
-        h = perms.random_permutation(n_squares, rng)
-        v = perms.random_permutation(n_squares, rng)
-        d = origami(h, v)
-        if d.is_valid():
-            return d
-    raise RuntimeError(f"no connected origami found in {_MAX_TRIES} tries")
+    return _connected("origami", lambda: origami(  # h is drawn, then v
+        perms.random_permutation(n_squares, rng),
+        perms.random_permutation(n_squares, rng)))
 
 
 def random_dessin(n_darts: int, rng: random.Random) -> Dessin:
@@ -162,10 +167,6 @@ def random_dessin(n_darts: int, rng: random.Random) -> Dessin:
     random fixed-point-free pairing, resampled until connected."""
     if n_darts < 2 or n_darts % 2:
         raise ValueError("n_darts must be even and at least 2")
-    for _ in range(_MAX_TRIES):
-        rho0 = perms.random_permutation(n_darts, rng)
-        rho1 = perms.random_fixed_point_free_involution(n_darts, rng)
-        d = Dessin(n_darts, rho0, rho1)
-        if d.is_valid():
-            return d
-    raise RuntimeError(f"no connected dessin found in {_MAX_TRIES} tries")
+    return _connected("dessin", lambda: Dessin(
+        n_darts, perms.random_permutation(n_darts, rng),
+        perms.random_fixed_point_free_involution(n_darts, rng)))

@@ -259,11 +259,10 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return exc.exit_code
     except tuple(t for t, _, _ in _FAILURE_CODES) as exc:
-        for exc_type, code, exit_code in _FAILURE_CODES:
-            if isinstance(exc, exc_type):
-                print(f"{code}: {exc}", file=sys.stderr)
-                return exit_code
-        raise AssertionError("unreachable")
+        code, exit_code = next((c, x) for t, c, x in _FAILURE_CODES
+                               if isinstance(exc, t))
+        print(f"{code}: {exc}", file=sys.stderr)
+        return exit_code
 
 
 if __name__ == "__main__":

@@ -78,17 +78,20 @@ class OutsideImageError(ValueError):
     """The point to invert lies outside the closed image triangle."""
 
 
-def _require_finite(name: str, value: complex) -> None:
+def _require_finite(name: str, value) -> complex:
+    """``value`` as a finite complex; a str or bytes is a TypeError."""
+    if isinstance(value, (str, bytes)):
+        raise TypeError(f"{name} must be a number, not {type(value).__name__}")
+    value = complex(value)
     if not cmath.isfinite(value):
         raise ValueError(f"{name} = {value} is not finite")
+    return value
 
 
 def _path_end(t) -> complex:
     """``t`` as the complex end of the straight path from 0: finite,
     with a modulus that is still a float, and off the branch cut."""
-    t = complex(t)
-    if not cmath.isfinite(t):
-        raise ValueError(f"t = {t} is not finite")
+    t = _require_finite("t", t)
     try:
         abs(t)
     except OverflowError:
@@ -174,12 +177,8 @@ def _arg_lower(t: complex) -> float:
     negative real axis gets -pi."""
     if t.imag == 0.0 and t.real < 0.0:
         return -math.pi
-    try:
-        return cmath.phase(t)
-    except OverflowError:
-        # the angle underflows, as for 1e300 - 1e-300j; math.atan2
-        # returns it as a signed zero
-        return math.atan2(t.imag, t.real)
+    # cmath.phase gives the same double, but raises where it underflows
+    return math.atan2(t.imag, t.real)
 
 
 def _pow_lower(t: complex, p: float) -> complex:
@@ -513,8 +512,7 @@ def invert_cs_map(spec: CsMapSpec, z) -> complex:
     Such points raise NonConvergenceError after a few evaluations, once
     the residual stops improving.
     """
-    z = complex(z)
-    _require_finite("z", z)
+    z = _require_finite("z", z)
     tri = image_triangle(spec)
     diam = max(abs(p - q) for p in tri for q in tri)
     if not _inside_triangle(z, tri, _SNAP * diam):

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartography import Dessin, _frozen, tuple_view
+from .cartography import Dessin, _frozen, _require_length, tuple_view
 from .metric import MetricData, metric_array, metric_violations
 from .tiling import (_CODE, _MEMBERS, _TEXT, Color, Shade, TricoloredDessin,
                      VertexLabel, _code_array)
@@ -71,6 +71,10 @@ class DocumentParseError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+        self._message = message
+
+    def __reduce__(self):
+        return type(self), (self.line, self._message)
 
 
 @dataclass(frozen=True)
@@ -110,9 +114,7 @@ class DessinDocument:
         if lengths is not None:
             m = stored["_metric"] = MetricData(lengths, angles)
             for key, values in zip(_METRIC_KEYS, (m._lengths, m._angles)):
-                if len(values) != n_darts:
-                    raise ValueError(f"{key} has {len(values)} entries, "
-                                     f"expected {n_darts}")
+                _require_length(key, values, n_darts)
         for key, cls, values in zip(_COLOR_KEYS, _COLOR_ENUMS, colors):
             stored["_" + key] = (None if values is None
                                  else _code_array(cls, values))

@@ -22,18 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartography import (CellKind, Dessin, Violation, _frozen, _index,
-                          _read_only, tuple_view)
+from .cartography import (CellKind, Dessin, FaceDegreeMismatch, Violation,
+                          _frozen, _index, _read_only, _require_face_size,
+                          tuple_view)
 
 R0 = "rho0"
 R1 = "rho1"
 R0_INV = "rho0_inv"
 
 _TWO_PI = 2.0 * math.pi
-
-
-class FaceDegreeMismatch(ValueError):
-    """A face has the wrong number of sides for the requested structure."""
 
 
 # per metric array: the top of its open interval (0, top), and the
@@ -111,16 +108,6 @@ def _require_metric(d: Dessin, m: MetricData) -> None:
     if bad:
         raise ValueError("; ".join(str(v) for v in bad))
     m.__dict__["_fits"] = d
-
-
-def _require_face_size(d: Dessin, face_size: int) -> None:
-    """Raise unless every face of the valid dessin ``d`` has
-    ``face_size`` sides."""
-    size = d.cell_arrays(CellKind.FACE).size
-    bad = np.flatnonzero(size != face_size)
-    if len(bad):
-        raise FaceDegreeMismatch(
-            f"face {bad[0]} has {size[bad[0]]} sides, expected {face_size}")
 
 
 def _constant_structure(d: Dessin, face_size: int, angle: float) -> MetricData:

@@ -24,7 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .cartography import (CellKind, Dessin, Violation, _components, _frozen,
-                          _read_only, substitute, tuple_view)
+                          _read_only, _require_face_size, _require_length,
+                          substitute, tuple_view)
 
 
 class Color(str, Enum):
@@ -132,17 +133,15 @@ class TricoloredDessin:
         "_vertex_label", _MEMBERS[VertexLabel])
 
     def __init__(self, base, edge_color, face_shade, vertex_label):
-        base.require_valid()
+        # the cell counts first: an invalid base raises before a bad code
+        counts = [len(base.cell_arrays(kind).smallest)
+                  for kind in (CellKind.EDGE, CellKind.FACE, CellKind.VERTEX)]
         codes = {"edge_color": _code_array(Color, edge_color),
                  "face_shade": _code_array(Shade, face_shade),
                  "vertex_label": _code_array(VertexLabel, vertex_label)}
         object.__setattr__(self, "base", base)
-        kinds = (CellKind.EDGE, CellKind.FACE, CellKind.VERTEX)
-        for kind, (name, arr) in zip(kinds, codes.items()):
-            want = len(base.cell_arrays(kind).smallest)
-            if len(arr) != want:
-                raise ValueError(
-                    f"{name} has {len(arr)} entries, expected {want}")
+        for n, (name, arr) in zip(counts, codes.items()):
+            _require_length(name, arr, n)
             object.__setattr__(self, "_" + name, arr)
 
 
@@ -257,10 +256,7 @@ def diagonal_subdivision(d: Dessin, labels) -> TricoloredDessin:
     _require_square_tiling(d)
     codes = _code_array(VertexLabel, labels)
     verts = d.cell_arrays(CellKind.VERTEX)
-    n_vertices = len(verts.smallest)
-    if len(codes) != n_vertices:
-        raise ValueError(
-            f"labels has {len(codes)} entries, expected {n_vertices}")
+    _require_length("labels", codes, len(verts.smallest))
     if (codes == 2).any():
         raise InconsistentLabelsError("corner labels must be zero or one")
     clash = _first_same_end_edge(d, _edge_ends(d), codes)
@@ -287,12 +283,10 @@ def tricolored_from_labels(base: Dessin, vertex_label) -> TricoloredDessin:
     zero -> one -> infinity.
     The labels may also be given as codes (0 zero, 1 one, 2 infinity).
     """
-    base.require_valid()
+    # the vertex cells first: an invalid base raises before a bad code
+    verts = base.cell_arrays(CellKind.VERTEX)
     codes = _code_array(VertexLabel, vertex_label)
-    want = len(base.cell_arrays(CellKind.VERTEX).smallest)
-    if len(codes) < want:
-        raise ValueError(
-            f"vertex_label has {len(codes)} entries, expected {want}")
+    _require_length("vertex_label", codes, len(verts.smallest))
     ends = _edge_ends(base)
     clash = _first_same_end_edge(base, ends, codes)
     if clash is not None:
@@ -302,14 +296,10 @@ def tricolored_from_labels(base: Dessin, vertex_label) -> TricoloredDessin:
             f"{_TEXT[VertexLabel][codes[u]]}")
     _, u, v = ends
     colors = _COLOR_OF_CODE_SUM[codes[u] + codes[v]]
-    faces = base.cell_arrays(CellKind.FACE)
-    dart_code = codes[base.cell_arrays(CellKind.VERTEX).id]
-    wrong_size = np.flatnonzero(faces.size != 3)
-    if len(wrong_size):
-        i = int(wrong_size[0])
-        raise ValueError(f"face {i} has {faces.size[i]} sides, expected 3")
+    _require_face_size(base, 3)
+    dart_code = codes[verts.id]
     # vertex(rho2 y) = vertex(rho1 y): corner pairs are edge ends, unequal
-    x = faces.smallest
+    x = base.cell_arrays(CellKind.FACE).smallest
     a = dart_code[x]
     b = dart_code[base._r2[x]]
     # three distinct labels read zero -> one -> infinity exactly when

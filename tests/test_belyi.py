@@ -13,9 +13,9 @@ from dessins.catalog import (octahedron_tricolored, one_square_torus,
                              pillow_sphere, random_origami,
                              square_torus_grid, tetrahedron)
 from dessins.metric import FaceDegreeMismatch
-from dessins.tiling import (Shade, VertexLabel, corner_bipartition,
-                            diagonal_subdivision, refine_2x2,
-                            validate_tricoloring)
+from dessins.tiling import (Shade, TricoloredDessin, VertexLabel,
+                            corner_bipartition, diagonal_subdivision,
+                            refine_2x2, validate_tricoloring)
 
 import oracles
 
@@ -82,6 +82,27 @@ class TestPassportComputation:
             for parts in (p.over_zero, p.over_one, p.over_infinity):
                 assert sum(parts) == p.degree
 
+    def test_rejects_plain_dessin(self):
+        with pytest.raises(TypeError, match="^t must be a TricoloredDessin, "
+                                            "not Dessin$"):
+            passport(one_square_torus())
+
+    def test_rejects_unbalanced_shades(self):
+        t = octahedron_tricolored()
+        all_white = TricoloredDessin(t.base, t.edge_color,
+                                     [Shade.WHITE] * 8, t.vertex_label)
+        with pytest.raises(ValueError, match="^8 white and 0 black faces; "
+                                             "shades do not checkerboard$"):
+            passport(all_white)
+
+    def test_rejects_odd_incident_face_count(self):
+        # three triangles meet at each vertex of a tetrahedron; the
+        # coloring has the right sizes and two faces of each shade
+        t = TricoloredDessin(tetrahedron(), [0] * 6, [0, 0, 1, 1], [0] * 4)
+        with pytest.raises(ValueError, match="^vertex 0 has odd incident "
+                                             "face count$"):
+            passport(t)
+
     def test_genus_always_matches_base(self):
         rng = random.Random(32)
         for _ in range(20):
@@ -143,6 +164,9 @@ class TestRationalMap:
     def test_nan_rejected(self, b0):
         with pytest.raises(ValueError, match="NaN"):
             barycentric_rational(b0)
+
+    def test_infinity_repr(self):
+        assert repr(INFINITY) == "INFINITY"
 
     def test_infinite_float_is_the_pole_at_infinity(self):
         assert barycentric_rational(float("inf")) is INFINITY

@@ -1,4 +1,5 @@
 import random
+from enum import IntEnum
 
 import numpy as np
 import pytest
@@ -47,6 +48,14 @@ class TestConstruction:
             Dessin(2, (0.5, 1), (1, 0))
         with pytest.raises(ValueError, match="not an integer"):
             Dessin(2, (True, 1), (1, 0))
+
+    def test_accepts_int_subclasses(self):
+        # an IntEnum is no plain int, so its entries take the per-entry
+        # path, which accepts every int but bool
+        Dart = IntEnum("Dart", ["A", "B"], start=0)
+        d = Dessin(2, (Dart.A, Dart.B), (Dart.B, Dart.A))
+        assert d.is_valid()
+        assert d._r0.tolist() == [0, 1] and d._r1.tolist() == [1, 0]
 
 
 class TestViolations:

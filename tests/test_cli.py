@@ -3,15 +3,19 @@ round trips between subcommands."""
 
 import hashlib
 import io
+import os
+import subprocess
+import sys
 from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 from dessins.cartography import Dessin
+from dessins.catalog import tetrahedron
 from dessins.cli import main
-from dessins.document import parse
-from dessins.tiling import validate_tricoloring
+from dessins.document import from_tricolored, parse
+from dessins.tiling import TricoloredDessin, validate_tricoloring
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -227,6 +231,15 @@ class TestPassport:
         code, _, err = run(capsys, ["passport", TORUS])
         assert code == 1
         assert err.startswith("not-tricolored:")
+
+    def test_odd_incident_face_count(self, capsys, tmp_path):
+        # three triangles meet at each vertex of a tetrahedron
+        t = TricoloredDessin(tetrahedron(), [0] * 6, [0, 0, 1, 1], [0] * 4)
+        path = tmp_path / "odd.dessin"
+        path.write_text(from_tricolored(t).serialize())
+        code, out, err = run(capsys, ["passport", str(path)])
+        assert (code, out) == (1, "")
+        assert err == "error: vertex 0 has odd incident face count\n"
 
     def test_subdivided_grid_passport(self, capsys, tmp_path):
         target = tmp_path / "tri.dessin"
@@ -483,3 +496,21 @@ def test_transform_bytes_pinned(capsys, tmp_path, text, expected):
     src.write_text(text)
     code, out, err = run(capsys, ["transform", str(src)])
     assert (code, _digest(out), _digest(err)) == expected
+
+
+@pytest.mark.parametrize("path, code, first_lines", [
+    ("tests/fixtures/one_square_torus.dessin", 0, ["V=1 E=2 F=1 genus=1"]),
+    ("tests/fixtures/missing.dessin", 2, []),
+])
+def test_python_m_dessins(path, code, first_lines):
+    """``python -m dessins`` runs the package's __main__ in a fresh
+    interpreter, from the repository root."""
+    root = Path(__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-m", "dessins", "info", path],
+                          cwd=root, env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == code
+    assert done.stdout.splitlines()[:1] == first_lines
+    if code:
+        assert done.stderr.startswith("io-error: ")

@@ -535,11 +535,52 @@ class TestFiniteExtremeInput:
             value = cs_map(spec, t)
         assert abs(value - image_triangle(spec)[2]) <= 1e-6
 
+    @pytest.mark.parametrize("call", [
+        lambda t: cs_map(SQUARE_CELL, t),
+        lambda t: incomplete_cs_integral(0.25, 0.25, t),
+        lambda t: cs_map_derivative(SQUARE_CELL, t),
+        lambda t: invert_cs_map(SQUARE_CELL, t),
+        triangle_to_square,
+    ], ids=["cs_map", "incomplete_cs_integral", "cs_map_derivative",
+            "invert_cs_map", "triangle_to_square"])
+    @pytest.mark.parametrize("t", ["1", "0.5-0.1j", b"1"],
+                             ids=["str", "complex_str", "bytes"])
+    def test_text_rejected(self, call, t):
+        # complex() would parse a str: cs_map(SQUARE_CELL, "1") gave 1j
+        with pytest.raises(TypeError, match="must be a number, not "
+                                            f"{type(t).__name__}$"):
+            call(t)
+
     def test_modulus_past_float_range_rejected(self):
         t = complex(-1.7976931348623157e308, -1.7976931348623157e308)
         for fn in (cs_map, cs_map_derivative):
             with pytest.raises(ValueError, match="beyond the float range"):
                 fn(SQUARE_CELL, t)
+
+
+_SIGNED_ZERO = st.sampled_from((0.0, -0.0))
+# moduli 1e-300..1e300 at any angle, and both axes with signed zeros
+ARG_POINTS = st.one_of(
+    st.builds(cmath.rect, st.floats(-300, 300).map(lambda e: 10.0 ** e),
+              st.floats(-math.pi, math.pi)),
+    st.builds(complex, _FINITE_FLOAT, _SIGNED_ZERO),
+    st.builds(complex, _SIGNED_ZERO, _FINITE_FLOAT),
+    FINITE_EXTREME)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(ARG_POINTS)
+def test_arg_lower_is_the_phase_expression(t):
+    """math.atan2 gives cmath.phase's double, signed zeros included,
+    wherever cmath.phase returns."""
+    try:
+        expected = (-math.pi if t.imag == 0.0 and t.real < 0.0
+                    else cmath.phase(t))
+    except OverflowError:
+        expected = None
+    got = csmap_module._arg_lower(t)
+    if expected is not None:
+        assert got.hex() == expected.hex()
 
 
 class TestInversionStaysInLowerHalfPlane:

@@ -1,0 +1,59 @@
+"""Every exception class the package exports survives pickling, as a
+process pool that returns the error needs: same type, same message and
+same data attributes."""
+
+import pickle
+
+import pytest
+
+import dessins
+from dessins import (SQUARE_CELL, Dessin, Passport, QuadratureConfig,
+                     barycentric_subdivide, corner_bipartition, cs_map,
+                     diagonal_subdivision, invert_cs_map, refine_2x2,
+                     riemann_hurwitz_genus)
+from dessins.catalog import one_square_torus, square_torus_grid, tetrahedron
+from dessins.document import DocumentParseError, parse
+
+# per exception class, a call that raises it
+RAISERS = {
+    "CutCrossingError": lambda: cs_map(SQUARE_CELL, 2.0),
+    "FaceDegreeMismatch": lambda: barycentric_subdivide(one_square_torus()),
+    "InconsistentLabelsError": lambda: diagonal_subdivision(
+        square_torus_grid(2, 2), ["zero"] * 4),
+    "InconsistentPassportError": lambda: riemann_hurwitz_genus(
+        Passport(2, (1,), (2,), (2,))),
+    "InvalidDessinError": lambda: Dessin(
+        4, (1, 0, 3, 2), (1, 0, 3, 2)).require_valid(),
+    "NonBipartiteError": lambda: corner_bipartition(one_square_torus()),
+    "NonConvergenceError": lambda: cs_map(
+        SQUARE_CELL, 0.5 - 0.5j, QuadratureConfig(node_count=2)),
+    "NotSquareTilingError": lambda: refine_2x2(tetrahedron()),
+    "OutsideImageError": lambda: invert_cs_map(SQUARE_CELL, 5 + 5j),
+    "DocumentParseError": lambda: parse("format_version: 1\nbogus\n"),
+}
+
+ATTRIBUTES = ("violations", "line", "witness", "stage", "evaluations",
+              "best_residual")
+
+
+def test_every_exported_exception_has_a_case():
+    exported = {name for name in dessins.__all__
+                if isinstance(getattr(dessins, name), type)
+                and issubclass(getattr(dessins, name), Exception)}
+    assert exported | {"DocumentParseError"} == set(RAISERS)
+
+
+@pytest.mark.parametrize("name", sorted(RAISERS))
+def test_round_trips_through_pickle(name):
+    cls = (DocumentParseError if name == "DocumentParseError"
+           else getattr(dessins, name))
+    with pytest.raises(cls) as info:
+        RAISERS[name]()
+    error = info.value
+    assert type(error) is cls
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is cls
+    assert str(copy) == str(error)
+    present = [a for a in ATTRIBUTES if hasattr(error, a)]
+    assert [getattr(copy, a) for a in present] \
+        == [getattr(error, a) for a in present]

@@ -183,6 +183,15 @@ class TestLabelErrorsMatchOracles:
             barycentric_subdivide(d)
         assert raised(tricolored_from_labels, d, labels) == raised(
             oracles.tricolor, d.rho0, d.rho1, labels)
+        # labels with no clash reach the face rule
+        with pytest.raises(FaceDegreeMismatch,
+                           match="^face 0 has 4 sides, expected 3$"):
+            tricolored_from_labels(d, corner_bipartition(d))
+
+    def test_too_many_labels(self):
+        with pytest.raises(ValueError,
+                           match="^vertex_label has 7 entries, expected 6$"):
+            tricolored_from_labels(octahedron(), [VertexLabel.ZERO] * 7)
 
     def test_too_few_labels(self):
         base = octahedron()
