@@ -21,7 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cartography import CellKind, _require_face_size, substitute
+from .cartography import (CellKind, Dessin, _require_face_size,
+                          _require_instance, substitute)
 from .tiling import TricoloredDessin, tricolored_from_labels
 
 
@@ -61,9 +62,7 @@ class Passport:
 def passport(t: TricoloredDessin) -> Passport:
     """Passport of a tricolored dessin: degree = number of white faces,
     local degree at a vertex = (incident face count) / 2."""
-    if not isinstance(t, TricoloredDessin):
-        raise TypeError(
-            f"t must be a TricoloredDessin, not {type(t).__name__}")
+    _require_instance("t", t, TricoloredDessin)
     n_white = int(t._face_shade.sum())  # white is shade code 1
     n_black = len(t._face_shade) - n_white
     if n_white != n_black:
@@ -158,6 +157,13 @@ _BARYCENTRIC_RHO1 = (("rho1", 1), ("rho1", 0), ("e", 3), ("e", 2),
                      ("e", 5), ("e", 4))
 _BARYCENTRIC_RHO2 = (("e", 2), ("rho2", 4), ("e", 5), ("e", 1),
                      ("rho2_inv", 3), ("e", 0))
+# the cells each new dart lifts (see cartography._lifted_cells): an old
+# vertex, edge midpoint or face center; the triangle (origin, mid,
+# center) of side e, slot 0, or (mid, end, center), slot 1
+_BARYCENTRIC_VERTICES = (("vertex", "e"), ("edge", "e"), ("edge", "e"),
+                         ("face", "e"), ("vertex", "e"), ("face", "e"))
+_BARYCENTRIC_FACES = ((0, "e"), (1, "e"), (0, "e"), (1, "e"),
+                      (1, "rho2_inv"), (0, "e"))
 # label code (0 zero, 1 one, 2 infinity) of a new vertex read at its
 # smallest dart 6e + r: old vertex, edge midpoint or face center
 _LABEL_CODE_OF_REMAINDER = np.array([2, 1, 1, 0, 2, 0])
@@ -175,8 +181,10 @@ def barycentric_subdivide(t) -> TricoloredDessin:
     centers -> zero; face count and passport degree both grow sixfold
     and the genus is unchanged.
     """
+    _require_instance("t", t, (TricoloredDessin, Dessin))
     base = t.base if isinstance(t, TricoloredDessin) else t
     _require_face_size(base, 3)
-    out = substitute(base, 6, _BARYCENTRIC_RHO1, _BARYCENTRIC_RHO2)
+    out = substitute(base, 6, _BARYCENTRIC_RHO1, _BARYCENTRIC_RHO2,
+                     _BARYCENTRIC_VERTICES, _BARYCENTRIC_FACES)
     remainder = out.cell_arrays(CellKind.VERTEX).smallest % 6
     return tricolored_from_labels(out, _LABEL_CODE_OF_REMAINDER[remainder])

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -149,6 +149,16 @@ def tuple_view(array_name: str, members=None) -> cached_property:
         return tuple(values if members is None
                      else map(members.__getitem__, values))
     return cached_property(view)
+
+
+def _require_instance(name: str, value, cls) -> None:
+    """Raise TypeError, naming the argument, unless ``value`` is an
+    instance of ``cls`` (a class or a tuple of classes)."""
+    if not isinstance(value, cls):
+        expected = " or ".join(c.__name__ for c in
+                               (cls if isinstance(cls, tuple) else (cls,)))
+        raise TypeError(f"{name} must be a {expected}, not "
+                        f"{type(value).__name__}")
 
 
 def _require_length(name: str, values, n: int) -> None:
@@ -335,7 +345,8 @@ class Dessin:
     @cached_property
     def _r2(self) -> np.ndarray:
         """rho2 as an index array: rho2[x] = rho0^{-1}[rho1^{-1}[x]], set
-        by validation from the inverses of its bijection check."""
+        by validation from the inverses of its bijection check, or by
+        :func:`substitute` from its table."""
         bad = [v for v in self._violations
                if v.code.endswith("not-bijection")]
         if bad:
@@ -413,7 +424,9 @@ class Dessin:
     @cached_property
     def _cell_arrays(self) -> dict[CellKind, Cells]:
         """The arrays of :meth:`cell_arrays`: the vertex cells built by
-        validation, the others per kind on demand."""
+        validation, the others per kind on demand.  :func:`substitute`
+        puts in the lift of a kind as a function of no arguments, which
+        the first call for that kind runs."""
         return {}
 
     def cell_arrays(self, kind: CellKind) -> Cells:
@@ -426,8 +439,10 @@ class Dessin:
             if kind == CellKind.EDGE:
                 minima = np.minimum(_darts(self.n_darts), self._r1)
             else:
-                minima = _cycle_minima(self._r2)
+                minima = _cycle_minima(getattr(self, _GENERATOR[kind]))
             cells = self._cell_arrays[kind] = _cells_of(minima)
+        elif callable(cells):
+            cells = self._cell_arrays[kind] = cells()
         return cells
 
     @cached_property
@@ -619,10 +634,93 @@ def from_rho1_rho2(rho1, rho2) -> Dessin:
     rho1 = np.asarray(rho1, dtype=np.intp)
     rho0 = np.full_like(rho1, -1)
     rho0[np.asarray(rho2, dtype=np.intp)] = rho1
-    return Dessin(len(rho1), rho0, rho1)
+    return Dessin(len(rho1), _frozen(rho0), rho1)
 
 
-def substitute(d: Dessin, k: int, rho1_table, rho2_table) -> Dessin:
+# the substitution source that undoes each source
+_INVERSE_SOURCE = {"e": "e", "rho1": "rho1", "rho2": "rho2_inv",
+                   "rho2_inv": "rho2"}
+
+
+@lru_cache
+def _certified(k: int, rho1_table: tuple, rho2_table: tuple) -> bool:
+    """Whether :func:`substitute` with these tables (tuples of k pairs
+    (source, j), j in 0..k-1) turns every valid dessin into a valid
+    one, decided from the tables alone:
+
+    - rho1 is an involution: entry j of each entry i = (src, j) is
+      (inverse of src, i), as rho1 is one and rho2_inv undoes rho2;
+    - it has no fixed point: j != i unless src is rho1, which has none;
+    - the result is transitive: each block k*e .. k*e + k - 1 lies in
+      one orbit, as its residues are joined by the links i - j of the
+      "e" entries (src, j) = ("e", j) at i, and j1 - j2 of the entries
+      (src, j1) and (src, j2) of one source at one position, both
+      images of one dart; and a rho1 and a rho2 or rho2_inv source
+      join the blocks of e, rho1(e) and rho2(e), which span the
+      transitive input.
+
+    rho2 is a bijection whenever the output exists: one that is not
+    leaves a -1 in the scattered rho0, which the constructor rejects.
+    A table that fails a condition may still give a valid dessin; its
+    output takes the full check."""
+    for i, (src, j) in enumerate(rho1_table):
+        if (rho1_table[j] != (_INVERSE_SOURCE[src], i)
+                or j == i and src != "rho1"):
+            return False
+    sources = {src for src, _ in rho1_table + rho2_table}
+    if "rho1" not in sources or sources.isdisjoint(("rho2", "rho2_inv")):
+        return False
+    links = [(i, j) for table in (rho1_table, rho2_table)
+             for i, (src, j) in enumerate(table) if src == "e"]
+    links += [(j1, j2) for (src1, j1), (src2, j2) in zip(rho1_table,
+                                                         rho2_table)
+              if src1 == src2]
+    joined = {0}
+    for _ in range(k):
+        joined |= {b for a, c in links for x, b in ((a, c), (c, a))
+                   if x in joined}
+    return len(joined) == k
+
+
+def _lifted_cells(d: Dessin, k: int, column, sources) -> Cells:
+    """The cells of one kind of a substitution of the valid ``d``, in
+    which new dart k*e + i lies in the cell named by ``column[i]`` =
+    (group, source): for a :class:`CellKind` group (or its text), the
+    one lifting the cell of that kind of ``d`` that holds source(e); for
+    an int group (a slot), the slot-th new cell of dart source(e).
+
+    The smallest dart of a cell is the least k*e + i over the residues i
+    naming it: a gather of the input's smallest darts for source e, or
+    of the inverse source for a slot, so no orbit of the output is
+    walked; another source takes one minimum over the input's darts."""
+    n = d.n_darts
+    labels = []
+    least = {}  # per group, the smallest dart of each of its cells
+    for i, (group, src) in enumerate(column):
+        x = sources[src]
+        if isinstance(group, str):
+            cells = d.cell_arrays(group)
+            x = cells.id[x]
+            if src == "e":
+                first = cells.smallest
+            else:
+                first = np.full(len(cells.smallest), n)
+                np.minimum.at(first, x, _darts(n))
+        else:
+            # new cell x holds k*e + i for the one e with source(e) = x
+            first = sources[_INVERSE_SOURCE[src]]
+        labels.append(x)
+        first = k * first + i
+        least[group] = (np.minimum(least[group], first) if group in least
+                        else first)
+    minima = np.empty(n * k, np.intp)
+    for i, (group, _) in enumerate(column):
+        minima[i::k] = least[group][labels[i]]
+    return _cells_of(minima)
+
+
+def substitute(d: Dessin, k: int, rho1_table, rho2_table, vertices=None,
+               faces=None) -> Dessin:
     """Replace every dart e of ``d`` by the k darts k*e .. k*e + k - 1.
 
     Entry i of each table is a pair (source, j): new dart k*e + i is
@@ -632,19 +730,51 @@ def substitute(d: Dessin, k: int, rho1_table, rho2_table) -> Dessin:
     :func:`from_rho1_rho2`.  This is the permutation-triple calculus of
     Lando & Zvonkin, *Graphs on Surfaces and Their Applications* (2004),
     ch. 1: refinements of a map are substitutions on its darts.
+
+    Each table is a sequence of k pairs, each j an int in 0..k-1; a
+    table of another length or with another j raises ValueError.
+
+    When ``d`` is valid and the tables pass a check made once per table
+    (:func:`_certified`), the result is valid by construction: no pass
+    over its darts validates it, and its rho2 is the expanded table.
+    Its vertex and face cells are then the lifts, made on first use,
+    that ``vertices`` and ``faces`` name, one pair (group, source) per residue i: new dart
+    k*e + i lies on the lift of the vertex, edge or face (a
+    :class:`CellKind` group) of d that holds source(e), or, for an int
+    group s, on the s-th new vertex or face of dart source(e).  These
+    columns are part of the tables and are not checked.  Any other
+    result is validated like a hand-built dessin.
     """
+    _require_instance("d", d, Dessin)
     n = d.n_darts
     # rho2^{-1} = rho1 o rho0
     sources = {"e": _darts(n), "rho1": d._r1, "rho2": d._r2,
                "rho2_inv": d._r1[d._r0]}
+    scaled = {src: k * p for src, p in sources.items()}
 
-    def expand(table) -> np.ndarray:
-        out = np.empty((n, k), dtype=np.intp)
+    def expand(name, table) -> tuple[np.ndarray, tuple]:
+        """The table's images, and the table as a tuple of pairs."""
+        _require_length(name, table, k)
+        out = np.empty(n * k, dtype=np.intp)
+        pairs = []
         for i, (src, j) in enumerate(table):
-            out[:, i] = k * sources[src] + j
-        return out.ravel()
+            if not (type(j) is int and 0 <= j < k):
+                j = _index(j, f"{name}[{i}] residue", k)
+            np.add(scaled[src], j, out=out[i::k])
+            pairs.append((src, j))
+        return _frozen(out), tuple(pairs)
 
-    return from_rho1_rho2(expand(rho1_table), expand(rho2_table))
+    (r1, table1), (r2, table2) = (expand("rho1_table", rho1_table),
+                                  expand("rho2_table", rho2_table))
+    out = from_rho1_rho2(r1, r2)
+    if d.is_valid() and _certified(k, table1, table2):
+        out.__dict__.update(_violations=(), _r2=r2)
+        for kind, column in ((CellKind.VERTEX, vertices),
+                             (CellKind.FACE, faces)):
+            if column is not None:
+                out._cell_arrays[kind] = partial(_lifted_cells, d, k, column,
+                                                 sources)
+    return out
 
 
 def is_isomorphic(d1: Dessin, d2: Dessin) -> bool:
@@ -653,10 +783,8 @@ def is_isomorphic(d1: Dessin, d2: Dessin) -> bool:
     Raises TypeError, naming the argument, when either is not a
     :class:`Dessin`, and :class:`InvalidDessinError` when either is not
     valid."""
-    for name, d in (("d1", d1), ("d2", d2)):
-        if not isinstance(d, Dessin):
-            raise TypeError(f"{name} must be a Dessin, not "
-                            f"{type(d).__name__}")
+    _require_instance("d1", d1, Dessin)
+    _require_instance("d2", d2, Dessin)
     if d1.n_darts != d2.n_darts:
         d1.require_valid()
         d2.require_valid()

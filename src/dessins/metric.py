@@ -24,7 +24,7 @@ import numpy as np
 
 from .cartography import (CellKind, Dessin, FaceDegreeMismatch, Violation,
                           _frozen, _index, _read_only, _require_face_size,
-                          tuple_view)
+                          _require_instance, tuple_view)
 
 R0 = "rho0"
 R1 = "rho1"
@@ -111,6 +111,7 @@ def _require_metric(d: Dessin, m: MetricData) -> None:
 
 
 def _constant_structure(d: Dessin, face_size: int, angle: float) -> MetricData:
+    _require_instance("d", d, Dessin)
     _require_face_size(d, face_size)
     return MetricData(_frozen(np.full(d.n_darts, 1.0)),
                       _frozen(np.full(d.n_darts, angle)))

@@ -24,8 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .cartography import (CellKind, Dessin, Violation, _components, _frozen,
-                          _read_only, _require_face_size, _require_length,
-                          substitute, tuple_view)
+                          _read_only, _require_face_size, _require_instance,
+                          _require_length, substitute, tuple_view)
 
 
 class Color(str, Enum):
@@ -133,6 +133,7 @@ class TricoloredDessin:
         "_vertex_label", _MEMBERS[VertexLabel])
 
     def __init__(self, base, edge_color, face_shade, vertex_label):
+        _require_instance("base", base, Dessin)
         # the cell counts first: an invalid base raises before a bad code
         counts = [len(base.cell_arrays(kind).smallest)
                   for kind in (CellKind.EDGE, CellKind.FACE, CellKind.VERTEX)]
@@ -147,6 +148,7 @@ class TricoloredDessin:
 
 def is_square_tiling(d: Dessin) -> bool:
     """Whether every face of the (valid) dessin has exactly four sides."""
+    _require_instance("d", d, Dessin)
     return bool((d.cell_arrays(CellKind.FACE).size == 4).all())
 
 
@@ -211,6 +213,15 @@ _REFINE_RHO1 = (("rho1", 1), ("rho1", 0), ("rho2", 3), ("rho2_inv", 2))
 _REFINE_RHO2 = (("e", 2), ("rho2", 0), ("e", 3), ("rho2_inv", 1))
 _DIAGONAL_RHO1 = (("rho1", 0), ("rho2", 2), ("rho2_inv", 1))
 _DIAGONAL_RHO2 = (("e", 1), ("e", 2), ("e", 0))
+# and the cells each new dart lifts (see cartography._lifted_cells): a
+# vertex, edge midpoint or face center of the square tiling for a new
+# vertex; a corner square (refine) or the triangle on side e (diagonal)
+# for a new face
+_REFINE_VERTICES = (("vertex", "e"), ("edge", "e"), ("edge", "e"),
+                    ("face", "e"))
+_REFINE_FACES = ((0, "e"), (0, "rho2"), (0, "e"), (0, "e"))
+_DIAGONAL_VERTICES = (("vertex", "e"), ("vertex", "rho1"), ("face", "e"))
+_DIAGONAL_FACES = ((0, "e"),) * 3
 
 
 def refine_2x2(d: Dessin) -> Dessin:
@@ -222,7 +233,8 @@ def refine_2x2(d: Dessin) -> Dessin:
     always corner-bipartite (corners and centers versus midpoints).
     """
     _require_square_tiling(d)
-    return substitute(d, 4, _REFINE_RHO1, _REFINE_RHO2)
+    return substitute(d, 4, _REFINE_RHO1, _REFINE_RHO2, _REFINE_VERTICES,
+                      _REFINE_FACES)
 
 
 def _edge_ends(d: Dessin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -265,7 +277,8 @@ def diagonal_subdivision(d: Dessin, labels) -> TricoloredDessin:
         raise InconsistentLabelsError(
             f"corners {u} and {v} of edge {edge} share label "
             f"{_TEXT[VertexLabel][codes[u]]}")
-    out = substitute(d, 3, _DIAGONAL_RHO1, _DIAGONAL_RHO2)
+    out = substitute(d, 3, _DIAGONAL_RHO1, _DIAGONAL_RHO2,
+                     _DIAGONAL_VERTICES, _DIAGONAL_FACES)
     # each new vertex read at its smallest dart 3e + r: the origin of e
     # (r = 0), the endpoint of e (r = 1) or a face center (r = 2, code 2)
     e, r = np.divmod(out.cell_arrays(CellKind.VERTEX).smallest, 3)
@@ -283,6 +296,7 @@ def tricolored_from_labels(base: Dessin, vertex_label) -> TricoloredDessin:
     zero -> one -> infinity.
     The labels may also be given as codes (0 zero, 1 one, 2 infinity).
     """
+    _require_instance("base", base, Dessin)
     # the vertex cells first: an invalid base raises before a bad code
     verts = base.cell_arrays(CellKind.VERTEX)
     codes = _code_array(VertexLabel, vertex_label)
@@ -318,6 +332,7 @@ def validate_tricoloring(t: TricoloredDessin) -> list[Violation]:
     color/label-pair correspondence that is not a bijection.  Any of the
     six color-to-label-pair bijections is accepted.
     """
+    _require_instance("t", t, TricoloredDessin)
     d = t.base
     faces = d.cell_arrays(CellKind.FACE)
     bad = np.flatnonzero(faces.size != 3).tolist()

@@ -1,6 +1,7 @@
 """Every exception class the package exports survives pickling, as a
 process pool that returns the error needs: same type, same message and
-same data attributes."""
+same data attributes.  An argument of the wrong type raises TypeError
+naming it."""
 
 import pickle
 
@@ -11,8 +12,13 @@ from dessins import (SQUARE_CELL, Dessin, Passport, QuadratureConfig,
                      barycentric_subdivide, corner_bipartition, cs_map,
                      diagonal_subdivision, invert_cs_map, refine_2x2,
                      riemann_hurwitz_genus)
+from dessins.belyi import passport
+from dessins.cartography import is_isomorphic, substitute
 from dessins.catalog import one_square_torus, square_torus_grid, tetrahedron
 from dessins.document import DocumentParseError, parse
+from dessins.metric import equilateral_structure, square_structure
+from dessins.tiling import (TricoloredDessin, is_square_tiling,
+                            tricolored_from_labels, validate_tricoloring)
 
 # per exception class, a call that raises it
 RAISERS = {
@@ -57,3 +63,38 @@ def test_round_trips_through_pickle(name):
     present = [a for a in ATTRIBUTES if hasattr(error, a)]
     assert [getattr(copy, a) for a in present] \
         == [getattr(error, a) for a in present]
+
+
+# per entry point, a call with an argument of the wrong type, and the
+# TypeError message that names it
+WRONG_TYPES = [
+    (lambda: refine_2x2(None), "d must be a Dessin, not NoneType"),
+    (lambda: diagonal_subdivision(None, []),
+     "d must be a Dessin, not NoneType"),
+    (lambda: barycentric_subdivide(None),
+     "t must be a TricoloredDessin or Dessin, not NoneType"),
+    (lambda: corner_bipartition(None), "d must be a Dessin, not NoneType"),
+    (lambda: is_square_tiling(None), "d must be a Dessin, not NoneType"),
+    (lambda: tricolored_from_labels(None, []),
+     "base must be a Dessin, not NoneType"),
+    (lambda: TricoloredDessin(None, [], [], []),
+     "base must be a Dessin, not NoneType"),
+    (lambda: square_structure(None), "d must be a Dessin, not NoneType"),
+    (lambda: equilateral_structure(None), "d must be a Dessin, not NoneType"),
+    (lambda: substitute(None, 1, (("rho1", 0),), (("rho2", 0),)),
+     "d must be a Dessin, not NoneType"),
+    (lambda: validate_tricoloring(tetrahedron()),
+     "t must be a TricoloredDessin, not Dessin"),
+    (lambda: passport(tetrahedron()),
+     "t must be a TricoloredDessin, not Dessin"),
+    (lambda: is_isomorphic(tetrahedron(), None),
+     "d2 must be a Dessin, not NoneType"),
+]
+
+
+@pytest.mark.parametrize("call, message", WRONG_TYPES,
+                         ids=[m for _, m in WRONG_TYPES])
+def test_wrong_type_raises_type_error(call, message):
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == message

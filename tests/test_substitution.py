@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dessins import belyi, cartography, tiling
 from dessins import permutations as perms
 from dessins.belyi import barycentric_subdivide
-from dessins.cartography import CellKind, Dessin, from_rho1_rho2, substitute
+from dessins.cartography import (CellKind, Dessin, _certified, from_rho1_rho2,
+                                 substitute)
 from dessins.catalog import (octahedron, random_dessin, random_origami,
                              square_torus_grid)
 from dessins.metric import FaceDegreeMismatch
@@ -132,6 +134,86 @@ class TestSubstitute:
         d = square_torus_grid(2, 2)
         out = substitute(d, 1, (("e", 0),), (("rho2", 0),))
         assert [v.code for v in out.violations()][:1] == ["rho1-fixed-point"]
+
+    # tables that break one condition of the per-table certificate each
+    BROKEN_TABLES = {
+        "rho1-entry-not-returned": (
+            2, (("rho1", 1), ("rho1", 1)), (("e", 1), ("rho2", 0))),
+        "rho1-fixed-point-e": (
+            2, (("e", 0), ("rho1", 1)), (("e", 1), ("rho2", 0))),
+        "rho1-fixed-point-rho2": (
+            2, (("rho2", 0), ("rho1", 1)), (("e", 1), ("rho2", 0))),
+        "residues-not-joined": (
+            2, (("rho1", 0), ("rho1", 1)), (("rho2", 0), ("rho2", 1))),
+        "no-rho1-source": (
+            2, (("e", 1), ("e", 0)), (("rho2", 0), ("rho2_inv", 1))),
+        "no-rho2-source": (
+            2, (("rho1", 1), ("rho1", 0)), (("e", 1), ("e", 0))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_TABLES))
+    def test_broken_table_takes_the_full_check(self, case):
+        k, rho1_table, rho2_table = self.BROKEN_TABLES[case]
+        assert not _certified(k, rho1_table, rho2_table)
+        for d in (square_torus_grid(2, 3), random_origami(5, random.Random(6)),
+                  octahedron()):
+            out = substitute(d, k, rho1_table, rho2_table)
+            fresh = Dessin(out.n_darts, out._r0, out._r1)
+            assert out.violations() == fresh.violations()
+
+    def test_rho2_column_not_a_permutation(self):
+        # two residues sent onto residue 0 leave residue 1 without a
+        # preimage, and so a -1 in rho0: no dessin comes out
+        d = square_torus_grid(2, 2)
+        with pytest.raises(ValueError, match=r"rho0\[\d+\] = -1 out of range"):
+            substitute(d, 2, (("rho1", 1), ("rho1", 0)),
+                       (("e", 0), ("rho2", 0)))
+
+    def test_bijective_but_invalid_input(self):
+        # two disjoint edges: bijective, but not transitive
+        d = Dessin(4, (1, 0, 3, 2), (1, 0, 3, 2))
+        for k, rho1_table, rho2_table in (
+                (4, tiling._REFINE_RHO1, tiling._REFINE_RHO2),
+                (3, tiling._DIAGONAL_RHO1, tiling._DIAGONAL_RHO2),
+                (6, belyi._BARYCENTRIC_RHO1, belyi._BARYCENTRIC_RHO2)):
+            assert _certified(k, rho1_table, rho2_table)
+            out = substitute(d, k, rho1_table, rho2_table)
+            fresh = Dessin(out.n_darts, out._r0, out._r1)
+            assert [v.code for v in out.violations()] == ["not-transitive"]
+            assert out.violations() == fresh.violations()
+
+    @pytest.mark.parametrize("rho2_table, message", [
+        ((("e", 1),), "rho2_table has 1 entries, expected 2"),
+        # a -1 would wrap round to the last dart
+        ((("e", 1), ("rho2", -1)), r"rho2_table\[1\] residue -1 out of range"),
+        ((("e", 2), ("rho2", 0)), r"rho2_table\[0\] residue 2 out of range"),
+        ((("e", 1.0), ("rho2", 0)),
+         r"rho2_table\[0\] residue 1.0 is not an integer")])
+    def test_malformed_table(self, rho2_table, message):
+        d = square_torus_grid(2, 2)
+        with pytest.raises(ValueError, match=message):
+            substitute(d, 2, (("rho1", 1), ("rho1", 0)), rho2_table)
+
+    def test_operators_neither_validate_nor_walk(self, monkeypatch):
+        # their outputs are valid and labelled by construction: neither
+        # the bijection check nor the transitivity kernel runs
+        grid = square_torus_grid(4, 6)
+        labels = corner_bipartition(grid)
+        origami = random_origami(9, random.Random(2))
+        assert origami.is_valid()
+
+        def boom(*args):
+            raise AssertionError("called on an operator output")
+
+        monkeypatch.setattr(cartography, "_components", boom)
+        monkeypatch.setattr(cartography, "_inverse_or_none", boom)
+        refined = refine_2x2(origami)
+        t = diagonal_subdivision(grid, labels)
+        b = barycentric_subdivide(t)
+        for out in (refined, t.base, b.base):
+            assert out.violations() == []
+            for kind in CellKind:
+                out.cell_arrays(kind)
 
 
 def raised(fn, *args):
@@ -353,7 +435,30 @@ class TestQuotientShapes:
         assert d.genus() == 0
 
 
+def assert_lifted_cells(d):
+    """``d`` is valid, with the rho2 and cells of a dessin built afresh
+    from its arrays."""
+    fresh = Dessin(d.n_darts, d._r0, d._r1)
+    assert d.violations() == fresh.violations() == []
+    assert np.array_equal(d._r2, fresh._r2)
+    for kind in CellKind:
+        for got, want in zip(d.cell_arrays(kind), fresh.cell_arrays(kind)):
+            assert np.array_equal(got, want), kind
+
+
 class TestLargeGrid:
+    @pytest.mark.parametrize("d", [
+        square_torus_grid(16, 32),
+        # an odd corner graph, as on the refine path of the pipeline
+        random_origami(128, random.Random(1))], ids=["grid", "origami"])
+    def test_lifted_cells_at_benchmark_scale(self, d):
+        refined = refine_2x2(d)
+        assert_lifted_cells(refined)
+        d, labels = bipartite(d)
+        t = diagonal_subdivision(d, labels)
+        assert_lifted_cells(t.base)
+        assert_lifted_cells(barycentric_subdivide(t).base)
+
     def test_64x64_pipeline_counts(self):
         d = square_torus_grid(64, 64)
         t = diagonal_subdivision(d, corner_bipartition(d))
