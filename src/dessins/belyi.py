@@ -157,13 +157,10 @@ _BARYCENTRIC_RHO1 = (("rho1", 1), ("rho1", 0), ("e", 3), ("e", 2),
                      ("e", 5), ("e", 4))
 _BARYCENTRIC_RHO2 = (("e", 2), ("rho2", 4), ("e", 5), ("e", 1),
                      ("rho2_inv", 3), ("e", 0))
-# the cells each new dart lifts (see cartography._lifted_cells): an old
-# vertex, edge midpoint or face center; the triangle (origin, mid,
-# center) of side e, slot 0, or (mid, end, center), slot 1
+# the old vertex, edge midpoint or face center that each new dart's
+# vertex lifts (see cartography._lifted_cells)
 _BARYCENTRIC_VERTICES = (("vertex", "e"), ("edge", "e"), ("edge", "e"),
                          ("face", "e"), ("vertex", "e"), ("face", "e"))
-_BARYCENTRIC_FACES = ((0, "e"), (1, "e"), (0, "e"), (1, "e"),
-                      (1, "rho2_inv"), (0, "e"))
 # label code (0 zero, 1 one, 2 infinity) of a new vertex read at its
 # smallest dart 6e + r: old vertex, edge midpoint or face center
 _LABEL_CODE_OF_REMAINDER = np.array([2, 1, 1, 0, 2, 0])
@@ -185,6 +182,6 @@ def barycentric_subdivide(t) -> TricoloredDessin:
     base = t.base if isinstance(t, TricoloredDessin) else t
     _require_face_size(base, 3)
     out = substitute(base, 6, _BARYCENTRIC_RHO1, _BARYCENTRIC_RHO2,
-                     _BARYCENTRIC_VERTICES, _BARYCENTRIC_FACES)
+                     _BARYCENTRIC_VERTICES)
     remainder = out.cell_arrays(CellKind.VERTEX).smallest % 6
     return tricolored_from_labels(out, _LABEL_CODE_OF_REMAINDER[remainder])

@@ -425,8 +425,8 @@ class Dessin:
     def _cell_arrays(self) -> dict[CellKind, Cells]:
         """The arrays of :meth:`cell_arrays`: the vertex cells built by
         validation, the others per kind on demand.  :func:`substitute`
-        puts in the lift of a kind as a function of no arguments, which
-        the first call for that kind runs."""
+        puts in the vertex lift as a function of no arguments, which the
+        first call for vertices runs."""
         return {}
 
     def cell_arrays(self, kind: CellKind) -> Cells:
@@ -683,44 +683,37 @@ def _certified(k: int, rho1_table: tuple, rho2_table: tuple) -> bool:
 
 
 def _lifted_cells(d: Dessin, k: int, column, sources) -> Cells:
-    """The cells of one kind of a substitution of the valid ``d``, in
-    which new dart k*e + i lies in the cell named by ``column[i]`` =
-    (group, source): for a :class:`CellKind` group (or its text), the
-    one lifting the cell of that kind of ``d`` that holds source(e); for
-    an int group (a slot), the slot-th new cell of dart source(e).
-
-    The smallest dart of a cell is the least k*e + i over the residues i
-    naming it: a gather of the input's smallest darts for source e, or
-    of the inverse source for a slot, so no orbit of the output is
-    walked; another source takes one minimum over the input's darts."""
+    """The vertex cells of a substitution of the valid ``d``: new dart
+    k*e + i lies on the lift of the vertex, edge or face ``column[i]`` =
+    (kind, source) of ``d`` that holds source(e).  A cell's smallest
+    dart is a gather of the input's smallest darts for source e, else
+    one minimum over the input's darts, so no orbit of the output is
+    walked.  Faces are not lifted: their 3- and 4-cycles take the
+    generic kernel in a few rounds, while a long vertex cycle takes a
+    doubling round per doubling of its length."""
     n = d.n_darts
     labels = []
-    least = {}  # per group, the smallest dart of each of its cells
-    for i, (group, src) in enumerate(column):
-        x = sources[src]
-        if isinstance(group, str):
-            cells = d.cell_arrays(group)
-            x = cells.id[x]
-            if src == "e":
-                first = cells.smallest
-            else:
-                first = np.full(len(cells.smallest), n)
-                np.minimum.at(first, x, _darts(n))
+    least = {}  # per kind, the smallest dart of each of its cells
+    for i, (kind, src) in enumerate(column):
+        cells = d.cell_arrays(kind)
+        x = cells.id[sources[src]]
+        if src == "e":
+            first = cells.smallest
         else:
-            # new cell x holds k*e + i for the one e with source(e) = x
-            first = sources[_INVERSE_SOURCE[src]]
+            first = np.full(len(cells.smallest), n)
+            np.minimum.at(first, x, _darts(n))
         labels.append(x)
         first = k * first + i
-        least[group] = (np.minimum(least[group], first) if group in least
-                        else first)
+        least[kind] = (np.minimum(least[kind], first) if kind in least
+                       else first)
     minima = np.empty(n * k, np.intp)
-    for i, (group, _) in enumerate(column):
-        minima[i::k] = least[group][labels[i]]
+    for i, (kind, _) in enumerate(column):
+        minima[i::k] = least[kind][labels[i]]
     return _cells_of(minima)
 
 
-def substitute(d: Dessin, k: int, rho1_table, rho2_table, vertices=None,
-               faces=None) -> Dessin:
+def substitute(d: Dessin, k: int, rho1_table, rho2_table,
+               vertices=None) -> Dessin:
     """Replace every dart e of ``d`` by the k darts k*e .. k*e + k - 1.
 
     Entry i of each table is a pair (source, j): new dart k*e + i is
@@ -732,18 +725,15 @@ def substitute(d: Dessin, k: int, rho1_table, rho2_table, vertices=None,
     ch. 1: refinements of a map are substitutions on its darts.
 
     Each table is a sequence of k pairs, each j an int in 0..k-1; a
-    table of another length or with another j raises ValueError.
+    table of another length, source or j raises ValueError.
 
     When ``d`` is valid and the tables pass a check made once per table
     (:func:`_certified`), the result is valid by construction: no pass
     over its darts validates it, and its rho2 is the expanded table.
-    Its vertex and face cells are then the lifts, made on first use,
-    that ``vertices`` and ``faces`` name, one pair (group, source) per residue i: new dart
-    k*e + i lies on the lift of the vertex, edge or face (a
-    :class:`CellKind` group) of d that holds source(e), or, for an int
-    group s, on the s-th new vertex or face of dart source(e).  These
-    columns are part of the tables and are not checked.  Any other
-    result is validated like a hand-built dessin.
+    Its vertex cells are then lifted on first use (:func:`_lifted_cells`)
+    from ``vertices``, an unchecked column of the tables, while its edges
+    and faces take the generic kernels.  Any other result is validated
+    like a hand-built dessin.
     """
     _require_instance("d", d, Dessin)
     n = d.n_darts
@@ -758,6 +748,9 @@ def substitute(d: Dessin, k: int, rho1_table, rho2_table, vertices=None,
         out = np.empty(n * k, dtype=np.intp)
         pairs = []
         for i, (src, j) in enumerate(table):
+            if src not in scaled:
+                raise ValueError(f"{name}[{i}] source {src!r} is not one "
+                                 f"of {', '.join(scaled)}")
             if not (type(j) is int and 0 <= j < k):
                 j = _index(j, f"{name}[{i}] residue", k)
             np.add(scaled[src], j, out=out[i::k])
@@ -769,11 +762,9 @@ def substitute(d: Dessin, k: int, rho1_table, rho2_table, vertices=None,
     out = from_rho1_rho2(r1, r2)
     if d.is_valid() and _certified(k, table1, table2):
         out.__dict__.update(_violations=(), _r2=r2)
-        for kind, column in ((CellKind.VERTEX, vertices),
-                             (CellKind.FACE, faces)):
-            if column is not None:
-                out._cell_arrays[kind] = partial(_lifted_cells, d, k, column,
-                                                 sources)
+        if vertices is not None:
+            out._cell_arrays[CellKind.VERTEX] = partial(
+                _lifted_cells, d, k, vertices, sources)
     return out
 
 

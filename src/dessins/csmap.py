@@ -546,7 +546,10 @@ def invert_cs_map(spec: CsMapSpec, z) -> complex:
             since_halved += 1
             if halved_r < stall and since_halved >= _STALL_ITERATIONS:
                 break
-        t_new = _newton_step(spec, t, value - z, beta_ab)
+        try:
+            t_new = _newton_step(spec, t, value - z, beta_ab)
+        except OverflowError:
+            break
         if not cmath.isfinite(t_new):
             break
         t_new = _onto_sheet(t_new)

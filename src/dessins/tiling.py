@@ -213,15 +213,11 @@ _REFINE_RHO1 = (("rho1", 1), ("rho1", 0), ("rho2", 3), ("rho2_inv", 2))
 _REFINE_RHO2 = (("e", 2), ("rho2", 0), ("e", 3), ("rho2_inv", 1))
 _DIAGONAL_RHO1 = (("rho1", 0), ("rho2", 2), ("rho2_inv", 1))
 _DIAGONAL_RHO2 = (("e", 1), ("e", 2), ("e", 0))
-# and the cells each new dart lifts (see cartography._lifted_cells): a
-# vertex, edge midpoint or face center of the square tiling for a new
-# vertex; a corner square (refine) or the triangle on side e (diagonal)
-# for a new face
+# and the vertex, edge midpoint or face center of the square tiling
+# that each new dart's vertex lifts (see cartography._lifted_cells)
 _REFINE_VERTICES = (("vertex", "e"), ("edge", "e"), ("edge", "e"),
                     ("face", "e"))
-_REFINE_FACES = ((0, "e"), (0, "rho2"), (0, "e"), (0, "e"))
 _DIAGONAL_VERTICES = (("vertex", "e"), ("vertex", "rho1"), ("face", "e"))
-_DIAGONAL_FACES = ((0, "e"),) * 3
 
 
 def refine_2x2(d: Dessin) -> Dessin:
@@ -233,8 +229,7 @@ def refine_2x2(d: Dessin) -> Dessin:
     always corner-bipartite (corners and centers versus midpoints).
     """
     _require_square_tiling(d)
-    return substitute(d, 4, _REFINE_RHO1, _REFINE_RHO2, _REFINE_VERTICES,
-                      _REFINE_FACES)
+    return substitute(d, 4, _REFINE_RHO1, _REFINE_RHO2, _REFINE_VERTICES)
 
 
 def _edge_ends(d: Dessin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -277,8 +272,7 @@ def diagonal_subdivision(d: Dessin, labels) -> TricoloredDessin:
         raise InconsistentLabelsError(
             f"corners {u} and {v} of edge {edge} share label "
             f"{_TEXT[VertexLabel][codes[u]]}")
-    out = substitute(d, 3, _DIAGONAL_RHO1, _DIAGONAL_RHO2,
-                     _DIAGONAL_VERTICES, _DIAGONAL_FACES)
+    out = substitute(d, 3, _DIAGONAL_RHO1, _DIAGONAL_RHO2, _DIAGONAL_VERTICES)
     # each new vertex read at its smallest dart 3e + r: the origin of e
     # (r = 0), the endpoint of e (r = 1) or a face center (r = 2, code 2)
     e, r = np.divmod(out.cell_arrays(CellKind.VERTEX).smallest, 3)

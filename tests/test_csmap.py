@@ -710,6 +710,80 @@ class TestNewtonSeedsAndStalls:
         assert info.value.best_residual > 1e-12
 
 
+class TestNewtonExits:
+    """The ways one Newton run ends without meeting its target."""
+
+    def test_t_past_the_float_range_ends_the_run(self, monkeypatch):
+        # with a + b next to 1, t = q^(1/(a+b-1)) from the variable q at
+        # infinity leaves the float range for a small change of q: the
+        # step is infinite and the run stops there
+        spec = CsMapSpec(0.25, 0.75 - 1e-6, 1.0)
+        z = 0.5 * image_triangle(spec)[2] + 0.25
+        from_q, newton_step = csmap_module._from_q, csmap_module._newton_step
+        overflowed, steps = [], []
+
+        def recording_from_q(q, c):
+            t = from_q(q, c)
+            if q != 0 and not cmath.isfinite(t):
+                overflowed.append(q)
+            return t
+
+        def recording_step(*args):
+            steps.append(newton_step(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(csmap_module, "_from_q", recording_from_q)
+        monkeypatch.setattr(csmap_module, "_newton_step", recording_step)
+        with pytest.raises(NonConvergenceError, match="stalled") as info:
+            invert_cs_map(spec, z)
+        assert overflowed
+        assert not cmath.isfinite(steps[-1])
+        assert info.value.stage == "newton"
+        assert info.value.evaluations == len(steps)
+
+    def test_overflowing_step_ends_the_run(self):
+        # the step at the corner t = 0 raises t^a's update to the power
+        # 1/a = 33, past the float range; it once escaped as OverflowError
+        spec = CsMapSpec(0.03, 1.0 - 0.03 - 1e-13, 1.0)
+        z = 0.5 * image_triangle(spec)[2]
+        with pytest.raises(NonConvergenceError, match="stalled") as info:
+            invert_cs_map(spec, z)
+        assert info.value.stage == "newton"
+
+    def test_map_error_mid_run_ends_it(self, monkeypatch):
+        # each iterate is finite and kept off the cut (1, inf), so cs_map
+        # does not raise inside a run; should it, the run ends with its
+        # best residual so far
+        tri = image_triangle(SQUARE_CELL)
+        z = sum(tri) / 3.0
+        calls = []
+
+        def failing_second_call(spec, t):
+            calls.append(t)
+            if len(calls) == 2:
+                raise CutCrossingError(f"t = {t} on the cut")
+            return cs_map(spec, t)
+
+        monkeypatch.setattr(csmap_module, "cs_map", failing_second_call)
+        with pytest.raises(NonConvergenceError, match="stalled") as info:
+            invert_cs_map(SQUARE_CELL, z)
+        assert info.value.evaluations == 2
+        assert info.value.best_residual == abs(cs_map(SQUARE_CELL, calls[0])
+                                               - z)
+
+    def test_no_finite_corner_seed(self):
+        # every expansion overflows far outside the image triangle, where
+        # invert_cs_map rejects z before seeding, so the seed is asked
+        # directly
+        tri = image_triangle(SQUARE_CELL)
+        with pytest.raises(NonConvergenceError,
+                           match="^no corner of the image gives a finite "
+                                 "seed for") as info:
+            csmap_module._corner_seed(SQUARE_CELL, 1e300 + 1e300j, tri,
+                                      complete_beta(0.25, 0.25))
+        assert info.value.evaluations == 0
+
+
 # The quadrature panels are fixed and Newton runs from one seed; these
 # two properties are what that rests on.
 EXPONENT = st.floats(MIN_EXPONENT, 1.0, exclude_max=True)

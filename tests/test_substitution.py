@@ -32,15 +32,15 @@ PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
 
 
 @st.composite
-def square_tilings(draw):
-    """Random origamis and torus grids of at most 12 squares, each
-    possibly relabeled."""
+def square_tilings(draw, max_squares=12):
+    """Random origamis and torus grids of at most ``max_squares``
+    squares, each possibly relabeled."""
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     if draw(st.booleans()):
-        d = random_origami(draw(st.integers(1, 12)), rng)
+        d = random_origami(draw(st.integers(1, max_squares)), rng)
     else:
-        w = draw(st.integers(1, 12))
-        d = square_torus_grid(w, draw(st.integers(1, 12 // w)))
+        w = draw(st.integers(1, max_squares))
+        d = square_torus_grid(w, draw(st.integers(1, max_squares // w)))
     if draw(st.booleans()):
         d = d.relabeled(perms.random_permutation(d.n_darts, rng))
     return d
@@ -188,7 +188,10 @@ class TestSubstitute:
         ((("e", 1), ("rho2", -1)), r"rho2_table\[1\] residue -1 out of range"),
         ((("e", 2), ("rho2", 0)), r"rho2_table\[0\] residue 2 out of range"),
         ((("e", 1.0), ("rho2", 0)),
-         r"rho2_table\[0\] residue 1.0 is not an integer")])
+         r"rho2_table\[0\] residue 1.0 is not an integer"),
+        ((("bogus", 1), ("rho2", 0)),
+         r"^rho2_table\[0\] source 'bogus' is not one of e, rho1, rho2, "
+         r"rho2_inv$")])
     def test_malformed_table(self, rho2_table, message):
         d = square_torus_grid(2, 2)
         with pytest.raises(ValueError, match=message):
@@ -444,6 +447,19 @@ def assert_lifted_cells(d):
     for kind in CellKind:
         for got, want in zip(d.cell_arrays(kind), fresh.cell_arrays(kind)):
             assert np.array_equal(got, want), kind
+
+
+class TestLiftedCells:
+    @PROPERTY
+    @given(square_tilings(max_squares=40))
+    def test_operator_outputs_match_a_fresh_dessin(self, d):
+        # the vertex column of each table is not checked at run time:
+        # its lift must number the cells as the generic kernel does
+        assert_lifted_cells(refine_2x2(d))
+        d, labels = bipartite(d)
+        t = diagonal_subdivision(d, labels)
+        assert_lifted_cells(t.base)
+        assert_lifted_cells(barycentric_subdivide(t).base)
 
 
 class TestLargeGrid:
