@@ -10,7 +10,9 @@ corresponds on the sphere to composition with the fixed degree-6 map
     beta = (4/27) (x^2 - x + 1)^3 / (x^2 (1 - x)^2)
 
 which sends vertices of the triangulation to infinity, edge midpoints
-to 1 and triangle centers to 0.
+to 1 and triangle centers to 0: :func:`barycentric_subdivide` labels each
+new dart by its residue, certified once per table, not checked per dart
+(see :mod:`dessins.tiling`).
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from .cartography import (CellKind, Dessin, _require_face_size,
-                          _require_instance, substitute)
-from .tiling import TricoloredDessin, tricolored_from_labels
+                          _require_instance)
+from .tiling import TricoloredDessin, _tricolored_substitution
 
 
 class InconsistentPassportError(ValueError):
@@ -161,9 +163,9 @@ _BARYCENTRIC_RHO2 = (("e", 2), ("rho2", 4), ("e", 5), ("e", 1),
 # vertex lifts (see cartography._lifted_cells)
 _BARYCENTRIC_VERTICES = (("vertex", "e"), ("edge", "e"), ("edge", "e"),
                          ("face", "e"), ("vertex", "e"), ("face", "e"))
-# label code (0 zero, 1 one, 2 infinity) of a new vertex read at its
-# smallest dart 6e + r: old vertex, edge midpoint or face center
-_LABEL_CODE_OF_REMAINDER = np.array([2, 1, 1, 0, 2, 0])
+# label code (0 zero, 1 one, 2 infinity) of new dart 6e + r, that of
+# the vertex it lies on: old vertex, edge midpoint or face center
+_LABEL_CODE_OF_REMAINDER = (2, 1, 1, 0, 2, 0)
 
 
 def barycentric_subdivide(t) -> TricoloredDessin:
@@ -181,7 +183,7 @@ def barycentric_subdivide(t) -> TricoloredDessin:
     _require_instance("t", t, (TricoloredDessin, Dessin))
     base = t.base if isinstance(t, TricoloredDessin) else t
     _require_face_size(base, 3)
-    out = substitute(base, 6, _BARYCENTRIC_RHO1, _BARYCENTRIC_RHO2,
-                     _BARYCENTRIC_VERTICES)
-    remainder = out.cell_arrays(CellKind.VERTEX).smallest % 6
-    return tricolored_from_labels(out, _LABEL_CODE_OF_REMAINDER[remainder])
+    return _tricolored_substitution(
+        base, _BARYCENTRIC_RHO1, _BARYCENTRIC_RHO2, _BARYCENTRIC_VERTICES,
+        _LABEL_CODE_OF_REMAINDER,
+        np.tile(np.array(_LABEL_CODE_OF_REMAINDER, np.int8), base.n_darts))

@@ -355,8 +355,13 @@ def image_triangle(spec: CsMapSpec) -> tuple[complex, complex, complex]:
     a, b = spec.a, spec.b
     if not a + b < 1.0:
         raise ValueError("image is a triangle only for a + b < 1")
+    # the third exponent of B(a, 1 - a - b), which no caller passed
+    c = 1.0 - a - b
+    if c < MIN_EXPONENT:
+        raise ValueError(f"1 - a - b = {c!r} lies below MIN_EXPONENT "
+                         f"{MIN_EXPONENT}")
     v_inf = spec.prefactor * cmath.exp(-1j * math.pi * a) \
-        * complete_beta(a, 1.0 - a - b) / complete_beta(a, b)
+        * complete_beta(a, c) / complete_beta(a, b)
     return 0j, complex(spec.prefactor), v_inf
 
 

@@ -28,8 +28,8 @@ with the document and returned by ``to_dessin()``; ``rho0`` and
 document takes exactly the metric blocks that ``MetricData`` takes:
 lengths positive and finite, angles in (0, 2*pi), no NaN.  The
 coloring block is int8 codes (the codes of :mod:`dessins.tiling`).
-:func:`from_dessin` and :func:`from_tricolored` share the arrays of the
-objects they are given.
+:func:`from_dessin` and :func:`from_tricolored` hold the objects they
+are given and share their arrays, checking only that a metric fits.
 
 Image and enum lines have one writer, :func:`_joined`: each token is a
 row of a uint8 table padded to the longest token plus a space, and the
@@ -212,13 +212,14 @@ def _enum_text(enum_cls, codes: np.ndarray) -> bytes:
 
 def _from_parts(d: Dessin, m: MetricData | None,
                 colors=(None, None, None)) -> DessinDocument:
-    """The document holding ``d`` and ``m`` themselves: neither is
-    checked again, and what each has computed stays with it."""
+    """The document holding ``d``, ``m`` and the code arrays ``colors``
+    themselves: none is checked or copied again, and what each has
+    computed stays with it.  Only the fit of ``m`` to ``d`` is checked."""
     if m is not None and metric_violations(d, m):
         raise ValueError("metric does not fit the dessin")
-    doc = DessinDocument(d.n_darts, d._r0, d._r1, None, None, *colors)
-    object.__setattr__(doc, "_dessin", d)
-    object.__setattr__(doc, "_metric", m)
+    doc = object.__new__(DessinDocument)
+    doc.__dict__.update(zip(["_" + key for key in _COLOR_KEYS], colors),
+                        _dessin=d, n_darts=d.n_darts, _metric=m)
     return doc
 
 

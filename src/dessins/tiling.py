@@ -13,18 +13,22 @@ A :class:`TricoloredDessin` stores one int8 code per cell, the position
 of its member in the enum (zero 0, one 1, infinity 2; black 0, white 1;
 blue 0, green 1, red 2).  The operators here and in :mod:`dessins.belyi`
 read and write codes; the enum tuples are views built on first use.
+:func:`tricolored_from_labels` checks the labels it is given, while the
+subdivisions certify theirs once per table (:func:`_tricolor_certified`)
+and build no edge or face cells for colors and shades.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .cartography import (CellKind, Dessin, Violation, _components, _frozen,
-                          _read_only, _require_face_size, _require_instance,
+from .cartography import (_INVERSE_SOURCE, CellKind, Dessin, Violation,
+                          _components, _darts, _frozen, _read_only,
+                          _require_face_size, _require_instance,
                           _require_length, substitute, tuple_view)
 
 
@@ -56,7 +60,7 @@ _TEXT = {cls: tuple(m.value for m in members)
          for cls, members in _MEMBERS.items()}
 # the label codes at the ends of an edge sum to 1 (zero-one), 2 (zero-
 # infinity) or 3 (one-infinity): the index of its blue, red or green code
-_COLOR_OF_CODE_SUM = np.array([-1, 0, 2, 1])
+_COLOR_OF_CODE_SUM = np.array([-1, 0, 2, 1], np.int8)
 
 
 def _code_array(enum_cls, values) -> np.ndarray:
@@ -134,9 +138,11 @@ class TricoloredDessin:
 
     def __init__(self, base, edge_color, face_shade, vertex_label):
         _require_instance("base", base, Dessin)
-        # the cell counts first: an invalid base raises before a bad code
-        counts = [len(base.cell_arrays(kind).smallest)
-                  for kind in (CellKind.EDGE, CellKind.FACE, CellKind.VERTEX)]
+        # the cell counts first: an invalid base raises before a bad code;
+        # rho1 pairs the darts of a valid dessin into its edges
+        counts = [base.n_darts // 2] + [
+            len(base.cell_arrays(kind).smallest)
+            for kind in (CellKind.FACE, CellKind.VERTEX)]
         codes = {"edge_color": _code_array(Color, edge_color),
                  "face_shade": _code_array(Shade, face_shade),
                  "vertex_label": _code_array(VertexLabel, vertex_label)}
@@ -239,11 +245,10 @@ def _edge_ends(d: Dessin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, vert_id[x], vert_id[d._r1[x]]
 
 
-def _first_same_end_edge(d: Dessin, ends, codes: np.ndarray):
+def _first_same_end_edge(d: Dessin, codes: np.ndarray):
     """The first edge whose ends carry equal per-vertex ``codes``, as its
-    orbit (x, rho1(x)) from its smallest dart, with its vertex ids;
-    ``ends`` is :func:`_edge_ends` of ``d``."""
-    x, u, v = ends
+    orbit (x, rho1(x)) from its smallest dart, with its vertex ids."""
+    x, u, v = _edge_ends(d)
     same = np.flatnonzero(codes[u] == codes[v])
     if not len(same):
         return None
@@ -266,18 +271,78 @@ def diagonal_subdivision(d: Dessin, labels) -> TricoloredDessin:
     _require_length("labels", codes, len(verts.smallest))
     if (codes == 2).any():
         raise InconsistentLabelsError("corner labels must be zero or one")
-    clash = _first_same_end_edge(d, _edge_ends(d), codes)
+    clash = _first_same_end_edge(d, codes)
     if clash is not None:
         edge, u, v = clash
         raise InconsistentLabelsError(
             f"corners {u} and {v} of edge {edge} share label "
             f"{_TEXT[VertexLabel][codes[u]]}")
-    out = substitute(d, 3, _DIAGONAL_RHO1, _DIAGONAL_RHO2, _DIAGONAL_VERTICES)
-    # each new vertex read at its smallest dart 3e + r: the origin of e
-    # (r = 0), the endpoint of e (r = 1) or a face center (r = 2, code 2)
-    e, r = np.divmod(out.cell_arrays(CellKind.VERTEX).smallest, 3)
-    corner = codes[verts.id[np.where(r == 0, e, d._r2[e])]]
-    return tricolored_from_labels(out, np.where(r == 2, 2, corner))
+    # new dart 3e + r has the corner label at the origin of e (r = 0) or
+    # at its end (r = 1), or infinity at the face center (r = 2)
+    corner = codes[verts.id]
+    return _tricolored_substitution(
+        d, _DIAGONAL_RHO1, _DIAGONAL_RHO2, _DIAGONAL_VERTICES, (None, None, 2),
+        np.stack([corner, corner[d._r2], np.full_like(corner, 2)], 1).ravel())
+
+
+@lru_cache
+def _tricolor_certified(rho1_table: tuple, rho2_table: tuple,
+                        labels: tuple) -> bool:
+    """Whether :func:`substitute` by these tables makes every valid dessin
+    a triangulation that passes :func:`tricolored_from_labels` with new
+    dart k*e + i labeled ``labels[i]`` (None: a corner, zero or one,
+    whose clashes the caller checks), decided from the tables alone:
+    each rho1 entry (src, j) at i joins labels i and j, which differ,
+    and each residue lies on a 3-cycle of the rho2 table whose sources
+    cancel and whose labels differ and include infinity."""
+    def differ(x: int, y: int) -> bool:
+        a, b = labels[x], labels[y]
+        return a is b is None or a != b and (2 in (a, b) or None not in (a, b))
+
+    for i, (_, j) in enumerate(rho1_table):
+        face, srcs = [i], []
+        for _ in range(3):
+            src, y = rho2_table[face[-1]]
+            face.append(y)
+            srcs += [src] if src != "e" else []
+        if (not differ(i, j) or face[3] != i or len(set(face)) != 3
+                or srcs and srcs != [_INVERSE_SOURCE[srcs[-1]], srcs[-1]]
+                or 2 not in map(labels.__getitem__, face)
+                or not all(map(differ, face, face[1:]))):
+            return False
+    return True
+
+
+def _tricolored_substitution(d: Dessin, rho1_table, rho2_table, vertices,
+                             labels, dart_label) -> TricoloredDessin:
+    """:func:`substitute`, tricolored by each new dart's label code in
+    ``dart_label``: checked by :func:`tricolored_from_labels` unless the
+    tables and ``labels`` pass :func:`_tricolor_certified`."""
+    out = substitute(d, len(labels), rho1_table, rho2_table, vertices)
+    vertex_label = _frozen(
+        dart_label[out.cell_arrays(CellKind.VERTEX).smallest])
+    if _tricolor_certified(rho1_table, rho2_table, labels):
+        return _tricoloring(out, dart_label, vertex_label)
+    return tricolored_from_labels(out, vertex_label)
+
+
+def _tricoloring(base: Dessin, dart_label, vertex_label) -> TricoloredDessin:
+    """The triangulation ``base`` tricolored by the checked label code of
+    each dart, holding ``vertex_label`` as given: each color is read at
+    its edge's smallest dart x (x < rho1 x), and each shade at its
+    triangle's (x < rho2 x and x < rho2^2 x), so no cells are built."""
+    darts, r1, r2 = _darts(base.n_darts), base._r1, base._r2
+    x = np.flatnonzero(r1 > darts)
+    colors = _COLOR_OF_CODE_SUM[dart_label[x] + dart_label[r1[x]]]
+    x = np.flatnonzero((r2 > darts) & (r2[r2] > darts))
+    # three distinct labels read zero -> one -> infinity exactly when
+    # the second follows the first in the cycle; white is shade code 1
+    shades = (dart_label[r2[x]] - dart_label[x]) % 3 == 1
+    t = object.__new__(TricoloredDessin)
+    t.__dict__.update(base=base, _edge_color=_frozen(colors),
+                      _face_shade=_frozen(shades.astype(np.int8)),
+                      _vertex_label=vertex_label)
+    return t
 
 
 def tricolored_from_labels(base: Dessin, vertex_label) -> TricoloredDessin:
@@ -295,25 +360,14 @@ def tricolored_from_labels(base: Dessin, vertex_label) -> TricoloredDessin:
     verts = base.cell_arrays(CellKind.VERTEX)
     codes = _code_array(VertexLabel, vertex_label)
     _require_length("vertex_label", codes, len(verts.smallest))
-    ends = _edge_ends(base)
-    clash = _first_same_end_edge(base, ends, codes)
+    clash = _first_same_end_edge(base, codes)
     if clash is not None:
         edge, u, _ = clash
         raise InconsistentLabelsError(
             f"edge {edge} joins two vertices labeled "
             f"{_TEXT[VertexLabel][codes[u]]}")
-    _, u, v = ends
-    colors = _COLOR_OF_CODE_SUM[codes[u] + codes[v]]
     _require_face_size(base, 3)
-    dart_code = codes[verts.id]
-    # vertex(rho2 y) = vertex(rho1 y): corner pairs are edge ends, unequal
-    x = base.cell_arrays(CellKind.FACE).smallest
-    a = dart_code[x]
-    b = dart_code[base._r2[x]]
-    # three distinct labels read zero -> one -> infinity exactly when
-    # the second follows the first in the cycle; white is shade code 1
-    shades = (b - a) % 3 == 1
-    return TricoloredDessin(base, colors, shades.view(np.int8), codes)
+    return _tricoloring(base, codes[verts.id], codes)
 
 
 def validate_tricoloring(t: TricoloredDessin) -> list[Violation]:

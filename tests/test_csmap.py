@@ -339,6 +339,17 @@ class TestImageTriangle:
         with pytest.raises(ValueError, match="triangle"):
             image_triangle(flat)
 
+    def test_third_exponent_below_min(self):
+        # a and b are in range, but B(a, 1 - a - b) would take 1.1e-16:
+        # the error names that exponent, not the spec's b
+        spec = CsMapSpec(0.5, 0.4999999999999999, 1.0)
+        message = ("1 - a - b = 1.1102230246251565e-16 lies below "
+                   "MIN_EXPONENT 1e-15")
+        for fn in (image_triangle, lambda s: invert_cs_map(s, 0.1j)):
+            with pytest.raises(ValueError) as exc:
+                fn(spec)
+            assert str(exc.value) == message
+
     def test_square_cell_triangle(self):
         p0, p1, p2 = image_triangle(SQUARE_CELL)
         assert p0 == 0j

@@ -379,9 +379,10 @@ class TestMetricBlockIsMetricData:
     @pytest.mark.parametrize("tricolored", [False, True])
     def test_from_parts_hold_what_they_are_given(self, monkeypatch,
                                                  tricolored):
-        """from_dessin and from_tricolored keep the MetricData and the
-        Dessin they are given: no second range pass over the metric,
-        and the fit memo on it stays valid for the document's dessin."""
+        """from_dessin and from_tricolored keep the MetricData, the
+        Dessin and the code arrays they are given: no second range pass
+        over the metric or the codes, no second Dessin, and the fit memo
+        on the metric stays valid for the document's dessin."""
         t = catalog.octahedron_tricolored() if tricolored else None
         d = t.base if tricolored else catalog.square_torus_grid(2, 2)
         m = equilateral_structure(d) if tricolored else square_structure(d)
@@ -391,11 +392,18 @@ class TestMetricBlockIsMetricData:
             monkeypatch.setattr(module, "metric_array",
                                 lambda *args: passes.append(args[0])
                                 or real(*args))
+        for name in ("Dessin", "_code_array"):
+            monkeypatch.setattr(document_module, name,
+                                lambda *args, name=name: passes.append(name))
         d_doc = from_tricolored(t, m) if tricolored else from_dessin(d, m)
         assert d_doc.to_metric() is m
         assert d_doc.to_dessin() is d
         assert passes == []
         assert d_doc.angles == m.angles
+        if tricolored:
+            assert d_doc._edge_colors is t._edge_color
+            assert d_doc._face_shades is t._face_shade
+            assert d_doc._vertex_labels is t._vertex_label
 
 
 class TestBlockPairing:

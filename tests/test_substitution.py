@@ -15,16 +15,17 @@ from hypothesis import strategies as st
 
 from dessins import belyi, cartography, tiling
 from dessins import permutations as perms
-from dessins.belyi import barycentric_subdivide
+from dessins.belyi import barycentric_subdivide, passport
 from dessins.cartography import (CellKind, Dessin, _certified, from_rho1_rho2,
                                  substitute)
 from dessins.catalog import (octahedron, random_dessin, random_origami,
                              square_torus_grid)
+from dessins.document import from_tricolored
 from dessins.metric import FaceDegreeMismatch
 from dessins.tiling import (InconsistentLabelsError, NonBipartiteError,
                             VertexLabel, corner_bipartition,
                             diagonal_subdivision, refine_2x2,
-                            tricolored_from_labels)
+                            tricolored_from_labels, validate_tricoloring)
 
 import oracles
 
@@ -199,7 +200,8 @@ class TestSubstitute:
 
     def test_operators_neither_validate_nor_walk(self, monkeypatch):
         # their outputs are valid and labelled by construction: neither
-        # the bijection check nor the transitivity kernel runs
+        # the bijection check nor the transitivity kernel runs, nor the
+        # edge-label and triangle checks of tricolored_from_labels
         grid = square_torus_grid(4, 6)
         labels = corner_bipartition(grid)
         origami = random_origami(9, random.Random(2))
@@ -210,9 +212,27 @@ class TestSubstitute:
 
         monkeypatch.setattr(cartography, "_components", boom)
         monkeypatch.setattr(cartography, "_inverse_or_none", boom)
+        # the operators check their own inputs, and only those
+        inputs = [grid]
+        for name in ("_first_same_end_edge", "_require_face_size"):
+            def on_inputs_only(d, *args, check=getattr(tiling, name)):
+                if not any(d is x for x in inputs):
+                    boom()
+                return check(d, *args)
+            monkeypatch.setattr(tiling, name, on_inputs_only)
+
+        def assert_no_edge_or_face_cells(t):
+            passport(t)
+            from_tricolored(t).serialize()
+            assert CellKind.EDGE not in t.base._cell_arrays
+            assert CellKind.FACE not in t.base._cell_arrays
+
         refined = refine_2x2(origami)
         t = diagonal_subdivision(grid, labels)
+        assert_no_edge_or_face_cells(t)
+        inputs.append(t.base)
         b = barycentric_subdivide(t)
+        assert_no_edge_or_face_cells(b)
         for out in (refined, t.base, b.base):
             assert out.violations() == []
             for kind in CellKind:
@@ -449,17 +469,96 @@ def assert_lifted_cells(d):
             assert np.array_equal(got, want), kind
 
 
+def assert_tricoloring_as_checked(t):
+    """``t`` holds read-only int8 codes equal to those that
+    tricolored_from_labels derives, with its checks, from the same base
+    and labels, and validate_tricoloring finds nothing."""
+    checked = tricolored_from_labels(t.base, t._vertex_label)
+    for name in ("_edge_color", "_face_shade", "_vertex_label"):
+        got = getattr(t, name)
+        assert got.dtype == np.int8 and not got.flags.writeable, name
+        assert np.array_equal(got, getattr(checked, name)), name
+    assert validate_tricoloring(t) == []
+
+
 class TestLiftedCells:
     @PROPERTY
     @given(square_tilings(max_squares=40))
     def test_operator_outputs_match_a_fresh_dessin(self, d):
-        # the vertex column of each table is not checked at run time:
-        # its lift must number the cells as the generic kernel does
+        # the vertex column and the labels of each table are not checked
+        # at run time: the lift must number the cells as the generic
+        # kernel does, and the colors and shades read off the arrays
+        # must be those the checked path derives
         assert_lifted_cells(refine_2x2(d))
         d, labels = bipartite(d)
         t = diagonal_subdivision(d, labels)
-        assert_lifted_cells(t.base)
-        assert_lifted_cells(barycentric_subdivide(t).base)
+        b = barycentric_subdivide(t)
+        for out in (t, b):
+            assert_tricoloring_as_checked(out)
+            assert_lifted_cells(out.base)
+
+
+def outcome(fn, *args):
+    """``fn(*args)`` as the oracles return a tricolored dessin, or the
+    type and message of the ValueError it raises."""
+    try:
+        return "ok", flat(fn(*args))
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestTricolorCertificate:
+    def test_operator_tables_pass(self):
+        assert tiling._tricolor_certified(
+            tiling._DIAGONAL_RHO1, tiling._DIAGONAL_RHO2,
+            (None, None, 2))
+        assert tiling._tricolor_certified(
+            belyi._BARYCENTRIC_RHO1, belyi._BARYCENTRIC_RHO2,
+            belyi._LABEL_CODE_OF_REMAINDER)
+
+    # tables that substitute certifies, with residue labels that break
+    # one condition of the tricoloring certificate each: a constant
+    # code, or the corner label at the origin or the end of e
+    BROKEN = {
+        "rho1-joins-one-label": (belyi._BARYCENTRIC_RHO1,
+                                 belyi._BARYCENTRIC_RHO2, (2, 2, 1, 0, 2, 0)),
+        "corner-next-to-zero": (tiling._DIAGONAL_RHO1, tiling._DIAGONAL_RHO2,
+                                ("origin", "end", 0)),
+        "face-without-infinity": (tiling._DIAGONAL_RHO1,
+                                  tiling._DIAGONAL_RHO2,
+                                  ("origin", "end", "origin")),
+        "face-not-a-triangle": (tiling._REFINE_RHO1, tiling._REFINE_RHO2,
+                                (2, 1, 1, 0)),
+        "face-sources-not-identity": (
+            tiling._DIAGONAL_RHO1, (("rho2", 1), ("e", 2), ("e", 0)),
+            ("origin", "end", 2)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BROKEN))
+    def test_broken_labels_take_the_checked_path(self, case, monkeypatch):
+        rho1_table, rho2_table, columns = self.BROKEN[case]
+        labels = tuple(None if isinstance(c, str) else c for c in columns)
+        assert _certified(len(labels), rho1_table, rho2_table)
+        assert not tiling._tricolor_certified(rho1_table, rho2_table, labels)
+        checked = tiling.tricolored_from_labels
+        calls = []
+        monkeypatch.setattr(tiling, "tricolored_from_labels",
+                            lambda *args: calls.append(args) or checked(*args))
+        for d in (square_torus_grid(2, 4),
+                  bipartite(random_origami(5, random.Random(6)))[0]):
+            corner = np.array([c is VertexLabel.ONE
+                               for c in corner_bipartition(d)], np.int8)
+            codes = corner[d.cell_arrays(CellKind.VERTEX).id]
+            reads = {"origin": codes, "end": codes[d._r2]}
+            dart_label = np.stack(
+                [reads[c] if isinstance(c, str)
+                 else np.full(d.n_darts, c, np.int8) for c in columns],
+                axis=1).ravel()
+            got = outcome(tiling._tricolored_substitution, d, rho1_table,
+                          rho2_table, None, labels, dart_label)
+            _, vertex_label = calls.pop()
+            out = substitute(d, len(labels), rho1_table, rho2_table)
+            assert got == outcome(checked, out, vertex_label)
 
 
 class TestLargeGrid:
@@ -472,8 +571,10 @@ class TestLargeGrid:
         assert_lifted_cells(refined)
         d, labels = bipartite(d)
         t = diagonal_subdivision(d, labels)
-        assert_lifted_cells(t.base)
-        assert_lifted_cells(barycentric_subdivide(t).base)
+        b = barycentric_subdivide(t)
+        for out in (t, b):
+            assert_tricoloring_as_checked(out)
+            assert_lifted_cells(out.base)
 
     def test_64x64_pipeline_counts(self):
         d = square_torus_grid(64, 64)
