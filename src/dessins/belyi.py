@@ -10,9 +10,8 @@ corresponds on the sphere to composition with the fixed degree-6 map
     beta = (4/27) (x^2 - x + 1)^3 / (x^2 (1 - x)^2)
 
 which sends vertices of the triangulation to infinity, edge midpoints
-to 1 and triangle centers to 0: :func:`barycentric_subdivide` labels each
-new dart by its residue, certified once per table, not checked per dart
-(see :mod:`dessins.tiling`).
+to 1 and triangle centers to 0, the labels that
+:func:`barycentric_subdivide` gives unchecked (see :mod:`dessins.tiling`).
 """
 
 from __future__ import annotations
@@ -163,9 +162,9 @@ _BARYCENTRIC_RHO2 = (("e", 2), ("rho2", 4), ("e", 5), ("e", 1),
 # vertex lifts (see cartography._lifted_cells)
 _BARYCENTRIC_VERTICES = (("vertex", "e"), ("edge", "e"), ("edge", "e"),
                          ("face", "e"), ("vertex", "e"), ("face", "e"))
-# label code (0 zero, 1 one, 2 infinity) of new dart 6e + r, that of
-# the vertex it lies on: old vertex, edge midpoint or face center
-_LABEL_CODE_OF_REMAINDER = (2, 1, 1, 0, 2, 0)
+# the label code (0 zero, 1 one, 2 infinity) of the new vertex that
+# lifts an old vertex, edge midpoint or face center: the composed cover
+_BARYCENTRIC_LABELS = {"vertex": 2, "edge": 1, "face": 0}
 
 
 def barycentric_subdivide(t) -> TricoloredDessin:
@@ -185,5 +184,4 @@ def barycentric_subdivide(t) -> TricoloredDessin:
     _require_face_size(base, 3)
     return _tricolored_substitution(
         base, _BARYCENTRIC_RHO1, _BARYCENTRIC_RHO2, _BARYCENTRIC_VERTICES,
-        _LABEL_CODE_OF_REMAINDER,
-        np.tile(np.array(_LABEL_CODE_OF_REMAINDER, np.int8), base.n_darts))
+        _BARYCENTRIC_LABELS)

@@ -712,6 +712,13 @@ def _lifted_cells(d: Dessin, k: int, column, sources) -> Cells:
     return _cells_of(minima)
 
 
+def _sources(d: Dessin) -> dict[str, np.ndarray]:
+    """The substitution sources of ``d`` as index arrays, by name."""
+    # rho2^{-1} = rho1 o rho0
+    return {"e": _darts(d.n_darts), "rho1": d._r1, "rho2": d._r2,
+            "rho2_inv": d._r1[d._r0]}
+
+
 def substitute(d: Dessin, k: int, rho1_table, rho2_table,
                vertices=None) -> Dessin:
     """Replace every dart e of ``d`` by the k darts k*e .. k*e + k - 1.
@@ -737,9 +744,7 @@ def substitute(d: Dessin, k: int, rho1_table, rho2_table,
     """
     _require_instance("d", d, Dessin)
     n = d.n_darts
-    # rho2^{-1} = rho1 o rho0
-    sources = {"e": _darts(n), "rho1": d._r1, "rho2": d._r2,
-               "rho2_inv": d._r1[d._r0]}
+    sources = _sources(d)
     scaled = {src: k * p for src, p in sources.items()}
 
     def expand(name, table) -> tuple[np.ndarray, tuple]:

@@ -355,7 +355,6 @@ def image_triangle(spec: CsMapSpec) -> tuple[complex, complex, complex]:
     a, b = spec.a, spec.b
     if not a + b < 1.0:
         raise ValueError("image is a triangle only for a + b < 1")
-    # the third exponent of B(a, 1 - a - b), which no caller passed
     c = 1.0 - a - b
     if c < MIN_EXPONENT:
         raise ValueError(f"1 - a - b = {c!r} lies below MIN_EXPONENT "

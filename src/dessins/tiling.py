@@ -13,23 +13,24 @@ A :class:`TricoloredDessin` stores one int8 code per cell, the position
 of its member in the enum (zero 0, one 1, infinity 2; black 0, white 1;
 blue 0, green 1, red 2).  The operators here and in :mod:`dessins.belyi`
 read and write codes; the enum tuples are views built on first use.
-:func:`tricolored_from_labels` checks the labels it is given, while the
-subdivisions certify theirs once per table (:func:`_tricolor_certified`)
-and build no edge or face cells for colors and shades.
+:func:`tricolored_from_labels` checks the labels it is given.  The
+subdivisions do not: each new vertex takes the label of the cell it
+lifts, so colors and shades are read off per-dart labels with no edge
+or face cells, and tests compare them with the checked path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .cartography import (_INVERSE_SOURCE, CellKind, Dessin, Violation,
-                          _components, _darts, _frozen, _read_only,
-                          _require_face_size, _require_instance,
-                          _require_length, substitute, tuple_view)
+from .cartography import (CellKind, Dessin, Violation, _components, _darts,
+                          _frozen, _read_only, _require_face_size,
+                          _require_instance, _require_length, _sources,
+                          substitute, tuple_view)
 
 
 class Color(str, Enum):
@@ -277,60 +278,34 @@ def diagonal_subdivision(d: Dessin, labels) -> TricoloredDessin:
         raise InconsistentLabelsError(
             f"corners {u} and {v} of edge {edge} share label "
             f"{_TEXT[VertexLabel][codes[u]]}")
-    # new dart 3e + r has the corner label at the origin of e (r = 0) or
-    # at its end (r = 1), or infinity at the face center (r = 2)
-    corner = codes[verts.id]
+    # the corners keep their labels, and each face center is infinity
     return _tricolored_substitution(
-        d, _DIAGONAL_RHO1, _DIAGONAL_RHO2, _DIAGONAL_VERTICES, (None, None, 2),
-        np.stack([corner, corner[d._r2], np.full_like(corner, 2)], 1).ravel())
-
-
-@lru_cache
-def _tricolor_certified(rho1_table: tuple, rho2_table: tuple,
-                        labels: tuple) -> bool:
-    """Whether :func:`substitute` by these tables makes every valid dessin
-    a triangulation that passes :func:`tricolored_from_labels` with new
-    dart k*e + i labeled ``labels[i]`` (None: a corner, zero or one,
-    whose clashes the caller checks), decided from the tables alone:
-    each rho1 entry (src, j) at i joins labels i and j, which differ,
-    and each residue lies on a 3-cycle of the rho2 table whose sources
-    cancel and whose labels differ and include infinity."""
-    def differ(x: int, y: int) -> bool:
-        a, b = labels[x], labels[y]
-        return a is b is None or a != b and (2 in (a, b) or None not in (a, b))
-
-    for i, (_, j) in enumerate(rho1_table):
-        face, srcs = [i], []
-        for _ in range(3):
-            src, y = rho2_table[face[-1]]
-            face.append(y)
-            srcs += [src] if src != "e" else []
-        if (not differ(i, j) or face[3] != i or len(set(face)) != 3
-                or srcs and srcs != [_INVERSE_SOURCE[srcs[-1]], srcs[-1]]
-                or 2 not in map(labels.__getitem__, face)
-                or not all(map(differ, face, face[1:]))):
-            return False
-    return True
+        d, _DIAGONAL_RHO1, _DIAGONAL_RHO2, _DIAGONAL_VERTICES,
+        {"vertex": codes, "face": 2})
 
 
 def _tricolored_substitution(d: Dessin, rho1_table, rho2_table, vertices,
-                             labels, dart_label) -> TricoloredDessin:
-    """:func:`substitute`, tricolored by each new dart's label code in
-    ``dart_label``: checked by :func:`tricolored_from_labels` unless the
-    tables and ``labels`` pass :func:`_tricolor_certified`."""
-    out = substitute(d, len(labels), rho1_table, rho2_table, vertices)
-    vertex_label = _frozen(
-        dart_label[out.cell_arrays(CellKind.VERTEX).smallest])
-    if _tricolor_certified(rho1_table, rho2_table, labels):
-        return _tricoloring(out, dart_label, vertex_label)
-    return tricolored_from_labels(out, vertex_label)
+                             label_of) -> TricoloredDessin:
+    """:func:`substitute` by these tables, tricolored unchecked: the new
+    vertex lifting a cell of ``d`` (``vertices``) takes the label code
+    ``label_of`` gives that cell's kind, one code or one per cell."""
+    k = len(vertices)
+    out = substitute(d, k, rho1_table, rho2_table, vertices)
+    dart_label = np.empty(d.n_darts * k, np.int8)
+    for i, (kind, src) in enumerate(vertices):
+        code = label_of[kind]
+        if not isinstance(code, int):
+            code = code[d.cell_arrays(kind).id[_sources(d)[src]]]
+        dart_label[i::k] = code
+    return _tricoloring(out, dart_label, _frozen(
+        dart_label[out.cell_arrays(CellKind.VERTEX).smallest]))
 
 
 def _tricoloring(base: Dessin, dart_label, vertex_label) -> TricoloredDessin:
-    """The triangulation ``base`` tricolored by the checked label code of
-    each dart, holding ``vertex_label`` as given: each color is read at
-    its edge's smallest dart x (x < rho1 x), and each shade at its
-    triangle's (x < rho2 x and x < rho2^2 x), so no cells are built."""
+    """The triangulation ``base`` tricolored by ``dart_label``, one code
+    per vertex and two at each edge, with ``vertex_label`` as given: each
+    color is read at its edge's smallest dart x (x < rho1 x) and each
+    shade at its triangle's (x < rho2 x, rho2^2 x): no cells are built."""
     darts, r1, r2 = _darts(base.n_darts), base._r1, base._r2
     x = np.flatnonzero(r1 > darts)
     colors = _COLOR_OF_CODE_SUM[dart_label[x] + dart_label[r1[x]]]

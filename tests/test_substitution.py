@@ -498,69 +498,6 @@ class TestLiftedCells:
             assert_lifted_cells(out.base)
 
 
-def outcome(fn, *args):
-    """``fn(*args)`` as the oracles return a tricolored dessin, or the
-    type and message of the ValueError it raises."""
-    try:
-        return "ok", flat(fn(*args))
-    except ValueError as exc:
-        return type(exc).__name__, str(exc)
-
-
-class TestTricolorCertificate:
-    def test_operator_tables_pass(self):
-        assert tiling._tricolor_certified(
-            tiling._DIAGONAL_RHO1, tiling._DIAGONAL_RHO2,
-            (None, None, 2))
-        assert tiling._tricolor_certified(
-            belyi._BARYCENTRIC_RHO1, belyi._BARYCENTRIC_RHO2,
-            belyi._LABEL_CODE_OF_REMAINDER)
-
-    # tables that substitute certifies, with residue labels that break
-    # one condition of the tricoloring certificate each: a constant
-    # code, or the corner label at the origin or the end of e
-    BROKEN = {
-        "rho1-joins-one-label": (belyi._BARYCENTRIC_RHO1,
-                                 belyi._BARYCENTRIC_RHO2, (2, 2, 1, 0, 2, 0)),
-        "corner-next-to-zero": (tiling._DIAGONAL_RHO1, tiling._DIAGONAL_RHO2,
-                                ("origin", "end", 0)),
-        "face-without-infinity": (tiling._DIAGONAL_RHO1,
-                                  tiling._DIAGONAL_RHO2,
-                                  ("origin", "end", "origin")),
-        "face-not-a-triangle": (tiling._REFINE_RHO1, tiling._REFINE_RHO2,
-                                (2, 1, 1, 0)),
-        "face-sources-not-identity": (
-            tiling._DIAGONAL_RHO1, (("rho2", 1), ("e", 2), ("e", 0)),
-            ("origin", "end", 2)),
-    }
-
-    @pytest.mark.parametrize("case", sorted(BROKEN))
-    def test_broken_labels_take_the_checked_path(self, case, monkeypatch):
-        rho1_table, rho2_table, columns = self.BROKEN[case]
-        labels = tuple(None if isinstance(c, str) else c for c in columns)
-        assert _certified(len(labels), rho1_table, rho2_table)
-        assert not tiling._tricolor_certified(rho1_table, rho2_table, labels)
-        checked = tiling.tricolored_from_labels
-        calls = []
-        monkeypatch.setattr(tiling, "tricolored_from_labels",
-                            lambda *args: calls.append(args) or checked(*args))
-        for d in (square_torus_grid(2, 4),
-                  bipartite(random_origami(5, random.Random(6)))[0]):
-            corner = np.array([c is VertexLabel.ONE
-                               for c in corner_bipartition(d)], np.int8)
-            codes = corner[d.cell_arrays(CellKind.VERTEX).id]
-            reads = {"origin": codes, "end": codes[d._r2]}
-            dart_label = np.stack(
-                [reads[c] if isinstance(c, str)
-                 else np.full(d.n_darts, c, np.int8) for c in columns],
-                axis=1).ravel()
-            got = outcome(tiling._tricolored_substitution, d, rho1_table,
-                          rho2_table, None, labels, dart_label)
-            _, vertex_label = calls.pop()
-            out = substitute(d, len(labels), rho1_table, rho2_table)
-            assert got == outcome(checked, out, vertex_label)
-
-
 class TestLargeGrid:
     @pytest.mark.parametrize("d", [
         square_torus_grid(16, 32),
