@@ -16,6 +16,7 @@ arrays; validation, cells and the dart-substitution operators
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache, partial
@@ -392,14 +393,17 @@ class Dessin:
             lab = _components(len(verts.smallest), verts.id, verts.id[r1])
             stray = verts.smallest[np.flatnonzero(lab)]
         else:
-            # images only: reachability from dart 0 along rho0 and rho1
-            reached = np.zeros(n, dtype=bool)
-            new = darts[:1]
-            while len(new):
-                reached[new] = True
-                new = np.concatenate([self._r0[new], r1[new]])
-                new = np.unique(new[~reached[new]])
-            stray = np.flatnonzero(~reached)
+            # images only: one stack search from dart 0 along rho0, rho1
+            images = self._r0.tolist(), r1.tolist()
+            reached, stack = bytearray(n), [0]
+            reached[0] = True
+            while stack:
+                x = stack.pop()
+                for p in images:
+                    if not reached[p[x]]:
+                        reached[p[x]] = True
+                        stack.append(p[x])
+            stray = np.flatnonzero(~np.frombuffer(reached, np.bool_))
         if len(stray):
             dart = int(stray[0])
             out.append(Violation(
@@ -501,49 +505,22 @@ class Dessin:
         self.require_valid()
         n = self.n_darts
         rho0, rho1 = self.rho0, self.rho1
-        label = [-1] * n
         # union-find over darts: its classes are the orbits of the group
-        # generated by the automorphisms found so far
+        # generated by the automorphisms found so far, and each root is
+        # the smallest dart of its class
         parent = list(range(n))
         size = [1] * n
-        evaluated = [False] * n  # per root: the class holds a tried start
 
-        def find(x: int) -> int:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        best_r0: list[int] = []
-        best_r1: list[int] = []
-        best_order: list[int] = []
-        improvements = 0
-        kept = None  # after the prefix pass: the starts that can be minimal
-        for s in range(n):
-            if (kept is not None and s not in kept) or evaluated[find(s)]:
-                continue
-            # breadth-first relabeling from s; r0[i] is final as soon as
-            # dart order[i] is dequeued, so compare it on the fly
-            label[s] = 0
-            order = [s]
-            r0 = []
-            r1 = []
-            tied = bool(best_order)
-            larger = False
-            for i in range(n):
+        def extend(label, order, r0, r1, stop: int) -> None:
+            # breadth-first relabeling: r0[i] and r1[i] are final as soon
+            # as dart order[i] is dequeued
+            for i in range(len(r0), stop):
                 x = order[i]
                 y = rho0[x]
                 ly = label[y]
                 if ly < 0:
                     ly = label[y] = len(order)
                     order.append(y)
-                if tied and ly != best_r0[i]:
-                    if ly > best_r0[i]:
-                        larger = True
-                        break
-                    tied = False
                 r0.append(ly)
                 y = rho1[x]
                 ly = label[y]
@@ -551,29 +528,74 @@ class Dessin:
                     ly = label[y] = len(order)
                     order.append(y)
                 r1.append(ly)
-            for x in order:
-                label[x] = -1
-            evaluated[find(s)] = True
-            if larger:
+
+        # the best run so far, kept as it stood when it won: its labels,
+        # its order and its first len(b_r0) images; the first start's
+        # win over the sentinel n is not an improvement
+        b_r0, b_r1 = [n], []
+        label = [-1] * n
+        improvements = -1
+        starts = deque(range(n))
+        while starts:
+            s = starts.popleft()
+            # the darts of a class give one code, and the smallest dart
+            # of the class of s, its root, was tried before s
+            if parent[s] != s:
                 continue
-            if not tied or r1 < best_r1:
-                if best_order:
-                    improvements += 1
-                    if improvements == _PREFIX_AFTER:
-                        kept = set(_prefix_survivors(
-                            self._r0, self._r1, _PREFIX_LEN).tolist())
-                best_r0, best_r1, best_order = r0, r1, order
-            elif r1 == best_r1:
-                # equal codes: best_order[k] -> order[k] is an automorphism
-                for x, y in zip(best_order, order):
-                    x, y = find(x), find(y)
+            label[s] = 0
+            order = [s]
+            # a challenger keeps no images until it ties or beats the best
+            # on rho0; rho1 decides only a tie on all of rho0
+            known = len(b_r0)
+            for i in range(n):
+                if i == known:
+                    # doubling: a long tie extends the best in few calls
+                    known = min(n, 2 * i + 1)
+                    extend(b_label, b_order, b_r0, b_r1, known)
+                x = order[i]
+                y = rho0[x]
+                ly = label[y]
+                if ly < 0:
+                    ly = label[y] = len(order)
+                    order.append(y)
+                y = rho1[x]
+                if label[y] < 0:
+                    label[y] = len(order)
+                    order.append(y)
+                if ly != b_r0[i]:
+                    break
+            if ly > b_r0[i]:
+                for x in order:
+                    label[x] = -1
+                continue
+            r1 = [label[rho1[x]] for x in order[:i + 1]]
+            if ly < b_r0[i] or r1 < b_r1:
+                # the challenger becomes the best as it stands at i
+                b_r0[i:] = [ly]
+                b_label, b_order, b_r1 = label, order, r1
+                improvements += 1
+                if improvements == _PREFIX_AFTER:
+                    kept = _prefix_survivors(self._r0, self._r1, _PREFIX_LEN)
+                    starts = deque(kept[kept > s].tolist())
+            elif r1 == b_r1:
+                # equal codes: b_order[k] -> order[k] is an automorphism
+                for x, y in zip(b_order, order):
+                    while parent[x] != x:  # path halving
+                        parent[x] = x = parent[parent[x]]
+                    while parent[y] != y:
+                        parent[y] = y = parent[parent[y]]
                     if x != y:
-                        if size[x] < size[y]:
+                        if y < x:
                             x, y = y, x
                         parent[y] = x
                         size[x] += size[y]
-                        evaluated[x] = evaluated[x] or evaluated[y]
-        return (tuple(best_r0), tuple(best_r1)), size[find(best_order[0])]
+            # a fresh list: the old one is the best's, or holds every dart
+            label = [-1] * n
+        extend(b_label, b_order, b_r0, b_r1, n)
+        root = b_order[0]
+        while parent[root] != root:
+            root = parent[root]
+        return (tuple(b_r0), tuple(b_r1)), size[root]
 
     @property
     def canonical_code(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -586,12 +608,14 @@ class Dessin:
         before rho1 from each dart, and the code is the pair of relabeled
         image tuples, compared rho0 first.  The search streams the rho0
         images of each start and abandons it at the first position where
-        it exceeds the best code so far.  Two starts with equal codes
-        give an automorphism; the starts in one orbit of the
-        automorphisms found so far give one code, so only the first of
-        them is tried (McKay & Piperno, "Practical graph isomorphism
-        II", 2014).  The starts that reach the code are one orbit of the
-        automorphism group, and their number is
+        it exceeds the best code so far; a start that falls below it
+        there becomes the best as it stands, so only the final best runs
+        to the end.  rho1 decides only a tie on all of rho0, and two
+        starts with equal codes give an automorphism; the starts in one
+        orbit of the automorphisms found so far give one code, so only
+        the first of them is tried (McKay & Piperno, "Practical graph
+        isomorphism II", 2014).  The starts that reach the code are one
+        orbit of the automorphism group, and their number is
         :meth:`automorphism_count`, which the same search computes.
 
         Once the best code has improved twice, one numpy pass computes
@@ -601,7 +625,7 @@ class Dessin:
         code.  A dessin with few automorphism orbits of darts, such as
         a torus grid (at most two), never improves its best code twice
         and so never pays for the pass; a random origami reaches it
-        within a few starts, and the pass leaves it a handful of them.
+        within a few starts, and the pass usually leaves it a handful.
         """
         return self._canonical[0]
 

@@ -424,3 +424,68 @@ class TestPrefixPass:
         d = d.relabeled(perms.random_permutation(d.n_darts, random.Random(1)))
         orbits = 1 if shape[0] == shape[1] else 2
         assert d.automorphism_count() == d.n_darts // orbits
+
+
+def swapped_grid(width: int, height: int) -> Dessin:
+    """A torus grid with the vertical gluings of squares 0 and 1 swapped:
+    its starts tie one another on long code prefixes."""
+    n_sq = width * height
+    horizontal = [s - s % width + (s + 1) % width for s in range(n_sq)]
+    vertical = [(s + width) % n_sq for s in range(n_sq)]
+    vertical[0], vertical[1] = vertical[1], vertical[0]
+    return origami(horizontal, vertical)
+
+
+@st.composite
+def relabeled_surfaces(draw):
+    """Randomly relabeled torus grids, swapped grids and random origamis
+    of up to 40 squares: up to four times the darts of small_dessins, so
+    the best code improves more often, and starts tie a best that won
+    mid-run over longer prefixes."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(("grid", "swapped", "origami")))
+    if kind == "origami":
+        d = random_origami(draw(st.integers(1, 40)), rng)
+    else:
+        w = draw(st.integers(2, 20))
+        h = draw(st.integers(1, 40 // w))
+        d = (square_torus_grid if kind == "grid" else swapped_grid)(w, h)
+    return d.relabeled(perms.random_permutation(d.n_darts, rng))
+
+
+class TestLazyBest:
+    """Only the final best start runs to the end; a start that beats the
+    best keeps its images up to where it won."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(relabeled_surfaces())
+    def test_matches_oracle(self, d):
+        codes = oracles.start_codes(d.rho0, d.rho1)
+        best = min(codes)
+        assert d.canonical_code == best
+        assert d.automorphism_count() == codes.count(best)
+
+    def test_large_origami_and_relabeling(self):
+        d = random_origami(1024, random.Random(1))
+        r = d.relabeled(perms.random_permutation(d.n_darts, random.Random(2)))
+        assert r.canonical_code == d.canonical_code
+        assert d.automorphism_count() == r.automorphism_count() == 1
+
+    @pytest.mark.parametrize("rho0, rho1, start", [
+        # start 1 precedes the starts that give the code
+        ((8, 2, 9, 11, 1, 4, 0, 3, 10, 7, 6, 5),
+         (9, 7, 10, 4, 3, 6, 5, 1, 11, 0, 2, 8), 1),
+        # start 5 follows start 2, which gives the code
+        ((5, 7, 6, 4, 2, 11, 9, 10, 1, 0, 8, 3),
+         (7, 3, 5, 1, 10, 2, 11, 0, 9, 8, 4, 6), 5),
+    ])
+    def test_rho1_decides_late(self, rho0, rho1, start):
+        # start ties the code on all of rho0, and its rho1 images first
+        # differ from the code's at position 7 of 12
+        d = Dessin(12, rho0, rho1)
+        codes = oracles.start_codes(d.rho0, d.rho1)
+        best = min(codes)
+        r0, r1 = codes[start]
+        assert r0 == best[0] and r1[:7] == best[1][:7] and r1 != best[1]
+        assert d.canonical_code == best
+        assert d.automorphism_count() == codes.count(best)

@@ -362,6 +362,30 @@ class TestViolationsMatchOracle:
             "rho0-not-bijection", "rho1-fixed-point", "rho1-not-involution",
             "not-transitive"]
 
+    @pytest.mark.parametrize("n", [4, 10, 1000])
+    def test_chains(self, n):
+        # rho1 = x ^ 1; rho0 steps up the chain with its last image
+        # repeated, so every dart is reachable, or steps down with its
+        # first image repeated, so only darts 0 and 1 are
+        rho1 = [x ^ 1 for x in range(n)]
+        for rho0 in ([min(x + 1, n - 1) for x in range(n)],
+                     [max(x - 1, 0) for x in range(n)]):
+            d = Dessin(n, rho0, rho1)
+            assert [(v.code, v.dart, v.message)
+                    for v in d.violations()] == \
+                oracles.dessin_violations(rho0, rho1)
+
+    def test_long_chain_in_one_search(self):
+        # reachability from dart 0 takes time linear in the darts, not a
+        # round per level of the 100,000-level chain
+        n = 100_000
+        d = Dessin(n, np.minimum(np.arange(1, n + 1), n - 1),
+                   np.arange(n) ^ 1)
+        start = time.perf_counter()
+        assert [(v.code, v.dart) for v in d.violations()] == [
+            ("rho0-not-bijection", n - 1)]
+        assert time.perf_counter() - start < 0.5
+
 
 def side_by_side(parts):
     """Image lists of the dessins ``parts`` on consecutive dart ranges."""
