@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cartography import (CellKind, Dessin, _require_face_size,
-                          _require_instance)
+                          _require_instance, _Substitution)
 from .tiling import TricoloredDessin, _tricolored_substitution
 
 
@@ -31,11 +31,30 @@ class InconsistentPassportError(ValueError):
     """Passport data whose multisets or genus cannot belong to a map."""
 
 
+def _integer(name: str, value) -> int:
+    """``value``, an int, a numpy integer or an integral float, as an
+    int.  A str, bytes or bool raises TypeError, and a non-integral, NaN
+    or infinite value ValueError, each naming ``name``."""
+    if isinstance(value, (str, bytes, bool, np.bool_)):
+        raise TypeError(f"{name} must be an integer, not "
+                        f"{type(value).__name__}")
+    try:
+        whole = int(value)
+    except (OverflowError, ValueError):  # inf and NaN
+        whole = None
+    if whole != value:
+        raise ValueError(f"{name} = {value} is not an integer")
+    return whole
+
+
+_PARTS = ("over_zero", "over_one", "over_infinity")
+
+
 @dataclass(frozen=True)
 class Passport:
     """Cycle-type triple of a degree-``degree`` cover ramified over the
-    three labels; each multiset is stored sorted decreasingly, an
-    integer array sorted by numpy and anything else entry by entry."""
+    three labels, each multiset sorted decreasingly: an integer array by
+    numpy, anything else entry by entry through :func:`_integer`."""
 
     degree: int
     over_zero: tuple[int, ...]
@@ -43,21 +62,20 @@ class Passport:
     over_infinity: tuple[int, ...]
 
     def __init__(self, degree, over_zero, over_one, over_infinity):
-        degree = int(degree)
+        degree = _integer("degree", degree)
         if degree < 1:
             raise ValueError(f"degree {degree} is not positive")
         object.__setattr__(self, "degree", degree)
-        for name, val in (("over_zero", over_zero),
-                          ("over_one", over_one),
-                          ("over_infinity", over_infinity)):
+        for name, val in zip(_PARTS, (over_zero, over_one, over_infinity)):
             if (isinstance(val, np.ndarray) and val.ndim == 1
                     and val.dtype.kind in "iu"):
-                val = tuple(np.sort(val)[::-1].tolist())
+                val = np.sort(val)[::-1].tolist()
             else:
-                val = tuple(sorted(map(int, val), reverse=True))
+                val = sorted((_integer(f"{name}[{i}]", x)
+                              for i, x in enumerate(val)), reverse=True)
             if val and val[-1] <= 0:
                 raise ValueError(f"{name} contains a non-positive part")
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, name, tuple(val))
 
 
 def passport(t: TricoloredDessin) -> Passport:
@@ -81,15 +99,15 @@ def passport(t: TricoloredDessin) -> Passport:
 def riemann_hurwitz_genus(p: Passport) -> int:
     """Genus from the Riemann-Hurwitz formula
     2 - 2g = 2*degree - sum over all parts of (part - 1)."""
-    for name in ("over_zero", "over_one", "over_infinity"):
-        val = getattr(p, name)
+    _require_instance("p", p, Passport)
+    parts = [getattr(p, name) for name in _PARTS]
+    for name, val in zip(_PARTS, parts):
         if sum(val) != p.degree:
             raise InconsistentPassportError(
                 f"{name} sums to {sum(val)}, expected degree {p.degree}")
     # each multiset sums to the degree, so the parts less one sum to
     # 3 * degree less the number of parts
-    excess = 3 * p.degree - sum(
-        map(len, (p.over_zero, p.over_one, p.over_infinity)))
+    excess = 3 * p.degree - sum(map(len, parts))
     two_g = 2 - 2 * p.degree + excess
     if two_g % 2 or two_g < 0:
         raise InconsistentPassportError(
@@ -151,17 +169,15 @@ def barycentric_rational(b0):
     return val
 
 
-# Dart substitution tables (see cartography.substitute); per old dart e:
-# triangle (origin, mid, center) is 6e -> 6e+2 -> 6e+5, triangle
+# the barycentric subdivision (see cartography._Substitution); per old
+# dart e, triangle (origin, mid, center) is 6e -> 6e+2 -> 6e+5, triangle
 # (mid, end, center) is 6e+1 -> 6e+4 of the next side -> its 6e+3
-_BARYCENTRIC_RHO1 = (("rho1", 1), ("rho1", 0), ("e", 3), ("e", 2),
-                     ("e", 5), ("e", 4))
-_BARYCENTRIC_RHO2 = (("e", 2), ("rho2", 4), ("e", 5), ("e", 1),
-                     ("rho2_inv", 3), ("e", 0))
-# the old vertex, edge midpoint or face center that each new dart's
-# vertex lifts (see cartography._lifted_cells)
-_BARYCENTRIC_VERTICES = (("vertex", "e"), ("edge", "e"), ("edge", "e"),
-                         ("face", "e"), ("vertex", "e"), ("face", "e"))
+_BARYCENTRIC = _Substitution(
+    rho1=(("rho1", 1), ("rho1", 0), ("e", 3), ("e", 2), ("e", 5), ("e", 4)),
+    rho2=(("e", 2), ("rho2", 4), ("e", 5), ("e", 1), ("rho2_inv", 3),
+          ("e", 0)),
+    vertices=(("vertex", "e"), ("edge", "e"), ("edge", "e"), ("face", "e"),
+              ("vertex", "e"), ("face", "e")))
 # the label code (0 zero, 1 one, 2 infinity) of the new vertex that
 # lifts an old vertex, edge midpoint or face center: the composed cover
 _BARYCENTRIC_LABELS = {"vertex": 2, "edge": 1, "face": 0}
@@ -182,6 +198,4 @@ def barycentric_subdivide(t) -> TricoloredDessin:
     _require_instance("t", t, (TricoloredDessin, Dessin))
     base = t.base if isinstance(t, TricoloredDessin) else t
     _require_face_size(base, 3)
-    return _tricolored_substitution(
-        base, _BARYCENTRIC_RHO1, _BARYCENTRIC_RHO2, _BARYCENTRIC_VERTICES,
-        _BARYCENTRIC_LABELS)
+    return _tricolored_substitution(base, _BARYCENTRIC, _BARYCENTRIC_LABELS)

@@ -9,8 +9,8 @@ of rho0, rho1 and rho2; rho2 moves a dart forward along the boundary of
 the face lying to its left.
 
 A dessin stores its permutations only as read-only numpy index
-arrays; validation, cells and the dart-substitution operators
-(:func:`substitute`) work on those.  The tuples ``rho0``, ``rho1`` and
+arrays; validation, cells and the dart substitutions
+(:func:`_substitute`) work on those.  The tuples ``rho0``, ``rho1`` and
 ``rho2`` are views built from the arrays on first use and then kept.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -347,7 +347,7 @@ class Dessin:
     def _r2(self) -> np.ndarray:
         """rho2 as an index array: rho2[x] = rho0^{-1}[rho1^{-1}[x]], set
         by validation from the inverses of its bijection check, or by
-        :func:`substitute` from its table."""
+        :func:`_substitute` from its record's rho2 table."""
         bad = [v for v in self._violations
                if v.code.endswith("not-bijection")]
         if bad:
@@ -428,7 +428,7 @@ class Dessin:
     @cached_property
     def _cell_arrays(self) -> dict[CellKind, Cells]:
         """The arrays of :meth:`cell_arrays`: the vertex cells built by
-        validation, the others per kind on demand.  :func:`substitute`
+        validation, the others per kind on demand.  :func:`_substitute`
         puts in the vertex lift as a function of no arguments, which the
         first call for vertices runs."""
         return {}
@@ -661,51 +661,6 @@ def from_rho1_rho2(rho1, rho2) -> Dessin:
     return Dessin(len(rho1), _frozen(rho0), rho1)
 
 
-# the substitution source that undoes each source
-_INVERSE_SOURCE = {"e": "e", "rho1": "rho1", "rho2": "rho2_inv",
-                   "rho2_inv": "rho2"}
-
-
-@lru_cache
-def _certified(k: int, rho1_table: tuple, rho2_table: tuple) -> bool:
-    """Whether :func:`substitute` with these tables (tuples of k pairs
-    (source, j), j in 0..k-1) turns every valid dessin into a valid
-    one, decided from the tables alone:
-
-    - rho1 is an involution: entry j of each entry i = (src, j) is
-      (inverse of src, i), as rho1 is one and rho2_inv undoes rho2;
-    - it has no fixed point: j != i unless src is rho1, which has none;
-    - the result is transitive: each block k*e .. k*e + k - 1 lies in
-      one orbit, as its residues are joined by the links i - j of the
-      "e" entries (src, j) = ("e", j) at i, and j1 - j2 of the entries
-      (src, j1) and (src, j2) of one source at one position, both
-      images of one dart; and a rho1 and a rho2 or rho2_inv source
-      join the blocks of e, rho1(e) and rho2(e), which span the
-      transitive input.
-
-    rho2 is a bijection whenever the output exists: one that is not
-    leaves a -1 in the scattered rho0, which the constructor rejects.
-    A table that fails a condition may still give a valid dessin; its
-    output takes the full check."""
-    for i, (src, j) in enumerate(rho1_table):
-        if (rho1_table[j] != (_INVERSE_SOURCE[src], i)
-                or j == i and src != "rho1"):
-            return False
-    sources = {src for src, _ in rho1_table + rho2_table}
-    if "rho1" not in sources or sources.isdisjoint(("rho2", "rho2_inv")):
-        return False
-    links = [(i, j) for table in (rho1_table, rho2_table)
-             for i, (src, j) in enumerate(table) if src == "e"]
-    links += [(j1, j2) for (src1, j1), (src2, j2) in zip(rho1_table,
-                                                         rho2_table)
-              if src1 == src2]
-    joined = {0}
-    for _ in range(k):
-        joined |= {b for a, c in links for x, b in ((a, c), (c, a))
-                   if x in joined}
-    return len(joined) == k
-
-
 def _lifted_cells(d: Dessin, k: int, column, sources) -> Cells:
     """The vertex cells of a substitution of the valid ``d``: new dart
     k*e + i lies on the lift of the vertex, edge or face ``column[i]`` =
@@ -738,62 +693,43 @@ def _lifted_cells(d: Dessin, k: int, column, sources) -> Cells:
 
 def _sources(d: Dessin) -> dict[str, np.ndarray]:
     """The substitution sources of ``d`` as index arrays, by name."""
-    # rho2^{-1} = rho1 o rho0
     return {"e": _darts(d.n_darts), "rho1": d._r1, "rho2": d._r2,
-            "rho2_inv": d._r1[d._r0]}
+            "rho2_inv": d._r1[d._r0]}  # rho2^{-1} = rho1 o rho0
 
 
-def substitute(d: Dessin, k: int, rho1_table, rho2_table,
-               vertices=None) -> Dessin:
-    """Replace every dart e of ``d`` by the k darts k*e .. k*e + k - 1.
+class _Substitution(NamedTuple):
+    """A dart substitution, k = ``len(vertices)`` new darts per old dart
+    e: entry i of ``rho1`` and ``rho2`` is a pair (src, j) sending new
+    dart k*e + i to k*src[e] + j, src one of "e" (the identity), "rho1",
+    "rho2" and "rho2_inv", and entry i of ``vertices`` the (kind, src)
+    of the cell whose lift holds that dart's vertex.  Each record is an
+    operator's constant that maps valid dessins to valid ones, unchecked."""
 
-    Entry i of each table is a pair (source, j): new dart k*e + i is
-    sent to k*src[e] + j, where ``source`` names src among "e" (the
-    identity), "rho1", "rho2" and "rho2_inv" of ``d``.  The tables give
-    rho1 and rho2 of the result, and rho0 follows from
-    :func:`from_rho1_rho2`.  This is the permutation-triple calculus of
-    Lando & Zvonkin, *Graphs on Surfaces and Their Applications* (2004),
-    ch. 1: refinements of a map are substitutions on its darts.
+    rho1: tuple
+    rho2: tuple
+    vertices: tuple
 
-    Each table is a sequence of k pairs, each j an int in 0..k-1; a
-    table of another length, source or j raises ValueError.
 
-    When ``d`` is valid and the tables pass a check made once per table
-    (:func:`_certified`), the result is valid by construction: no pass
-    over its darts validates it, and its rho2 is the expanded table.
-    Its vertex cells are then lifted on first use (:func:`_lifted_cells`)
-    from ``vertices``, an unchecked column of the tables, while its edges
-    and faces take the generic kernels.  Any other result is validated
-    like a hand-built dessin.
-    """
-    _require_instance("d", d, Dessin)
-    n = d.n_darts
+def _substitute(d: Dessin, s: _Substitution) -> Dessin:
+    """The substitution ``s`` of the valid ``d`` (InvalidDessinError
+    otherwise), the permutation-triple calculus of Lando & Zvonkin,
+    *Graphs on Surfaces and Their Applications* (2004), ch. 1: its tables
+    give rho1 and rho2, and rho0 follows from :func:`from_rho1_rho2`.
+    The result is valid by construction, so nothing validates it, and
+    its vertex cells are lifted on first use (:func:`_lifted_cells`)."""
+    d.require_valid()
+    k = len(s.vertices)
     sources = _sources(d)
     scaled = {src: k * p for src, p in sources.items()}
-
-    def expand(name, table) -> tuple[np.ndarray, tuple]:
-        """The table's images, and the table as a tuple of pairs."""
-        _require_length(name, table, k)
-        out = np.empty(n * k, dtype=np.intp)
-        pairs = []
+    r1 = np.empty(d.n_darts * k, np.intp)  # owns its memory: shared
+    r2 = np.empty_like(r1)
+    for images, table in ((r1, s.rho1), (r2, s.rho2)):
         for i, (src, j) in enumerate(table):
-            if src not in scaled:
-                raise ValueError(f"{name}[{i}] source {src!r} is not one "
-                                 f"of {', '.join(scaled)}")
-            if not (type(j) is int and 0 <= j < k):
-                j = _index(j, f"{name}[{i}] residue", k)
-            np.add(scaled[src], j, out=out[i::k])
-            pairs.append((src, j))
-        return _frozen(out), tuple(pairs)
-
-    (r1, table1), (r2, table2) = (expand("rho1_table", rho1_table),
-                                  expand("rho2_table", rho2_table))
-    out = from_rho1_rho2(r1, r2)
-    if d.is_valid() and _certified(k, table1, table2):
-        out.__dict__.update(_violations=(), _r2=r2)
-        if vertices is not None:
-            out._cell_arrays[CellKind.VERTEX] = partial(
-                _lifted_cells, d, k, vertices, sources)
+            np.add(scaled[src], j, out=images[i::k])
+    out = from_rho1_rho2(_frozen(r1), _frozen(r2))
+    out.__dict__.update(_violations=(), _r2=r2)
+    out._cell_arrays[CellKind.VERTEX] = partial(
+        _lifted_cells, d, k, s.vertices, sources)
     return out
 
 

@@ -82,6 +82,8 @@ class MetricData:
 def metric_violations(d: Dessin, m: MetricData) -> list[Violation]:
     """Consistency of a metric with a dessin: array sizes and equality of
     lengths on reversed darts."""
+    _require_instance("d", d, Dessin)
+    _require_instance("m", m, MetricData)
     out = []
     lengths = m._lengths
     if len(lengths) != d.n_darts or len(m._angles) != d.n_darts:
@@ -98,13 +100,14 @@ def metric_violations(d: Dessin, m: MetricData) -> list[Violation]:
 
 
 def _require_metric(d: Dessin, m: MetricData) -> None:
-    """Raise unless ``d`` is valid and ``m`` fits it.  ``m`` keeps the
-    last dessin found to fit in its ``__dict__``, as a cached property
-    would, so a stratum checks the fit once; a misfit raises each time."""
-    d.require_valid()
-    if m.__dict__.get("_fits") is d:
+    """Raise unless ``d`` is valid and ``m`` fits it (TypeError, from
+    :func:`metric_violations`, for a wrong type).  ``m`` keeps the last
+    dessin found to fit in its ``__dict__`` (else m, which is none), so
+    a stratum checks the fit once; a misfit raises each time."""
+    if isinstance(m, MetricData) and m.__dict__.get("_fits", m) is d:
         return
     bad = metric_violations(d, m)
+    d.require_valid()
     if bad:
         raise ValueError("; ".join(str(v) for v in bad))
     m.__dict__["_fits"] = d

@@ -30,7 +30,7 @@ import numpy as np
 from .cartography import (CellKind, Dessin, Violation, _components, _darts,
                           _frozen, _read_only, _require_face_size,
                           _require_instance, _require_length, _sources,
-                          substitute, tuple_view)
+                          _substitute, _Substitution, tuple_view)
 
 
 class Color(str, Enum):
@@ -214,17 +214,15 @@ def _odd_walk(n_vertices: int, u: np.ndarray, v: np.ndarray) -> list[int]:
                 return walk_x[::-1] + walk_y
 
 
-# Dart substitution tables (see cartography.substitute): entry i is the
-# image (source, j) of new dart k*e + i, meaning k*source[e] + j.
-_REFINE_RHO1 = (("rho1", 1), ("rho1", 0), ("rho2", 3), ("rho2_inv", 2))
-_REFINE_RHO2 = (("e", 2), ("rho2", 0), ("e", 3), ("rho2_inv", 1))
-_DIAGONAL_RHO1 = (("rho1", 0), ("rho2", 2), ("rho2_inv", 1))
-_DIAGONAL_RHO2 = (("e", 1), ("e", 2), ("e", 0))
-# and the vertex, edge midpoint or face center of the square tiling
-# that each new dart's vertex lifts (see cartography._lifted_cells)
-_REFINE_VERTICES = (("vertex", "e"), ("edge", "e"), ("edge", "e"),
-                    ("face", "e"))
-_DIAGONAL_VERTICES = (("vertex", "e"), ("vertex", "rho1"), ("face", "e"))
+# the two subdivisions of a square tiling (see cartography._Substitution)
+_REFINE = _Substitution(
+    rho1=(("rho1", 1), ("rho1", 0), ("rho2", 3), ("rho2_inv", 2)),
+    rho2=(("e", 2), ("rho2", 0), ("e", 3), ("rho2_inv", 1)),
+    vertices=(("vertex", "e"), ("edge", "e"), ("edge", "e"), ("face", "e")))
+_DIAGONAL = _Substitution(
+    rho1=(("rho1", 0), ("rho2", 2), ("rho2_inv", 1)),
+    rho2=(("e", 1), ("e", 2), ("e", 0)),
+    vertices=(("vertex", "e"), ("vertex", "rho1"), ("face", "e")))
 
 
 def refine_2x2(d: Dessin) -> Dessin:
@@ -236,7 +234,7 @@ def refine_2x2(d: Dessin) -> Dessin:
     always corner-bipartite (corners and centers versus midpoints).
     """
     _require_square_tiling(d)
-    return substitute(d, 4, _REFINE_RHO1, _REFINE_RHO2, _REFINE_VERTICES)
+    return _substitute(d, _REFINE)
 
 
 def _edge_ends(d: Dessin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -279,20 +277,19 @@ def diagonal_subdivision(d: Dessin, labels) -> TricoloredDessin:
             f"corners {u} and {v} of edge {edge} share label "
             f"{_TEXT[VertexLabel][codes[u]]}")
     # the corners keep their labels, and each face center is infinity
-    return _tricolored_substitution(
-        d, _DIAGONAL_RHO1, _DIAGONAL_RHO2, _DIAGONAL_VERTICES,
-        {"vertex": codes, "face": 2})
+    return _tricolored_substitution(d, _DIAGONAL,
+                                    {"vertex": codes, "face": 2})
 
 
-def _tricolored_substitution(d: Dessin, rho1_table, rho2_table, vertices,
+def _tricolored_substitution(d: Dessin, s: _Substitution,
                              label_of) -> TricoloredDessin:
-    """:func:`substitute` by these tables, tricolored unchecked: the new
-    vertex lifting a cell of ``d`` (``vertices``) takes the label code
+    """The substitution ``s`` of ``d``, tricolored unchecked: the new
+    vertex lifting a cell of ``d`` (``s.vertices``) takes the label code
     ``label_of`` gives that cell's kind, one code or one per cell."""
-    k = len(vertices)
-    out = substitute(d, k, rho1_table, rho2_table, vertices)
+    k = len(s.vertices)
+    out = _substitute(d, s)
     dart_label = np.empty(d.n_darts * k, np.int8)
-    for i, (kind, src) in enumerate(vertices):
+    for i, (kind, src) in enumerate(s.vertices):
         code = label_of[kind]
         if not isinstance(code, int):
             code = code[d.cell_arrays(kind).id[_sources(d)[src]]]

@@ -51,6 +51,32 @@ class TestPassportType:
         assert hash(from_array) == hash(from_tuples)
         assert all(type(x) is int for x in from_array.over_zero)
 
+    @pytest.mark.parametrize("args, message", [
+        (("3", [3], [3], [3]), "degree must be an integer, not str"),
+        ((True, [1], [1], [1]), "degree must be an integer, not bool"),
+        ((2, ["2"], [2], [1, 1]), r"over_zero\[0\] must be an integer, "
+                                  "not str"),
+        ((2, [2], [True, 1], [1, 1]), r"over_one\[0\] must be an integer, "
+                                      "not bool"),
+        ((2, [2], [2], np.array([True, True])),
+         r"over_infinity\[0\] must be an integer, not bool")])
+    def test_rejects_str_and_bool(self, args, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            Passport(*args)
+
+    @pytest.mark.parametrize("args, message", [
+        ((2.7, [2], [2], [1, 1]), "degree = 2.7 is not an integer"),
+        ((float("nan"), [2], [2], [2]), "degree = nan is not an integer"),
+        ((float("inf"), [2], [2], [2]), "degree = inf is not an integer"),
+        ((2, [1.9, 1], [2], [2]), r"over_zero\[0\] = 1.9 is not an integer"),
+        ((2, [2], [float("inf")], [2]),
+         r"over_one\[0\] = inf is not an integer"),
+        ((2, [2], [2], np.array([1.0, np.nan])),
+         r"over_infinity\[1\] = nan is not an integer")])
+    def test_rejects_non_integers(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Passport(*args)
+
     def test_rejects_nonpositive_degree(self):
         # a cover has at least one sheet; degree 0 would pass
         # riemann_hurwitz_genus with empty parts as a torus

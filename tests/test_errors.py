@@ -13,10 +13,12 @@ from dessins import (SQUARE_CELL, Dessin, Passport, QuadratureConfig,
                      diagonal_subdivision, invert_cs_map, refine_2x2,
                      riemann_hurwitz_genus)
 from dessins.belyi import passport
-from dessins.cartography import is_isomorphic, substitute
+from dessins.cartography import is_isomorphic
 from dessins.catalog import one_square_torus, square_torus_grid, tetrahedron
 from dessins.document import DocumentParseError, parse
-from dessins.metric import equilateral_structure, square_structure
+from dessins.metric import (chart_transition, cone_angle,
+                            equilateral_structure, face_closure_residual,
+                            metric_violations, square_structure)
 from dessins.tiling import (TricoloredDessin, is_square_tiling,
                             tricolored_from_labels, validate_tricoloring)
 
@@ -65,6 +67,9 @@ def test_round_trips_through_pickle(name):
         == [getattr(error, a) for a in present]
 
 
+TETRAHEDRON = tetrahedron()
+METRIC = equilateral_structure(TETRAHEDRON)
+
 # per entry point, a call with an argument of the wrong type, and the
 # TypeError message that names it
 WRONG_TYPES = [
@@ -81,8 +86,19 @@ WRONG_TYPES = [
      "base must be a Dessin, not NoneType"),
     (lambda: square_structure(None), "d must be a Dessin, not NoneType"),
     (lambda: equilateral_structure(None), "d must be a Dessin, not NoneType"),
-    (lambda: substitute(None, 1, (("rho1", 0),), (("rho2", 0),)),
+    (lambda: metric_violations(None, METRIC),
      "d must be a Dessin, not NoneType"),
+    (lambda: metric_violations(TETRAHEDRON, None),
+     "m must be a MetricData, not NoneType"),
+    (lambda: cone_angle(TETRAHEDRON, None, 0),
+     "m must be a MetricData, not NoneType"),
+    (lambda: chart_transition(TETRAHEDRON, None, 0, ()),
+     "m must be a MetricData, not NoneType"),
+    (lambda: face_closure_residual(TETRAHEDRON, None, 0),
+     "m must be a MetricData, not NoneType"),
+    (lambda: cone_angle(None, METRIC, 0), "d must be a Dessin, not NoneType"),
+    (lambda: riemann_hurwitz_genus(None),
+     "p must be a Passport, not NoneType"),
     (lambda: validate_tricoloring(tetrahedron()),
      "t must be a TricoloredDessin, not Dessin"),
     (lambda: passport(tetrahedron()),

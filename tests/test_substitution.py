@@ -16,14 +16,15 @@ from hypothesis import strategies as st
 from dessins import belyi, cartography, tiling
 from dessins import permutations as perms
 from dessins.belyi import barycentric_subdivide, passport
-from dessins.cartography import (CellKind, Dessin, _certified, from_rho1_rho2,
-                                 substitute)
-from dessins.catalog import (octahedron, random_dessin, random_origami,
-                             square_torus_grid)
+from dessins.cartography import (CellKind, Dessin, InvalidDessinError,
+                                 _substitute, _Substitution, from_rho1_rho2)
+from dessins.catalog import (octahedron, octahedron_tricolored,
+                             random_dessin, random_origami, square_torus_grid,
+                             tetrahedron)
 from dessins.document import from_tricolored
 from dessins.metric import FaceDegreeMismatch
 from dessins.tiling import (InconsistentLabelsError, NonBipartiteError,
-                            VertexLabel, corner_bipartition,
+                            TricoloredDessin, VertexLabel, corner_bipartition,
                             diagonal_subdivision, refine_2x2,
                             tricolored_from_labels, validate_tricoloring)
 
@@ -109,10 +110,20 @@ class TestOperatorsMatchOracles:
                                                              base.rho1))
         assert_cells_match(b.base)
 
-    def test_barycentric_of_octahedron(self):
-        d = octahedron()
-        assert flat(barycentric_subdivide(d)) == list(
-            oracles.barycentric_subdivide(d.rho0, d.rho1))
+    SPHERES = {"tetrahedron": tetrahedron(), "octahedron": octahedron(),
+               "octahedron_tricolored": octahedron_tricolored()}
+    # each triangulation and its cover, so that the cover is taken twice
+    SPHERES.update({f"{name}-cover": barycentric_subdivide(t)
+                    for name, t in list(SPHERES.items())})
+
+    @pytest.mark.parametrize("name", list(SPHERES))
+    def test_barycentric_of_sphere_triangulations(self, name):
+        t = self.SPHERES[name]
+        d = t.base if isinstance(t, TricoloredDessin) else t
+        b = barycentric_subdivide(t)
+        assert flat(b) == list(oracles.barycentric_subdivide(d.rho0, d.rho1))
+        assert_tricoloring_as_checked(b)
+        assert_lifted_cells(b.base)
 
     @PROPERTY
     @given(st.integers(0, 2 ** 32), st.integers(1, 20))
@@ -123,80 +134,22 @@ class TestOperatorsMatchOracles:
 class TestSubstitute:
     def test_identity_table_keeps_the_dessin(self):
         d = random_origami(5, random.Random(3))
-        same = substitute(d, 1, (("rho1", 0),), (("rho2", 0),))
+        same = _substitute(d, _Substitution(
+            (("rho1", 0),), (("rho2", 0),), (("vertex", "e"),)))
         assert same == d
 
     def test_from_rho1_rho2_inverts_rho2(self):
         d = random_dessin(12, random.Random(4))
         assert from_rho1_rho2(np.array(d.rho1), np.array(d.rho2)) == d
 
-    def test_output_is_validated(self):
-        # rho1 sent to the dart itself: every new dart is a fixed point
-        d = square_torus_grid(2, 2)
-        out = substitute(d, 1, (("e", 0),), (("rho2", 0),))
-        assert [v.code for v in out.violations()][:1] == ["rho1-fixed-point"]
-
-    # tables that break one condition of the per-table certificate each
-    BROKEN_TABLES = {
-        "rho1-entry-not-returned": (
-            2, (("rho1", 1), ("rho1", 1)), (("e", 1), ("rho2", 0))),
-        "rho1-fixed-point-e": (
-            2, (("e", 0), ("rho1", 1)), (("e", 1), ("rho2", 0))),
-        "rho1-fixed-point-rho2": (
-            2, (("rho2", 0), ("rho1", 1)), (("e", 1), ("rho2", 0))),
-        "residues-not-joined": (
-            2, (("rho1", 0), ("rho1", 1)), (("rho2", 0), ("rho2", 1))),
-        "no-rho1-source": (
-            2, (("e", 1), ("e", 0)), (("rho2", 0), ("rho2_inv", 1))),
-        "no-rho2-source": (
-            2, (("rho1", 1), ("rho1", 0)), (("e", 1), ("e", 0))),
-    }
-
-    @pytest.mark.parametrize("case", sorted(BROKEN_TABLES))
-    def test_broken_table_takes_the_full_check(self, case):
-        k, rho1_table, rho2_table = self.BROKEN_TABLES[case]
-        assert not _certified(k, rho1_table, rho2_table)
-        for d in (square_torus_grid(2, 3), random_origami(5, random.Random(6)),
-                  octahedron()):
-            out = substitute(d, k, rho1_table, rho2_table)
-            fresh = Dessin(out.n_darts, out._r0, out._r1)
-            assert out.violations() == fresh.violations()
-
-    def test_rho2_column_not_a_permutation(self):
-        # two residues sent onto residue 0 leave residue 1 without a
-        # preimage, and so a -1 in rho0: no dessin comes out
-        d = square_torus_grid(2, 2)
-        with pytest.raises(ValueError, match=r"rho0\[\d+\] = -1 out of range"):
-            substitute(d, 2, (("rho1", 1), ("rho1", 0)),
-                       (("e", 0), ("rho2", 0)))
-
     def test_bijective_but_invalid_input(self):
         # two disjoint edges: bijective, but not transitive
         d = Dessin(4, (1, 0, 3, 2), (1, 0, 3, 2))
-        for k, rho1_table, rho2_table in (
-                (4, tiling._REFINE_RHO1, tiling._REFINE_RHO2),
-                (3, tiling._DIAGONAL_RHO1, tiling._DIAGONAL_RHO2),
-                (6, belyi._BARYCENTRIC_RHO1, belyi._BARYCENTRIC_RHO2)):
-            assert _certified(k, rho1_table, rho2_table)
-            out = substitute(d, k, rho1_table, rho2_table)
-            fresh = Dessin(out.n_darts, out._r0, out._r1)
-            assert [v.code for v in out.violations()] == ["not-transitive"]
-            assert out.violations() == fresh.violations()
-
-    @pytest.mark.parametrize("rho2_table, message", [
-        ((("e", 1),), "rho2_table has 1 entries, expected 2"),
-        # a -1 would wrap round to the last dart
-        ((("e", 1), ("rho2", -1)), r"rho2_table\[1\] residue -1 out of range"),
-        ((("e", 2), ("rho2", 0)), r"rho2_table\[0\] residue 2 out of range"),
-        ((("e", 1.0), ("rho2", 0)),
-         r"rho2_table\[0\] residue 1.0 is not an integer"),
-        ((("bogus", 1), ("rho2", 0)),
-         r"^rho2_table\[0\] source 'bogus' is not one of e, rho1, rho2, "
-         r"rho2_inv$")])
-    def test_malformed_table(self, rho2_table, message):
-        d = square_torus_grid(2, 2)
-        with pytest.raises(ValueError, match=message):
-            substitute(d, 2, (("rho1", 1), ("rho1", 0)), rho2_table)
+        for s in (tiling._REFINE, tiling._DIAGONAL, belyi._BARYCENTRIC):
+            with pytest.raises(InvalidDessinError) as info:
+                _substitute(d, s)
+            assert [v.code for v in info.value.violations] \
+                == ["not-transitive"]
 
     def test_operators_neither_validate_nor_walk(self, monkeypatch):
         # their outputs are valid and labelled by construction: neither
