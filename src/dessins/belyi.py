@@ -36,8 +36,8 @@ def _integer(name: str, value) -> int:
     int.  A str, bytes or bool raises TypeError, and a non-integral, NaN
     or infinite value ValueError, each naming ``name``."""
     if isinstance(value, (str, bytes, bool, np.bool_)):
-        raise TypeError(f"{name} must be an integer, not "
-                        f"{type(value).__name__}")
+        raise TypeError(f"{name} must be an integer, not "  # numpy 1.x: bool_
+                        f"{type(value).__name__.rstrip('_')}")
     try:
         whole = int(value)
     except (OverflowError, ValueError):  # inf and NaN

@@ -102,9 +102,9 @@ def metric_violations(d: Dessin, m: MetricData) -> list[Violation]:
 def _require_metric(d: Dessin, m: MetricData) -> None:
     """Raise unless ``d`` is valid and ``m`` fits it (TypeError, from
     :func:`metric_violations`, for a wrong type).  ``m`` keeps the last
-    dessin found to fit in its ``__dict__`` (else m, which is none), so
-    a stratum checks the fit once; a misfit raises each time."""
-    if isinstance(m, MetricData) and m.__dict__.get("_fits", m) is d:
+    dessin found to fit in its ``__dict__``, so a stratum checks the fit
+    once; a misfit raises each time."""
+    if isinstance(d, Dessin) and getattr(m, "_fits", None) is d:
         return
     bad = metric_violations(d, m)
     d.require_valid()

@@ -97,6 +97,8 @@ WRONG_TYPES = [
     (lambda: face_closure_residual(TETRAHEDRON, None, 0),
      "m must be a MetricData, not NoneType"),
     (lambda: cone_angle(None, METRIC, 0), "d must be a Dessin, not NoneType"),
+    (lambda: cone_angle(METRIC, METRIC, 0),
+     "d must be a Dessin, not MetricData"),
     (lambda: riemann_hurwitz_genus(None),
      "p must be a Passport, not NoneType"),
     (lambda: validate_tricoloring(tetrahedron()),
