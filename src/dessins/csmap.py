@@ -18,16 +18,16 @@ closed lower half-plane then maps onto a euclidean triangle with
 interior angles a*pi at the image of 0, b*pi at the image of 1 and
 (1-a-b)*pi at the image of infinity.
 
-Quadrature: the substitution w = t*s turns I into
-t^a * integral_0^1 s^(a-1) (1-t*s)^(b-1) ds.  The endpoint weight
-s^(a-1) is absorbed by Gauss-Jacobi nodes; when the path passes near
-w = 1 the reflection I(a,b;t) = B(a,b) - I(b,a;1-t) moves the
-singularity out of the way, and for |t| > 1 the s-interval is covered
-by a short geometric ladder of Gauss-Legendre panels away from the
-scaled branch point.  The ladder is fixed: every panel is evaluated at
-n and 2n nodes, and when the summed differences exceed 1e-12 of the
-value, as they do only for a node count far below the default, the
-map raises NonConvergenceError instead of splitting panels.  Both Gauss
+Quadrature: the substitution w = t*s turns I into t^a * integral_0^1
+s^(a-1) (1-t*s)^(b-1) ds, whose integrand is evaluated in real arithmetic
+(see _scaled_integral).  The endpoint weight s^(a-1) is absorbed by
+Gauss-Jacobi nodes; when the path passes near w = 1 the reflection
+I(a,b;t) = B(a,b) - I(b,a;1-t) moves the singularity out of the way, and
+for |t| > 1 the s-interval is covered by a short geometric ladder of
+Gauss-Legendre panels away from the scaled branch point.  The ladder is
+fixed: every panel is evaluated at n and 2n nodes, and when the summed
+differences exceed 1e-12 of the value, as they do only for a node count
+far below the default, the map raises NonConvergenceError.  Both Gauss
 rules come from one Golub-Welsch eigenproblem in numpy.  A
 QuadratureConfig sets n for cs_map, incomplete_cs_integral and
 complete_beta; every other function, inversion included, uses n = 48.
@@ -42,10 +42,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .cartography import _require_instance
 
 # QuadratureConfig.node_count cap: each Gauss rule is an O(n^3) eigensolve
 MAX_NODE_COUNT = 512
@@ -144,6 +147,7 @@ class CsMapSpec:
 
     def __post_init__(self):
         _check_exponents(self.a, self.b)
+        _require_instance("prefactor", self.prefactor, numbers.Number)
         if self.a == 1.0:
             raise ValueError("exponent a must lie below 1")
         # negated, so a NaN modulus fails too
@@ -182,10 +186,11 @@ def _arg_lower(t: complex) -> float:
 
 
 def _pow_lower(t: complex, p: float) -> complex:
-    """t**p with the lower-half-plane branch of the argument."""
+    """t**p with the lower-half-plane branch of the argument.  |t|**p is
+    a real power: exp(p*log|t|) would scale log's rounding by p*log|t|."""
     if t == 0:
         return complex(0.0) if p > 0 else complex("inf")
-    return cmath.exp(p * complex(math.log(abs(t)), _arg_lower(t)))
+    return cmath.rect(abs(t) ** p, p * _arg_lower(t))
 
 
 def _gauss01(n: int, a: float):
@@ -241,27 +246,33 @@ def _scaled_integral(a: float, b: float, t: complex,
     Gauss-Jacobi panel from 0, which absorbs the weight, up to 1 or, for
     |t| > 1, up to 0.5/|t|, then Gauss-Legendre panels that double in
     length up to 1.  Each panel runs at n and 2n nodes; the summed
-    differences estimate the error of the summed 2n-node values."""
+    differences estimate the error of the summed 2n-node values.  With
+    x + iy = 1 - t*s, the integrand has modulus hypot(x, y)^(b-1), where
+    x^2 + y^2 could overflow, and argument (b-1)*atan2(y, x): principal,
+    as 1 - t*s meets (-inf, 0] only for t on the cut (1, inf)."""
     n = cfg.node_count
     r = abs(t)
     s_edge = 1.0 if r <= 1.0 else 0.5 / r
     values = []
     errors = []
 
-    def panel(w, w2, vals, scale):
-        fine = scale * complex(w2 @ vals[n:])
+    def panel(w, w2, s, scale, weight=1.0):
+        x, y = 1.0 - t.real * s, -t.imag * s
+        modulus = weight * np.hypot(x, y) ** (b - 1.0)
+        angle = (b - 1.0) * np.arctan2(y, x)
+        re, im = modulus * np.cos(angle), modulus * np.sin(angle)
+        fine = scale * complex(w2 @ re[n:], w2 @ im[n:])
         values.append(fine)
-        errors.append(abs(fine - scale * complex(w @ vals[:n])))
+        errors.append(abs(fine - scale * complex(w @ re[:n], w @ im[:n])))
 
     s, w, w2 = _node_pair(n, a)
-    panel(w, w2, (1.0 - t * (s_edge * s)) ** (b - 1.0), s_edge ** a)
+    panel(w, w2, s_edge * s, s_edge ** a)
     s, w, w2 = _node_pair(n, 1.0)
     lo = s_edge
     while lo < 1.0:
         hi = min(2.0 * lo, 1.0)
         nodes = lo + (hi - lo) * s
-        panel(w, w2, nodes ** (a - 1.0) * (1.0 - t * nodes) ** (b - 1.0),
-              hi - lo)
+        panel(w, w2, nodes, hi - lo, nodes ** (a - 1.0))
         lo = hi
     total = sum(values)
     err = sum(errors)
@@ -288,7 +299,8 @@ def incomplete_cs_integral(a: float, b: float, t,
     2n-node values of the panel ladder differ by more than 1e-12
     relative, as they do for a node count far below the default.
     """
-    cfg = cfg or DEFAULT_CONFIG
+    _require_instance("cfg", cfg, (QuadratureConfig, type(None)))
+    cfg = DEFAULT_CONFIG if cfg is None else cfg
     _check_exponents(a, b)
     t = _path_end(t)
     if t == 0:
@@ -315,7 +327,8 @@ def complete_beta(a: float, b: float,
                   cfg: QuadratureConfig | None = None) -> float:
     """B(a, b) = I(a, b; 1), split symmetrically at 1/2 so the result is
     exactly symmetric in (a, b)."""
-    cfg = cfg or DEFAULT_CONFIG
+    _require_instance("cfg", cfg, (QuadratureConfig, type(None)))
+    cfg = DEFAULT_CONFIG if cfg is None else cfg
     _check_exponents(a, b)
     return _beta_cached(float(a), float(b), cfg.node_count)
 
@@ -327,7 +340,7 @@ def cs_map(spec: CsMapSpec, t, cfg: QuadratureConfig | None = None) -> complex:
     for real t > 1, ValueError for non-finite t or t whose modulus
     overflows, and NonConvergenceError for a missed tolerance.
     """
-    cfg = cfg or DEFAULT_CONFIG
+    _require_instance("spec", spec, CsMapSpec)
     return spec.prefactor * incomplete_cs_integral(spec.a, spec.b, t, cfg) \
         / complete_beta(spec.a, spec.b, cfg)
 
@@ -337,6 +350,7 @@ def cs_map_derivative(spec: CsMapSpec, t) -> complex:
     with the same branch convention as the map itself.  Raises
     ValueError at t = 0, at t = 1 and for non-finite t or t whose
     modulus overflows, and CutCrossingError for real t > 1."""
+    _require_instance("spec", spec, CsMapSpec)
     t = _path_end(t)
     if t == 0 or t == 1:
         raise ValueError(f"derivative is singular at t = {t}")
@@ -352,6 +366,7 @@ def _derivative(spec: CsMapSpec, t: complex, beta_ab: float) -> complex:
 def image_triangle(spec: CsMapSpec) -> tuple[complex, complex, complex]:
     """Vertices of the image triangle: cs_map at 0, at 1, and the limit
     along the negative real axis (the image of infinity)."""
+    _require_instance("spec", spec, CsMapSpec)
     a, b = spec.a, spec.b
     if not a + b < 1.0:
         raise ValueError("image is a triangle only for a + b < 1")

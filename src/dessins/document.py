@@ -53,7 +53,7 @@ import numpy as np
 from .cartography import Dessin, _frozen, _require_length, tuple_view
 from .metric import MetricData, metric_array, metric_violations
 from .tiling import (_CODE, _MEMBERS, _TEXT, Color, Shade, TricoloredDessin,
-                     VertexLabel, _code_array)
+                     VertexLabel, _code_array, _hold_codes)
 
 FORMAT_VERSION = "1"
 
@@ -140,10 +140,14 @@ class DessinDocument:
         return self._metric
 
     def to_tricolored(self) -> TricoloredDessin:
+        """The document's tricolored dessin.  Its codes were range-checked
+        when the document was built; only their counts are checked here."""
         if not self.has_coloring:
             raise ValueError("document has no coloring block")
-        return TricoloredDessin(self._dessin, self._edge_colors,
-                                self._face_shades, self._vertex_labels)
+        t = object.__new__(TricoloredDessin)
+        _hold_codes(t, self._dessin, (self._edge_colors, self._face_shades,
+                                      self._vertex_labels))
+        return t
 
     def serialize(self) -> str:
         lines = [f"format_version: {self.format_version}".encode(),

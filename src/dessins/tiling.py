@@ -139,18 +139,26 @@ class TricoloredDessin:
 
     def __init__(self, base, edge_color, face_shade, vertex_label):
         _require_instance("base", base, Dessin)
-        # the cell counts first: an invalid base raises before a bad code;
-        # rho1 pairs the darts of a valid dessin into its edges
-        counts = [base.n_darts // 2] + [
-            len(base.cell_arrays(kind).smallest)
-            for kind in (CellKind.FACE, CellKind.VERTEX)]
-        codes = {"edge_color": _code_array(Color, edge_color),
-                 "face_shade": _code_array(Shade, face_shade),
-                 "vertex_label": _code_array(VertexLabel, vertex_label)}
-        object.__setattr__(self, "base", base)
-        for n, (name, arr) in zip(counts, codes.items()):
-            _require_length(name, arr, n)
-            object.__setattr__(self, "_" + name, arr)
+        base.require_valid()  # an invalid base raises before a bad code
+        _hold_codes(self, base, (_code_array(Color, edge_color),
+                                 _code_array(Shade, face_shade),
+                                 _code_array(VertexLabel, vertex_label)))
+
+
+def _hold_codes(t: TricoloredDessin, base: Dessin, codes) -> None:
+    """Give ``t`` the dessin ``base`` and the code arrays ``codes`` (edge
+    colors, face shades, vertex labels), whose codes are in range: only
+    their lengths are checked, against the cells of ``base``, which
+    raises if it is invalid.  rho1 pairs a valid dessin's darts into its
+    edges."""
+    counts = [base.n_darts // 2] + [
+        len(base.cell_arrays(kind).smallest)
+        for kind in (CellKind.FACE, CellKind.VERTEX)]
+    object.__setattr__(t, "base", base)
+    for n, name, arr in zip(counts, ("edge_color", "face_shade",
+                                     "vertex_label"), codes):
+        _require_length(name, arr, n)
+        object.__setattr__(t, "_" + name, arr)
 
 
 def is_square_tiling(d: Dessin) -> bool:

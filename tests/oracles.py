@@ -126,6 +126,31 @@ def fd_derivative(f, z: complex, h: float = 1e-6) -> complex:
     return (f(z + h) - f(z - h)) / (2.0 * h)
 
 
+def complex_power_scaled_integral(a: float, b: float, t: complex,
+                                  jacobi, legendre) -> complex:
+    """integral_0^1 s^(a-1) (1 - t*s)^(b-1) ds on the panel ladder of
+    the package's quadrature, with the integrand as numpy's complex
+    power instead of a modulus and an argument: the sum of each panel's
+    2n-node values.  ``jacobi`` and ``legendre`` are the package's rules
+    for the weights s^(a-1) and 1: nodes of the n- and 2n-node rules in
+    one array, then the n and the 2n weights."""
+    s, w, w2 = jacobi
+    n = len(w)
+    r = abs(t)
+    s_edge = 1.0 if r <= 1.0 else 0.5 / r
+    total = s_edge ** a * complex(
+        w2 @ (1.0 - t * (s_edge * s[n:])) ** (b - 1.0))
+    s, w, w2 = legendre
+    lo = s_edge
+    while lo < 1.0:
+        hi = min(2.0 * lo, 1.0)
+        nodes = lo + (hi - lo) * s[n:]
+        total += (hi - lo) * complex(
+            w2 @ (nodes ** (a - 1.0) * (1.0 - t * nodes) ** (b - 1.0)))
+        lo = hi
+    return total
+
+
 # --- dart-by-dart subdivision operators and checks ------------------------
 #
 # The loops below build each new permutation one dart at a time from the

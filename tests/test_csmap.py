@@ -41,7 +41,7 @@ from dessins.csmap import (
     triangle_to_square,
 )
 import dessins.csmap as csmap_module
-from oracles import fd_derivative, gamma_beta
+from oracles import complex_power_scaled_integral, fd_derivative, gamma_beta
 
 ALL_SPECS = (SQUARE_CELL, TRIANGLE_COORD, SQUARE_COORD)
 
@@ -233,19 +233,35 @@ class TestAgainstMpmath:
         got = (s ** k[:, None]) @ w
         assert np.max(np.abs(got * (a + k) - 1.0)) <= 1e-13
 
+    @staticmethod
+    def assert_map_matches_mpmath(spec, points):
+        with mpmath.workdps(30):
+            whole = mpmath.beta(spec.a, spec.b)
+            for t in points:
+                z = cs_map(spec, t)
+                expect = complex(spec.prefactor * mpmath.betainc(
+                    spec.a, spec.b, 0, t) / whole)
+                assert abs(z - expect) <= 1e-14 * max(1.0, abs(z)), t
+
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
     def test_map_eval_grid_points(self, spec):
         # the points of `dessins map-eval --grid 16`
         n = 16
-        with mpmath.workdps(30):
-            whole = mpmath.beta(spec.a, spec.b)
-            for j in range(n):
-                for i in range(n):
-                    t = complex(i / (n - 1), -j / (n - 1))
-                    z = cs_map(spec, t)
-                    expect = complex(spec.prefactor * mpmath.betainc(
-                        spec.a, spec.b, 0, t) / whole)
-                    assert abs(z - expect) <= 1e-14 * max(1.0, abs(z)), t
+        self.assert_map_matches_mpmath(
+            spec, [complex(i / (n - 1), -j / (n - 1))
+                   for j in range(n) for i in range(n)])
+
+    @pytest.mark.parametrize("spec", ALL_SPECS + (
+        CsMapSpec(0.01, 0.02, 1.0), CsMapSpec(1e-4, 1e-3, 1.0)),
+        ids=lambda s: f"{s.name}-{s.a:g}-{s.b:g}")
+    def test_far_points_on_the_panel_ladder(self, spec):
+        # |t| > 1 takes the Gauss-Legendre ladder, which the map-eval
+        # grid never reaches: up to about 1000 panels at |t| = 1e300
+        radii = (1.5, 3.0, 10.0, 1e2, 1e4, 1e8, 1e16, 1e64, 1e200, 1e300)
+        angles = (1e-6, math.pi / 4, math.pi / 2, 3 * math.pi / 4,
+                  math.pi - 1e-6)
+        self.assert_map_matches_mpmath(
+            spec, [cmath.rect(r, -theta) for r in radii for theta in angles])
 
 
 class TestCsMap:
@@ -854,6 +870,42 @@ def custom_spec(draw):
     a = draw(exponent)
     b = draw(exponent.filter(lambda b: a + b < 1.0))
     return CsMapSpec(a, b, 1.0)
+
+
+# exponents log-uniform down to MIN_EXPONENT, and both ends of the range
+SMALL_EXPONENT = st.one_of(st.sampled_from((MIN_EXPONENT, 1.0)),
+                           st.floats(-15.0, 0.0).map(lambda x: 10.0 ** x))
+
+
+@st.composite
+def ladder_t(draw):
+    """t in the open lower half-plane with |t| log-uniform in [1.5,
+    1e300], t within 1e-15 to 1e-1 of 1, or t on the negative axis (the
+    lower-half-plane limit) with |t| log-uniform in [1e-300, 1e300]."""
+    kind = draw(st.sampled_from(("far", "near_one", "negative")))
+    if kind == "far":
+        r = 10.0 ** draw(st.floats(math.log10(1.5), 300.0))
+        return cmath.rect(r, -draw(st.floats(1e-9, math.pi - 1e-9)))
+    if kind == "near_one":
+        r = 10.0 ** draw(st.floats(-15.0, -1.0))
+        return 1.0 + cmath.rect(r, -draw(st.floats(0.0, math.pi)))
+    return complex(-(10.0 ** draw(st.floats(-300.0, 300.0))), -0.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(SMALL_EXPONENT, SMALL_EXPONENT, ladder_t())
+def test_real_panels_match_the_complex_power(a, b, t):
+    """The real-arithmetic integrand of the panel ladder against numpy's
+    complex power on the same nodes and weights (oracles), for the
+    arguments incomplete_cs_integral passes on: within 1e-14 relative,
+    about 50 ulps, where a wrong branch or formula is off by O(1)."""
+    if csmap_module._segment_distance_to_one(t) < csmap_module._NEAR_ONE:
+        a, b, t = b, a, 1.0 - t
+    got = csmap_module._scaled_integral(a, b, t, QuadratureConfig())
+    expect = complex_power_scaled_integral(
+        a, b, t, csmap_module._node_pair(48, a),
+        csmap_module._node_pair(48, 1.0))
+    assert abs(got - expect) <= 1e-14 * abs(expect)
 
 
 class TestFixedLadderAndOneSeed:

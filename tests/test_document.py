@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from dessins import catalog
 from dessins import document as document_module
 from dessins import metric as metric_module
+from dessins import tiling as tiling_module
 from dessins.belyi import barycentric_subdivide
+from dessins.cartography import InvalidDessinError
 from dessins.document import (
     DessinDocument,
     DocumentParseError,
@@ -104,6 +106,32 @@ class TestParsing:
     def test_to_tricolored_requires_coloring(self):
         with pytest.raises(ValueError, match="no coloring block"):
             parse(make_text()).to_tricolored()
+
+    def test_to_tricolored_checks_counts_not_codes(self, monkeypatch):
+        # the codes were range-checked when the document was built
+        t = catalog.octahedron_tricolored()
+        d_doc = parse(from_tricolored(t).serialize())
+
+        def no_second_check(*args):
+            raise AssertionError("codes range-checked again")
+
+        monkeypatch.setattr(tiling_module, "_code_array", no_second_check)
+        tri = d_doc.to_tricolored()
+        assert tri.edge_color == t.edge_color
+        assert tri._vertex_label is d_doc._vertex_labels
+        monkeypatch.undo()
+        short = DessinDocument(
+            t.base.n_darts, t.base.rho0, t.base.rho1,
+            edge_colors=t._edge_color, face_shades=t._face_shade[:-1],
+            vertex_labels=t._vertex_label)
+        with pytest.raises(ValueError,
+                           match="face_shade has 7 entries, expected 8"):
+            short.to_tricolored()
+        invalid = DessinDocument(4, (1, 0, 3, 2), (1, 0, 3, 2),
+                                 edge_colors=[0, 0], face_shades=[0] * 2,
+                                 vertex_labels=[0] * 2)
+        with pytest.raises(InvalidDessinError):
+            invalid.to_tricolored()
 
 
 class TestParseErrors:

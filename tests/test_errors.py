@@ -8,9 +8,11 @@ import pickle
 import pytest
 
 import dessins
-from dessins import (SQUARE_CELL, Dessin, Passport, QuadratureConfig,
-                     barycentric_subdivide, corner_bipartition, cs_map,
-                     diagonal_subdivision, invert_cs_map, refine_2x2,
+from dessins import (SQUARE_CELL, CsMapSpec, Dessin, Passport,
+                     QuadratureConfig, barycentric_subdivide,
+                     complete_beta, corner_bipartition, cs_map,
+                     cs_map_derivative, diagonal_subdivision, image_triangle,
+                     incomplete_cs_integral, invert_cs_map, refine_2x2,
                      riemann_hurwitz_genus)
 from dessins.belyi import passport
 from dessins.cartography import is_isomorphic
@@ -107,6 +109,24 @@ WRONG_TYPES = [
      "t must be a TricoloredDessin, not Dessin"),
     (lambda: is_isomorphic(tetrahedron(), None),
      "d2 must be a Dessin, not NoneType"),
+    (lambda: cs_map(None, 0.3), "spec must be a CsMapSpec, not NoneType"),
+    (lambda: invert_cs_map("square_cell", 0.3),
+     "spec must be a CsMapSpec, not str"),
+    (lambda: image_triangle(None), "spec must be a CsMapSpec, not NoneType"),
+    (lambda: cs_map_derivative(None, 0.3),
+     "spec must be a CsMapSpec, not NoneType"),
+    # 0 was taken for the default config, as `cfg or DEFAULT_CONFIG`
+    (lambda: cs_map(SQUARE_CELL, 0.3, cfg=48),
+     "cfg must be a QuadratureConfig or NoneType, not int"),
+    (lambda: incomplete_cs_integral(0.25, 0.25, 0.3, cfg=0),
+     "cfg must be a QuadratureConfig or NoneType, not int"),
+    (lambda: complete_beta(0.25, 0.25, cfg=0),
+     "cfg must be a QuadratureConfig or NoneType, not int"),
+    # complex() parses text, so "1j" was stored and broke every map call
+    (lambda: CsMapSpec(0.25, 0.25, "1j"),
+     "prefactor must be a Number, not str"),
+    (lambda: CsMapSpec(0.25, 0.25, b"1j"),
+     "prefactor must be a Number, not bytes"),
 ]
 
 
