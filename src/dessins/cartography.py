@@ -640,13 +640,28 @@ class Dessin:
         return self._canonical[1]
 
 
+def _faces_of_size(d: Dessin, k: int) -> bool:
+    """Whether every face of the valid ``d`` has ``k`` sides, read off its
+    face cells when built.  Otherwise rho2^k = id with no rho2^j, 0 < j <
+    k, fixing a dart: k - 1 gathers and k compares, and no cells."""
+    d.require_valid()
+    if CellKind.FACE in d._cell_arrays:
+        return bool((d.cell_arrays(CellKind.FACE).size == k).all())
+    darts, power = _darts(d.n_darts), d._r2
+    for _ in range(k - 1):
+        if (power == darts).any():
+            return False
+        power = d._r2[power]
+    return bool((power == darts).all())
+
+
 def _require_face_size(d: Dessin, face_size: int) -> None:
     """Raise unless every face of the valid ``d`` has ``face_size`` sides."""
-    size = d.cell_arrays(CellKind.FACE).size
-    bad = np.flatnonzero(size != face_size)
-    if len(bad):
+    if not _faces_of_size(d, face_size):
+        size = d.cell_arrays(CellKind.FACE).size
+        bad = np.flatnonzero(size != face_size)[0]
         raise FaceDegreeMismatch(
-            f"face {bad[0]} has {size[bad[0]]} sides, expected {face_size}")
+            f"face {bad} has {size[bad]} sides, expected {face_size}")
 
 
 def from_rho1_rho2(rho1, rho2) -> Dessin:

@@ -8,10 +8,10 @@ charts are glued by the affine relations
 
     z_{rho0 e} = exp(i phi(e)) z_e        z_{rho1 e} = l(e) - z_e
 
-:class:`MetricData` stores lengths and angles as read-only float
-arrays built by :func:`metric_array`, the one rule for them, which the
-document reader also applies to each metric line; the tuples
-``lengths`` and ``angles`` are views built on first use.
+:class:`MetricData` stores lengths and angles as read-only float arrays
+built by :func:`metric_array`, the one rule for them, which the document
+reader also applies to each metric line; ``lengths`` and ``angles`` are
+tuple views built on first use.  Pickles and copies hold only the arrays.
 """
 
 from __future__ import annotations
@@ -78,6 +78,9 @@ class MetricData:
         object.__setattr__(self, "_lengths", metric_array("lengths", lengths))
         object.__setattr__(self, "_angles", metric_array("angles", angles))
 
+    def __reduce__(self):  # the arrays only: the memos name a dessin
+        return type(self), (self._lengths, self._angles)
+
 
 def metric_violations(d: Dessin, m: MetricData) -> list[Violation]:
     """Consistency of a metric with a dessin: array sizes and equality of
@@ -101,9 +104,9 @@ def metric_violations(d: Dessin, m: MetricData) -> list[Violation]:
 
 def _require_metric(d: Dessin, m: MetricData) -> None:
     """Raise unless ``d`` is valid and ``m`` fits it (TypeError, from
-    :func:`metric_violations`, for a wrong type).  ``m`` keeps the last
-    dessin found to fit in its ``__dict__``, so a stratum checks the fit
-    once; a misfit raises each time."""
+    :func:`metric_violations`, for a wrong type).  The last dessin found
+    to fit sits in ``m.__dict__`` beside the :func:`cone_angle` table,
+    so a stratum checks the fit once; a misfit raises each time."""
     if isinstance(d, Dessin) and getattr(m, "_fits", None) is d:
         return
     bad = metric_violations(d, m)
@@ -162,6 +165,9 @@ def chart_transition(d: Dessin, m: MetricData, dart: int, word) -> AffineChart:
     """
     _require_metric(d, m)
     dart = _index(dart, "dart", d.n_darts)
+    if isinstance(word, (str, bytes)):  # not one token per character
+        raise TypeError(f"word must be a sequence of tokens, "
+                        f"not {type(word).__name__}")
     chart = AffineChart.identity()
     cur = dart
     # entries read with .item() as Python numbers: no tuple view is built
@@ -211,10 +217,15 @@ def face_closure_residual(d: Dessin, m: MetricData, face) -> tuple[complex, floa
 
 
 def cone_angle(d: Dessin, m: MetricData, vertex) -> float:
-    """Total angle at a vertex: the sum of phi over its darts."""
+    """Total angle at a vertex: the sum of phi over its darts in rho0
+    order from the smallest.  The first call for a (metric, dessin) pair
+    sums every vertex into a table kept in ``m.__dict__``, keyed to
+    ``d``; later calls for the pair look it up."""
     _require_metric(d, m)
-    vertices = d.cells(CellKind.VERTEX)
-    vertex = _index(vertex, "vertex", len(vertices))
-    # the darts of the vertex in rho0-cycle order from the smallest; the
-    # array's entries as floats, so no tuple view of the angles is built
-    return sum(map(m._angles.item, vertices[vertex]))
+    table = m.__dict__.get("_totals")
+    if table is None or table[0] is not d:
+        # a transient list of the floats .item() gives: no tuple view kept
+        angle = m._angles.tolist().__getitem__
+        table = m.__dict__["_totals"] = (d, [
+            sum(map(angle, darts)) for darts in d.cells(CellKind.VERTEX)])
+    return table[1][_index(vertex, "vertex", len(table[1]))]

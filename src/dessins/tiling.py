@@ -28,9 +28,10 @@ from functools import cached_property
 import numpy as np
 
 from .cartography import (CellKind, Dessin, Violation, _components, _darts,
-                          _frozen, _read_only, _require_face_size,
-                          _require_instance, _require_length, _sources,
-                          _substitute, _Substitution, tuple_view)
+                          _faces_of_size, _frozen, _read_only,
+                          _require_face_size, _require_instance,
+                          _require_length, _sources, _substitute,
+                          _Substitution, tuple_view)
 
 
 class Color(str, Enum):
@@ -162,9 +163,10 @@ def _hold_codes(t: TricoloredDessin, base: Dessin, codes) -> None:
 
 
 def is_square_tiling(d: Dessin) -> bool:
-    """Whether every face of the (valid) dessin has exactly four sides."""
+    """Whether every face of the (valid) dessin has exactly four sides;
+    no face cells are built (``cartography._faces_of_size``)."""
     _require_instance("d", d, Dessin)
-    return bool((d.cell_arrays(CellKind.FACE).size == 4).all())
+    return _faces_of_size(d, 4)
 
 
 def _require_square_tiling(d: Dessin) -> None:
@@ -272,6 +274,8 @@ def diagonal_subdivision(d: Dessin, labels) -> TricoloredDessin:
     the center back to the origin of e is 3e+2.  Face centers are
     labeled infinity, and colors and shades follow the canonical rule.
     """
+    _require_instance("d", d, Dessin)
+    d.cell_arrays(CellKind.FACE)  # the lift reads them, so the check does
     _require_square_tiling(d)
     codes = _code_array(VertexLabel, labels)
     verts = d.cell_arrays(CellKind.VERTEX)

@@ -8,12 +8,19 @@ from hypothesis import strategies as st
 
 from dessins import cartography
 from dessins import permutations as perms
+from dessins.belyi import barycentric_subdivide
 from dessins.cartography import (_PREFIX_LEN, CellIndex, CellKind, Dessin,
-                                 InvalidDessinError, _prefix_survivors,
+                                 FaceDegreeMismatch, InvalidDessinError,
+                                 _faces_of_size, _prefix_survivors,
+                                 _require_face_size, from_rho1_rho2,
                                  is_isomorphic)
 from dessins.catalog import (from_face_lists, octahedron, one_square_torus,
                              origami, pillow_sphere, random_dessin,
                              random_origami, square_torus_grid, tetrahedron)
+from dessins.metric import equilateral_structure, square_structure
+from dessins.tiling import (NonBipartiteError, corner_bipartition,
+                            diagonal_subdivision, is_square_tiling,
+                            refine_2x2, tricolored_from_labels)
 
 import oracles
 
@@ -489,3 +496,119 @@ class TestLazyBest:
         assert r0 == best[0] and r1[:7] == best[1][:7] and r1 != best[1]
         assert d.canonical_code == best
         assert d.automorphism_count() == codes.count(best)
+
+
+@st.composite
+def face_kernel_inputs(draw):
+    """Valid dessins without face cells: random dessins of up to 40
+    darts, random origamis of up to 16 squares and torus grids of up to
+    6x6, each square tiling possibly cut along its diagonals (refined
+    first when its corners are not bipartite) and that possibly
+    barycentrically subdivided."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(("dessin", "origami", "grid")))
+    if kind == "dessin":
+        return random_dessin(2 * draw(st.integers(1, 20)), rng)
+    if kind == "origami":
+        d = random_origami(draw(st.integers(1, 16)), rng)
+    else:
+        d = square_torus_grid(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    if draw(st.booleans()):
+        try:
+            labels = corner_bipartition(d)
+        except NonBipartiteError:
+            d = refine_2x2(d)
+            labels = corner_bipartition(d)
+        d = diagonal_subdivision(d, labels).base
+        if draw(st.booleans()):
+            d = barycentric_subdivide(d).base
+    return d
+
+
+def twin(d: Dessin) -> Dessin:
+    """A fresh dessin with the arrays of ``d``, none of its caches."""
+    return Dessin(d.n_darts, d._r0, d._r1)
+
+
+# hand-built rho1, rho2 pairs whose faces are not all squares, though
+# rho2^4 = id for the first two: only the fixed-dart test rejects them
+NOT_ALL_SQUARES = {
+    "2-gons and a square": ((4, 5, 3, 2, 0, 1), (1, 2, 3, 0, 5, 4)),
+    "1-gons and a square": ((4, 5, 3, 2, 0, 1), (1, 2, 3, 0, 4, 5)),
+    "all 2-gons": ((5, 2, 1, 4, 3, 0), (1, 0, 3, 2, 5, 4)),
+}
+
+
+class TestFacesOfSize:
+    @given(face_kernel_inputs())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_matches_face_cells(self, d):
+        """The rho2 test before the face cells exist, and the read of
+        them after, agree with the cells for sizes 1..6."""
+        assert CellKind.FACE not in d._cell_arrays
+        before = [_faces_of_size(d, k) for k in range(1, 7)]
+        assert CellKind.FACE not in d._cell_arrays  # the test built none
+        size = d.cell_arrays(CellKind.FACE).size
+        expected = [bool((size == k).all()) for k in range(1, 7)]
+        assert before == expected
+        assert [_faces_of_size(d, k) for k in range(1, 7)] == expected
+
+    @pytest.mark.parametrize("name", list(NOT_ALL_SQUARES))
+    def test_rejects_short_faces_with_rho2_order_four(self, name):
+        d = from_rho1_rho2(*NOT_ALL_SQUARES[name])
+        assert d.is_valid()
+        assert not _faces_of_size(d, 4) and not is_square_tiling(d)
+        assert not _faces_of_size(twin(d), 4)
+
+    @pytest.mark.parametrize("faces, sizes", [
+        # an octagon pillow: two 8-gons
+        ([list(range(8)), list(range(7, -1, -1))], [8, 8]),
+        # a square pyramid: a square base and four triangles
+        ([[3, 2, 1, 0], [0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]],
+         [4, 3, 3, 3, 3]),
+    ])
+    def test_rejects_long_and_mixed_faces(self, faces, sizes):
+        d = from_face_lists(faces)
+        assert not is_square_tiling(d)
+        with pytest.raises(FaceDegreeMismatch):
+            square_structure(d)
+        assert d.cell_arrays(CellKind.FACE).size.tolist() == sizes
+        assert not is_square_tiling(d)
+
+    @pytest.mark.parametrize("d", [
+        Dessin(4, (1, 0, 3, 2), (1, 0, 3, 2)),  # two disjoint edges
+        Dessin(2, (0, 0), (1, 0)),  # rho0 not a bijection
+        Dessin(2, (1, 0), (0, 1)),  # rho1 with fixed points
+    ], ids=["not-transitive", "not-bijection", "rho1-fixed-point"])
+    @pytest.mark.parametrize("call", [
+        lambda d: _faces_of_size(d, 1), is_square_tiling, square_structure,
+        equilateral_structure, barycentric_subdivide,
+        lambda d: diagonal_subdivision(d, []),
+        lambda d: tricolored_from_labels(d, []),
+    ], ids=["kernel", "is_square_tiling", "square_structure",
+            "equilateral_structure", "barycentric_subdivide",
+            "diagonal_subdivision", "tricolored_from_labels"])
+    def test_invalid_dessin_raises_before_any_face_message(self, d, call):
+        with pytest.raises(InvalidDessinError):
+            call(d)
+
+    @given(face_kernel_inputs())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_mismatch_names_first_bad_face(self, d):
+        """The message names the first face, in cell order, of another
+        size, whether or not the face cells were built before."""
+        cells = twin(d).cells(CellKind.FACE)
+        for k in range(1, 7):
+            bad = [i for i, c in enumerate(cells) if len(c) != k]
+            for built in (False, True):
+                e = twin(d)
+                if built:
+                    e.cell_arrays(CellKind.FACE)
+                if not bad:
+                    _require_face_size(e, k)
+                    continue
+                with pytest.raises(FaceDegreeMismatch) as info:
+                    _require_face_size(e, k)
+                assert str(info.value) == (
+                    f"face {bad[0]} has {len(cells[bad[0]])} sides, "
+                    f"expected {k}")

@@ -96,6 +96,11 @@ WRONG_TYPES = [
      "m must be a MetricData, not NoneType"),
     (lambda: chart_transition(TETRAHEDRON, None, 0, ()),
      "m must be a MetricData, not NoneType"),
+    # iterated, a str was read one character per token
+    (lambda: chart_transition(TETRAHEDRON, METRIC, 0, "rho1"),
+     "word must be a sequence of tokens, not str"),
+    (lambda: chart_transition(TETRAHEDRON, METRIC, 0, b"rho1"),
+     "word must be a sequence of tokens, not bytes"),
     (lambda: face_closure_residual(TETRAHEDRON, None, 0),
      "m must be a MetricData, not NoneType"),
     (lambda: cone_angle(None, METRIC, 0), "d must be a Dessin, not NoneType"),

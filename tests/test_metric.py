@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 import random
 
 import numpy as np
@@ -352,3 +354,95 @@ class TestMetricCheckedOnce:
         for x in range(d.n_darts):
             back = chart_transition(d, m, x, [R0_INV, R0])
             assert back.is_identity()
+
+
+def vertex_sums(d, m):
+    """Each vertex's angle sum over its darts in rho0 order from the
+    smallest, vertex by vertex: what cone_angle summed per call before
+    it kept a table."""
+    return [sum(m.angles[x] for x in darts)
+            for darts in d.cells(CellKind.VERTEX)]
+
+
+def all_cone_angles(d, m):
+    return [cone_angle(d, m, v) for v in range(len(d.cells(CellKind.VERTEX)))]
+
+
+def counting_fit_checks(monkeypatch):
+    """A list that each metric_violations call appends to."""
+    import dessins.metric as metric_module
+
+    calls = []
+    real = metric_module.metric_violations
+
+    def counting(d, m):
+        calls.append((id(d), id(m)))
+        return real(d, m)
+
+    monkeypatch.setattr(metric_module, "metric_violations", counting)
+    return calls
+
+
+class TestConeAngleTable:
+    def test_equals_per_vertex_sums_exactly(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            d = random_origami(rng.randint(1, 40), rng)
+            m = random_metric(d, rng)
+            n = len(d.cells(CellKind.VERTEX))
+            # the first call, which builds the table, asks for the last
+            got = {v: cone_angle(d, m, v) for v in reversed(range(n))}
+            assert [got[v] for v in range(n)] == vertex_sums(d, m)
+
+    def test_one_metric_alternating_between_two_dessins(self):
+        """A metric that fits two dessins of one size gives each its own
+        totals, and a vertex id each its own range."""
+        grid = square_torus_grid(4, 8)
+        origami = random_origami(32, random.Random(1))
+        assert grid.n_darts == origami.n_darts
+        m = square_structure(grid)
+        expected = [vertex_sums(grid, m), vertex_sums(origami, m)]
+        assert expected[0] != expected[1]
+        for _ in range(3):
+            assert [all_cone_angles(grid, m),
+                    all_cone_angles(origami, m)] == expected
+        n = len(expected[1])
+        assert n < len(expected[0])
+        assert cone_angle(grid, m, n) == expected[0][n]
+        with pytest.raises(ValueError, match=f"^vertex {n} out of range$"):
+            cone_angle(origami, m, n)
+        assert cone_angle(grid, m, n) == expected[0][n]
+
+
+class TestMetricCopies:
+    def test_pickle_holds_no_memo(self):
+        d = square_torus_grid(16, 16)
+        m = square_structure(d)
+        fresh = pickle.dumps(m)
+        all_cone_angles(d, m)
+        assert pickle.dumps(m) == fresh
+        back = pickle.loads(fresh)
+        assert back == m
+        assert np.array_equal(back._lengths, m._lengths)
+        assert np.array_equal(back._angles, m._angles)
+        # rebuilt through metric_array, so read-only as the original
+        assert not back._lengths.flags.writeable
+        assert not back._angles.flags.writeable
+
+    def test_unpickled_metric_checks_its_fit_once(self, monkeypatch):
+        d = square_torus_grid(3, 5)
+        m = square_structure(d)
+        expected = all_cone_angles(d, m)
+        back = pickle.loads(pickle.dumps(m))
+        calls = counting_fit_checks(monkeypatch)
+        assert all_cone_angles(d, back) == expected
+        assert calls == [(id(d), id(back))]
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy])
+    def test_copies_hold_no_memo(self, copier):
+        d = square_torus_grid(3, 5)
+        m = square_structure(d)
+        all_cone_angles(d, m)
+        c = copier(m)
+        assert c == m
+        assert "_fits" not in c.__dict__ and "_totals" not in c.__dict__
