@@ -341,6 +341,9 @@ class Dessin:
             if isinstance(images, tuple):
                 self.__dict__[name] = images
 
+    def __reduce__(self):  # the arrays only: the caches rebuild on use
+        return type(self), (self.n_darts, self._r0, self._r1)
+
     rho2 = tuple_view("_r2")
 
     @cached_property

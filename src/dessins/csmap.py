@@ -34,8 +34,9 @@ complete_beta; every other function, inversion included, uses n = 48.
 
 Inversion runs Newton from the expansion of the map at one of the three
 prevertices 0, 1 and infinity (Driscoll & Trefethen, Schwarz-Christoffel
-Mapping, 2002), chosen per point; nothing is precomputed for a spec
-beyond its complete beta and its Gauss rules.
+Mapping, 2002), chosen per point, with each step corrected by Halley's
+factor unless that correction is large; nothing is precomputed for a
+spec beyond its complete beta and its Gauss rules.
 """
 
 from __future__ import annotations
@@ -240,8 +241,7 @@ def _node_pair(n: int, a: float):
 _TARGET_REL_ERROR = 1e-12
 
 
-def _scaled_integral(a: float, b: float, t: complex,
-                     cfg: QuadratureConfig) -> complex:
+def _scaled_integral(a: float, b: float, t: complex, n: int) -> complex:
     """integral_0^1 s^(a-1) (1 - t*s)^(b-1) ds on a fixed ladder: one
     Gauss-Jacobi panel from 0, which absorbs the weight, up to 1 or, for
     |t| > 1, up to 0.5/|t|, then Gauss-Legendre panels that double in
@@ -250,7 +250,6 @@ def _scaled_integral(a: float, b: float, t: complex,
     x + iy = 1 - t*s, the integrand has modulus hypot(x, y)^(b-1), where
     x^2 + y^2 could overflow, and argument (b-1)*atan2(y, x): principal,
     as 1 - t*s meets (-inf, 0] only for t on the cut (1, inf)."""
-    n = cfg.node_count
     r = abs(t)
     s_edge = 1.0 if r <= 1.0 else 0.5 / r
     values = []
@@ -302,14 +301,18 @@ def incomplete_cs_integral(a: float, b: float, t,
     _require_instance("cfg", cfg, (QuadratureConfig, type(None)))
     cfg = DEFAULT_CONFIG if cfg is None else cfg
     _check_exponents(a, b)
-    t = _path_end(t)
-    if t == 0:
-        return 0j
-    if _segment_distance_to_one(t) < _NEAR_ONE:
-        # reflect the troublesome end across w -> 1 - w
-        return complete_beta(a, b, cfg) - incomplete_cs_integral(
-            b, a, 1.0 - t, cfg)
-    return _pow_lower(t, a) * _scaled_integral(a, b, t, cfg)
+    return _integral(a, b, _path_end(t), cfg.node_count)
+
+
+def _integral(a: float, b: float, t: complex, n: int) -> complex:
+    """I(a, b; t) for checked a, b and t, on n-node panels.  A path near
+    w = 1 is reflected: I(a, b; t) = B(a, b) - I(b, a; 1 - t), whose
+    path stays clear of 1, as its points 1 - s + s*t have real part at
+    least min(1, Re t) > 0.9."""
+    reflect = _segment_distance_to_one(t) < _NEAR_ONE
+    p, q, s = (b, a, 1.0 - t) if reflect else (a, b, t)
+    value = _pow_lower(s, p) * _scaled_integral(p, q, s, n) if s else 0j
+    return _beta_cached(a, b, n) - value if reflect else value
 
 
 @lru_cache(maxsize=256)
@@ -341,8 +344,10 @@ def cs_map(spec: CsMapSpec, t, cfg: QuadratureConfig | None = None) -> complex:
     overflows, and NonConvergenceError for a missed tolerance.
     """
     _require_instance("spec", spec, CsMapSpec)
-    return spec.prefactor * incomplete_cs_integral(spec.a, spec.b, t, cfg) \
-        / complete_beta(spec.a, spec.b, cfg)
+    _require_instance("cfg", cfg, (QuadratureConfig, type(None)))
+    n = (DEFAULT_CONFIG if cfg is None else cfg).node_count
+    return spec.prefactor * _integral(spec.a, spec.b, _path_end(t), n) \
+        / _beta_cached(spec.a, spec.b, n)
 
 
 def cs_map_derivative(spec: CsMapSpec, t) -> complex:
@@ -406,32 +411,43 @@ _STALL_ITERATIONS = 3
 
 def _newton_step(spec: CsMapSpec, t: complex, residual: complex,
                  beta_ab: float) -> complex:
-    """One Newton update for cs_map(t) = z.  Near each of the three
-    corners the iteration runs in a local uniformizing variable (t^a,
-    (1-t)^b, or t^(a+b-1) at infinity), in which the map has a simple
-    zero, so corner targets stay well conditioned."""
+    """One Halley-corrected Newton update for cs_map(t) = z (see _halley).
+    Near each of the three corners it runs in a local uniformizing
+    variable w (t^a, (1-t)^b, or t^(a+b-1) at infinity), in which the
+    map F has a simple zero, so corner targets stay well conditioned;
+    k = F''/F' in w is closed-form.  Elsewhere the step in t is clipped."""
     a, b, pf = spec.a, spec.b, spec.prefactor
     if abs(t) < 0.2:
         u = _pow_lower(t, a)
         du = pf * (1.0 - t) ** (b - 1.0) / (a * beta_ab)
-        u_new = u - residual / du
-        return u_new ** (1.0 / a)
+        # t/u = t^(1-a) tends to 0 with t
+        k = (1.0 - b) * (t / u) / (a * (1.0 - t)) if u else 0.0
+        return (u - _halley(residual / du, k)) ** (1.0 / a)
     if abs(1.0 - t) < 0.2:
         v = (1.0 - t) ** b
         dv = -pf * _pow_lower(t, a - 1.0) / (b * beta_ab)
-        v_new = v - residual / dv
-        return 1.0 - v_new ** (1.0 / b)
+        # (1-t)/v = (1-t)^(1-b) tends to 0 with 1 - t
+        k = (1.0 - a) * (1.0 - t) / (b * t * v) if v else 0.0
+        return 1.0 - (v - _halley(residual / dv, k)) ** (1.0 / b)
     c = a + b - 1.0
     if abs(t) > 3.0 and c < 0.0:
         q = _pow_lower(t, c)
         dq = pf * _pow_lower(t, 1.0 - b) * (1.0 - t) ** (b - 1.0) \
             / (c * beta_ab)
-        q_new = q - residual / dq
-        return _from_q(q_new, c)
-    step = residual / _derivative(spec, t, beta_ab)
+        k = (1.0 - b) / (c * q * (1.0 - t))
+        return _from_q(q - _halley(residual / dq, k), c)
+    step = _halley(residual / _derivative(spec, t, beta_ab),
+                   (a - 1.0) / t - (b - 1.0) / (1.0 - t))
     if abs(step) > 2.0:
         step *= 2.0 / abs(step)
     return t - step
+
+
+def _halley(rho: complex, k: complex) -> complex:
+    """Halley's step rho / (1 - rho*k/2) from Newton's step rho and the
+    curvature k = F''/F', or rho itself where |rho*k/2| > 1/2."""
+    h = 0.5 * rho * k
+    return rho / (1.0 - h) if abs(h) <= 0.5 else rho
 
 
 def _from_q(q: complex, c: float) -> complex:
@@ -521,15 +537,16 @@ def invert_cs_map(spec: CsMapSpec, z) -> complex:
 
     Newton runs once, from one seed: the two-term local inverse at the
     corner whose expansion is expected to land closest to z (see
-    _corner_seed).  No corner giving a finite seed, as for exponents
-    whose powers overflow, is a NonConvergenceError with no
+    _corner_seed); each step is Halley-corrected unless that correction
+    is large (see _newton_step).  No corner giving a finite seed, as for
+    exponents whose powers overflow, is a NonConvergenceError with no
     evaluations.  Near the image of t = 1 the promise can be out of
     reach: the solution is 1 - d with |Re d| below the spacing of
     doubles next to 1, and the map magnifies that spacing by about
-    |d|^(b-1).  For SQUARE_CELL this holds within about 2e-3 of
-    1j, except on the bisector of that corner, where d is imaginary.
-    Such points raise NonConvergenceError after a few evaluations, once
-    the residual stops improving.
+    |d|^(b-1).  For SQUARE_CELL this holds within about 2e-3 of 1j,
+    except on the bisector of that corner, where d is imaginary.  Such
+    points raise NonConvergenceError after a few evaluations, once the
+    residual stops improving.
     """
     z = _require_finite("z", z)
     tri = image_triangle(spec)
@@ -541,6 +558,7 @@ def invert_cs_map(spec: CsMapSpec, z) -> complex:
     if abs(z - tri[1]) <= _SNAP * diam:
         return 1.0 + 0j
     beta_ab = complete_beta(spec.a, spec.b)
+    a, b, pf, n = spec.a, spec.b, spec.prefactor, DEFAULT_CONFIG.node_count
     t = _corner_seed(spec, z, tri, beta_ab)
     stall = _STALL_RESIDUAL * diam
     best_t = None
@@ -549,8 +567,9 @@ def invert_cs_map(spec: CsMapSpec, z) -> complex:
     since_halved = 0
     for evaluations in range(1, _MAX_ITERATIONS + 1):
         try:
-            value = cs_map(spec, t)
-        except (CutCrossingError, ValueError):
+            # iterates are finite and off the cut; a huge |t| overflows
+            value = pf * _integral(a, b, t, n) / beta_ab
+        except (ValueError, OverflowError):
             break
         r = abs(value - z)
         if r < best_r:

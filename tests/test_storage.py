@@ -5,6 +5,8 @@ malformed arrays raise the messages of the equal lists, the operators
 never build the tuple views, and the vectorised checks match their loop
 references."""
 
+import copy
+import pickle
 import random
 
 import numpy as np
@@ -132,6 +134,26 @@ class TestDessinStorage:
         held = list(arrays(d.__dict__))
         assert {id(a) for a in held if a.size >= d.n_darts} == allowed
         assert all(a.base is None or a.base.size == a.size for a in held)
+
+    @pytest.mark.parametrize("copier", [
+        lambda d: pickle.loads(pickle.dumps(d)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"])
+    def test_copies_hold_the_arrays_only(self, copier):
+        """A used dessin pickles and copies as its two index arrays: its
+        cells, canonical code and tuple views stay behind, and the copy,
+        rebuilt through the constructor, holds read-only arrays."""
+        d = square_torus_grid(16, 16)
+        fresh = pickle.dumps(square_torus_grid(16, 16))
+        cells = [d.cells(kind) for kind in CellKind]
+        code, rho0 = d.canonical_code, d.rho0
+        assert pickle.dumps(d) == fresh
+        c = copier(d)
+        assert c == d
+        assert (c.rho0, c.canonical_code) == (rho0, code)
+        assert [c.cells(kind) for kind in CellKind] == cells
+        for arr in (c._r0, c._r1, c._r2, c.cell_arrays(CellKind.FACE).id):
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
 
     def test_sequence_kept_as_its_view(self):
         rho0 = (1, 2, 3, 0)
