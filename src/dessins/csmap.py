@@ -241,6 +241,20 @@ def _node_pair(n: int, a: float):
 _TARGET_REL_ERROR = 1e-12
 
 
+def _panel(t: complex, b: float, n: int, s, w, w2, scale: float,
+           weight=None) -> tuple[complex, float]:
+    """One panel of _scaled_integral, its integrand times ``weight`` if
+    given: the 2n-node value and its distance from the n-node value."""
+    x, y = 1.0 - t.real * s, -t.imag * s
+    modulus = np.hypot(x, y) ** (b - 1.0)
+    if weight is not None:
+        modulus *= weight
+    angle = (b - 1.0) * np.arctan2(y, x)
+    re, im = modulus * np.cos(angle), modulus * np.sin(angle)
+    fine = scale * complex(w2 @ re[n:], w2 @ im[n:])
+    return fine, abs(fine - scale * complex(w @ re[:n], w @ im[:n]))
+
+
 def _scaled_integral(a: float, b: float, t: complex, n: int) -> complex:
     """integral_0^1 s^(a-1) (1 - t*s)^(b-1) ds on a fixed ladder: one
     Gauss-Jacobi panel from 0, which absorbs the weight, up to 1 or, for
@@ -250,31 +264,26 @@ def _scaled_integral(a: float, b: float, t: complex, n: int) -> complex:
     x + iy = 1 - t*s, the integrand has modulus hypot(x, y)^(b-1), where
     x^2 + y^2 could overflow, and argument (b-1)*atan2(y, x): principal,
     as 1 - t*s meets (-inf, 0] only for t on the cut (1, inf)."""
-    r = abs(t)
-    s_edge = 1.0 if r <= 1.0 else 0.5 / r
-    values = []
-    errors = []
-
-    def panel(w, w2, s, scale, weight=1.0):
-        x, y = 1.0 - t.real * s, -t.imag * s
-        modulus = weight * np.hypot(x, y) ** (b - 1.0)
-        angle = (b - 1.0) * np.arctan2(y, x)
-        re, im = modulus * np.cos(angle), modulus * np.sin(angle)
-        fine = scale * complex(w2 @ re[n:], w2 @ im[n:])
-        values.append(fine)
-        errors.append(abs(fine - scale * complex(w @ re[:n], w @ im[:n])))
-
     s, w, w2 = _node_pair(n, a)
-    panel(w, w2, s_edge * s, s_edge ** a)
-    s, w, w2 = _node_pair(n, 1.0)
-    lo = s_edge
+    r = abs(t)
+    lo = 1.0 if r <= 1.0 else 0.5 / r
+    total, err = _panel(t, b, n, s if lo == 1.0 else lo * s, w, w2, lo ** a)
+    total += 0  # summed from 0 as sum() did, so -0.0 parts read 0.0
+    if lo < 1.0:
+        s, w, w2 = _node_pair(n, 1.0)
     while lo < 1.0:
         hi = min(2.0 * lo, 1.0)
         nodes = lo + (hi - lo) * s
-        panel(w, w2, nodes, hi - lo, nodes ** (a - 1.0))
+        # s^(a-1) < lo^(a-1): past 2^1023 (a < 0.002), weigh 2^1000 s
+        if (1.0 - a) * math.log2(lo) >= -1023.0:
+            scale, weight = hi - lo, nodes ** (a - 1.0)
+        else:
+            scale = (hi - lo) * 2.0 ** (1000.0 * (1.0 - a))
+            weight = (2.0 ** 1000 * nodes) ** (a - 1.0)
+        value, error = _panel(t, b, n, nodes, w, w2, scale, weight)
+        total += value
+        err += error
         lo = hi
-    total = sum(values)
-    err = sum(errors)
     if err <= _TARGET_REL_ERROR * max(abs(total), 1e-300):
         return total
     rel_err = err / max(abs(total), 1e-300)
@@ -353,13 +362,18 @@ def cs_map(spec: CsMapSpec, t, cfg: QuadratureConfig | None = None) -> complex:
 def cs_map_derivative(spec: CsMapSpec, t) -> complex:
     """Closed-form derivative prefactor * t^(a-1) (1-t)^(b-1) / B(a, b),
     with the same branch convention as the map itself.  Raises
-    ValueError at t = 0, at t = 1 and for non-finite t or t whose
-    modulus overflows, and CutCrossingError for real t > 1."""
+    ValueError at t = 0, at t = 1, for non-finite t or t whose modulus
+    overflows, and where the derivative overflows (next to 0 or 1 for a
+    tiny exponent), and CutCrossingError for real t > 1."""
     _require_instance("spec", spec, CsMapSpec)
     t = _path_end(t)
     if t == 0 or t == 1:
         raise ValueError(f"derivative is singular at t = {t}")
-    return _derivative(spec, t, complete_beta(spec.a, spec.b))
+    try:
+        return _derivative(spec, t, complete_beta(spec.a, spec.b))
+    except OverflowError:
+        raise ValueError(f"derivative at t = {t} overflows the float "
+                         "range") from None
 
 
 def _derivative(spec: CsMapSpec, t: complex, beta_ab: float) -> complex:
@@ -379,8 +393,9 @@ def image_triangle(spec: CsMapSpec) -> tuple[complex, complex, complex]:
     if c < MIN_EXPONENT:
         raise ValueError(f"1 - a - b = {c!r} lies below MIN_EXPONENT "
                          f"{MIN_EXPONENT}")
+    n = DEFAULT_CONFIG.node_count
     v_inf = spec.prefactor * cmath.exp(-1j * math.pi * a) \
-        * complete_beta(a, c) / complete_beta(a, b)
+        * _beta_cached(a, c, n) / _beta_cached(a, b, n)
     return 0j, complex(spec.prefactor), v_inf
 
 
@@ -390,8 +405,8 @@ def _inside_triangle(z: complex, tri, tol: float) -> bool:
     orient = ((p1 - p0).conjugate() * (p2 - p0)).imag
     sign = 1.0 if orient >= 0 else -1.0
     for q0, q1 in ((p0, p1), (p1, p2), (p2, p0)):
-        cross = ((q1 - q0).conjugate() * (z - q0)).imag
-        if sign * cross < -tol * abs(q1 - q0):
+        edge = q1 - q0
+        if sign * (edge.conjugate() * (z - q0)).imag < -tol * abs(edge):
             return False
     return True
 
@@ -474,31 +489,26 @@ def _corner_seed(spec: CsMapSpec, z: complex, tri,
     or is not finite is skipped."""
     a, b, pf = spec.a, spec.b, spec.prefactor
     c = a + b - 1.0
-
-    def at_zero():
-        t = (z * a * beta_ab / pf) ** (1.0 / a)
-        k = a * (1.0 - b) / (a + 1.0)
-        return t * (1.0 + k * t) ** (-1.0 / a), k * abs(t)
-
-    def at_one():
-        d = ((1.0 - z / pf) * b * beta_ab) ** (1.0 / b)
-        k = b * (1.0 - a) / (b + 1.0)
-        return 1.0 - d * (1.0 + k * d) ** (-1.0 / b), k * abs(d)
-
-    def at_infinity():
-        # the map tends to tri[2] like pf * e^(i*pi*(b-1)) * q / (c*B)
-        t = _from_q((z - tri[2]) * c * beta_ab
-                    / (pf * cmath.exp(1j * math.pi * (b - 1.0))), c)
-        k = (1.0 - b) * c / (c - 1.0)
-        return t * (1.0 + k / t) ** (-1.0 / c), k / abs(t)
-
     best_t, best_error = None, math.inf
-    for corner, seed in zip(tri, (at_zero, at_one, at_infinity)):
+    for corner in range(3):
         try:
-            t, scale = seed()
+            if corner == 0:
+                t0 = (z * a * beta_ab / pf) ** (1.0 / a)
+                k = a * (1.0 - b) / (a + 1.0)
+                t, scale = t0 * (1.0 + k * t0) ** (-1.0 / a), k * abs(t0)
+            elif corner == 1:
+                d = ((1.0 - z / pf) * b * beta_ab) ** (1.0 / b)
+                k = b * (1.0 - a) / (b + 1.0)
+                t, scale = 1.0 - d * (1.0 + k * d) ** (-1.0 / b), k * abs(d)
+            else:
+                # the map tends to tri[2] like pf * e^(i*pi*(b-1)) * q / (c*B)
+                t0 = _from_q((z - tri[2]) * c * beta_ab
+                             / (pf * cmath.exp(1j * math.pi * (b - 1.0))), c)
+                k = (1.0 - b) * c / (c - 1.0)
+                t, scale = t0 * (1.0 + k / t0) ** (-1.0 / c), k / abs(t0)
         except (OverflowError, ZeroDivisionError):
             continue
-        error = scale * abs(z - corner)
+        error = scale * abs(z - tri[corner])
         if cmath.isfinite(t) and error < best_error:
             best_t, best_error = t, error
     if best_t is None:
@@ -550,15 +560,15 @@ def invert_cs_map(spec: CsMapSpec, z) -> complex:
     """
     z = _require_finite("z", z)
     tri = image_triangle(spec)
-    diam = max(abs(p - q) for p in tri for q in tri)
+    diam = max(abs(tri[1]), abs(tri[2]), abs(tri[1] - tri[2]))  # tri[0] = 0
     if not _inside_triangle(z, tri, _SNAP * diam):
         raise OutsideImageError(f"{z} is outside the image triangle")
     if abs(z - tri[0]) <= _SNAP * diam:
         return 0j
     if abs(z - tri[1]) <= _SNAP * diam:
         return 1.0 + 0j
-    beta_ab = complete_beta(spec.a, spec.b)
     a, b, pf, n = spec.a, spec.b, spec.prefactor, DEFAULT_CONFIG.node_count
+    beta_ab = _beta_cached(a, b, n)
     t = _corner_seed(spec, z, tri, beta_ab)
     stall = _STALL_RESIDUAL * diam
     best_t = None

@@ -121,6 +121,10 @@ class DessinDocument:
         for name, value in stored.items():
             object.__setattr__(self, name, value)
 
+    def __reduce__(self):  # the arrays only: the views rebuild on use
+        return _unpickled, (self._dessin, self._metric, self._edge_colors,
+                            self._face_shades, self._vertex_labels)
+
     @property
     def has_metric(self) -> bool:
         return self._metric is not None
@@ -225,6 +229,13 @@ def _from_parts(d: Dessin, m: MetricData | None,
     doc.__dict__.update(zip(["_" + key for key in _COLOR_KEYS], colors),
                         _dessin=d, n_darts=d.n_darts, _metric=m)
     return doc
+
+
+def _unpickled(d: Dessin, m: MetricData | None, *colors) -> DessinDocument:
+    """The document of :meth:`DessinDocument.__reduce__`, rebuilt through
+    :func:`_from_parts` with its code arrays made read-only."""
+    return _from_parts(d, m, [None if arr is None else _frozen(arr)
+                              for arr in colors])
 
 
 def from_dessin(d: Dessin, m: MetricData | None = None) -> DessinDocument:

@@ -145,6 +145,19 @@ class TricoloredDessin:
                                  _code_array(Shade, face_shade),
                                  _code_array(VertexLabel, vertex_label)))
 
+    def __reduce__(self):  # the arrays only: the views rebuild on use
+        return _from_codes, (self.base, self._edge_color, self._face_shade,
+                             self._vertex_label)
+
+
+def _from_codes(base: Dessin, *codes) -> TricoloredDessin:
+    """The tricolored dessin of :meth:`TricoloredDessin.__reduce__`,
+    rebuilt through :func:`_hold_codes` with its code arrays made
+    read-only."""
+    t = object.__new__(TricoloredDessin)
+    _hold_codes(t, base, [_frozen(arr) for arr in codes])
+    return t
+
 
 def _hold_codes(t: TricoloredDessin, base: Dessin, codes) -> None:
     """Give ``t`` the dessin ``base`` and the code arrays ``codes`` (edge

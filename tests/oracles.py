@@ -151,6 +151,51 @@ def complex_power_scaled_integral(a: float, b: float, t: complex,
     return total
 
 
+def list_summed_scaled_integral(a: float, b: float, t: complex,
+                                n: int) -> complex:
+    """The package's quadrature kernel (csmap._scaled_integral) written
+    with each panel a closure that appends its value and error to
+    per-call lists, which ``sum`` adds up at the end: the reference the
+    kernel must match bit for bit.  The Gauss rules and the error class
+    are the package's own."""
+    import numpy as np
+
+    from dessins.csmap import NonConvergenceError, _node_pair
+
+    r = abs(t)
+    s_edge = 1.0 if r <= 1.0 else 0.5 / r
+    values = []
+    errors = []
+
+    def panel(w, w2, s, scale, weight=1.0):
+        x, y = 1.0 - t.real * s, -t.imag * s
+        modulus = weight * np.hypot(x, y) ** (b - 1.0)
+        angle = (b - 1.0) * np.arctan2(y, x)
+        re, im = modulus * np.cos(angle), modulus * np.sin(angle)
+        fine = scale * complex(w2 @ re[n:], w2 @ im[n:])
+        values.append(fine)
+        errors.append(abs(fine - scale * complex(w @ re[:n], w @ im[:n])))
+
+    s, w, w2 = _node_pair(n, a)
+    panel(w, w2, s_edge * s, s_edge ** a)
+    s, w, w2 = _node_pair(n, 1.0)
+    lo = s_edge
+    while lo < 1.0:
+        hi = min(2.0 * lo, 1.0)
+        nodes = lo + (hi - lo) * s
+        panel(w, w2, nodes, hi - lo, nodes ** (a - 1.0))
+        lo = hi
+    total = sum(values)
+    err = sum(errors)
+    if err <= 1e-12 * max(abs(total), 1e-300):
+        return total
+    rel_err = err / max(abs(total), 1e-300)
+    raise NonConvergenceError(
+        f"estimated relative error {rel_err:.2e} of the quadrature at "
+        f"node_count {n} exceeds 1e-12",
+        stage="quadrature", evaluations=1, best_residual=rel_err)
+
+
 # --- dart-by-dart subdivision operators and checks ------------------------
 #
 # The loops below build each new permutation one dart at a time from the

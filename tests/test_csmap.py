@@ -41,7 +41,8 @@ from dessins.csmap import (
     triangle_to_square,
 )
 import dessins.csmap as csmap_module
-from oracles import complex_power_scaled_integral, fd_derivative, gamma_beta
+from oracles import (complex_power_scaled_integral, fd_derivative, gamma_beta,
+                     list_summed_scaled_integral)
 
 ALL_SPECS = (SQUARE_CELL, TRIANGLE_COORD, SQUARE_COORD)
 
@@ -527,7 +528,8 @@ FINITE_EXTREME = st.builds(complex, _FINITE_FLOAT, _FINITE_FLOAT)
 def _assert_documented_outcome(call, spec, t):
     """A finite value, or one of the documented errors: CutCrossingError,
     NonConvergenceError, or ValueError for a modulus past the float
-    range or at a singular point of the derivative."""
+    range, at a singular point of the derivative or where a power in
+    the derivative overflows."""
     try:
         value = call(spec, t)
     except (CutCrossingError, NonConvergenceError):
@@ -535,6 +537,8 @@ def _assert_documented_outcome(call, spec, t):
     except ValueError as exc:
         if "singular" in str(exc):
             assert call is cs_map_derivative and t in (0, 1)
+        elif "overflows the float range" in str(exc):
+            assert call is cs_map_derivative
         else:
             assert "modulus beyond the float range" in str(exc)
             assert math.isinf(math.hypot(t.real, t.imag))
@@ -542,22 +546,29 @@ def _assert_documented_outcome(call, spec, t):
     assert cmath.isfinite(value)
 
 
+# a tiny exponent next to its prevertex takes t^(a-1) or (1-t)^(b-1)
+# past the float range
+TINY_EXPONENT_SPECS = (CsMapSpec(1e-15, 0.5, 1.0), CsMapSpec(0.5, 1e-15, 1.0))
+
+
 class TestFiniteExtremeInput:
     @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(st.sampled_from(ALL_SPECS), FINITE_EXTREME)
+    @given(st.sampled_from(ALL_SPECS + TINY_EXPONENT_SPECS), FINITE_EXTREME)
     def test_documented_outcome_in_bounded_time(self, spec, t):
         with time_limit(CALL_LIMIT_S):
             _assert_documented_outcome(cs_map, spec, t)
         with time_limit(CALL_LIMIT_S):
             _assert_documented_outcome(cs_map_derivative, spec, t)
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
+    @pytest.mark.parametrize("spec", ALL_SPECS + TINY_EXPONENT_SPECS,
+                             ids=lambda s: s.name)
     @pytest.mark.parametrize("t", [1e300 - 1e-300j, 1e308 - 1e-300j,
                                    1.7976931348623157e308 - 5e-324j,
                                    -1e308 - 1e-300j, 1e308 - 1e308j])
     def test_far_lower_half_plane_reaches_far_corner(self, spec, t):
         # cmath.phase overflowed on the first of these, and |t|^2
-        # overflowed in the distance to the branch point
+        # overflowed in the distance to the branch point; past |t| =
+        # 2^1023 the ladder weight s^(a-1) overflowed for a tiny a
         with time_limit(CALL_LIMIT_S):
             value = cs_map(spec, t)
         assert abs(value - image_triangle(spec)[2]) <= 1e-6
@@ -577,6 +588,14 @@ class TestFiniteExtremeInput:
         with pytest.raises(TypeError, match="must be a number, not "
                                             f"{type(t).__name__}$"):
             call(t)
+
+    @pytest.mark.parametrize("spec, t", [
+        (TINY_EXPONENT_SPECS[0], 1e-310), (TINY_EXPONENT_SPECS[0], -5e-324j),
+        (TINY_EXPONENT_SPECS[1], 1 - 1e-310j)])
+    def test_derivative_overflow_is_a_value_error(self, spec, t):
+        with pytest.raises(ValueError, match="overflows the float range"):
+            cs_map_derivative(spec, t)
+        assert cmath.isfinite(cs_map(spec, t))
 
     def test_modulus_past_float_range_rejected(self):
         t = complex(-1.7976931348623157e308, -1.7976931348623157e308)
@@ -992,6 +1011,39 @@ def test_real_panels_match_the_complex_power(a, b, t):
         a, b, t, csmap_module._node_pair(48, a),
         csmap_module._node_pair(48, 1.0))
     assert abs(got - expect) <= 1e-14 * abs(expect)
+
+
+def _kernel_outcome(kernel, a, b, t, n):
+    """The kernel's value as float.hex strings, or its error and message."""
+    try:
+        value = kernel(a, b, t, n)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+    return value.real.hex(), value.imag.hex()
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + (
+    CsMapSpec(0.4, 0.55, 1.0), CsMapSpec(0.9, 0.05, 1.0)),
+    ids=lambda s: f"{s.a:g}-{s.b:g}")
+@pytest.mark.parametrize("n", [48, 96])
+def test_kernel_matches_its_list_summed_form_bit_for_bit(spec, n):
+    """The kernel against its list-summed form (oracles), where the 1e-14
+    of the complex-power oracle would let a refactor move the last digits:
+    |t| log-uniform in [1e-300, 1e300] at any argument, t = -1 and 0.5,
+    and t within 1e-15 to 1e-1 of 1, passed on as _integral does."""
+    rng = random.Random(n + int(1000 * spec.a))
+    points = [cmath.rect(10.0 ** rng.uniform(-300.0, 300.0),
+                         rng.uniform(-math.pi, math.pi)) for _ in range(12)]
+    points += [-1.0 + 0j, 0.5 + 0j]
+    points += [1.0 + cmath.rect(10.0 ** rng.uniform(-15.0, -1.0),
+                                rng.uniform(-math.pi, math.pi))
+               for _ in range(6)]
+    for t in points:
+        a, b = spec.a, spec.b
+        if csmap_module._segment_distance_to_one(t) < csmap_module._NEAR_ONE:
+            a, b, t = b, a, 1.0 - t
+        assert _kernel_outcome(csmap_module._scaled_integral, a, b, t, n) \
+            == _kernel_outcome(list_summed_scaled_integral, a, b, t, n), t
 
 
 class TestFixedLadderAndOneSeed:

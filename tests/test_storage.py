@@ -19,7 +19,8 @@ from dessins.belyi import barycentric_subdivide, passport
 from dessins.cartography import CellKind, Dessin, Violation
 from dessins.catalog import (octahedron_tricolored, pillow_sphere,
                              random_origami, square_torus_grid)
-from dessins.document import from_tricolored, parse
+from dessins.document import (DessinDocument, from_dessin, from_tricolored,
+                              parse)
 from dessins.metric import (R0, R0_INV, R1, MetricData, chart_transition,
                             cone_angle, face_closure_residual,
                             metric_violations, square_structure)
@@ -277,6 +278,102 @@ class TestTricoloredStorage:
         assert DESSIN_VIEWS.isdisjoint(tri.base.__dict__)
         assert COLORING_VIEWS.isdisjoint(tri.__dict__)
         assert parse(text) == out_doc
+
+
+
+def _grid_diagonal():
+    d = square_torus_grid(16, 16)
+    return diagonal_subdivision(d, corner_bipartition(d))
+
+
+def _octahedron_from_lists():
+    t = octahedron_tricolored()
+    return TricoloredDessin(t.base, list(t.edge_color), list(t.face_shade),
+                            list(t.vertex_label))
+
+
+def _refined_cover():
+    d = refine_2x2(square_torus_grid(3, 3))
+    t = diagonal_subdivision(d, corner_bipartition(d))
+    return barycentric_subdivide(t)
+
+
+def _parsed_grid_metric():
+    d = square_torus_grid(4, 4)
+    return parse(from_dessin(d, square_structure(d)).serialize())
+
+
+# constructor, operator and parse outputs of both classes
+COPIED = {
+    "constructor": octahedron_tricolored,
+    "constructor-lists": _octahedron_from_lists,
+    "diagonal": _grid_diagonal,
+    "barycentric": _refined_cover,
+    "document-constructor": lambda: DessinDocument(
+        4, [1, 0, 3, 2], [2, 3, 0, 1], [1.0] * 4, [1.5] * 4),
+    "parsed-tricolored": lambda: parse(
+        from_tricolored(_grid_diagonal()).serialize()),
+    "parsed-metric": _parsed_grid_metric,
+    "from-tricolored": lambda: from_tricolored(_grid_diagonal()),
+}
+
+
+def _read_every_view(obj):
+    """Build every cached view of ``obj``, of its dessin and colorings."""
+    if isinstance(obj, DessinDocument):
+        for name in DOCUMENT_VIEWS:
+            getattr(obj, name)
+        dessin = obj.to_dessin()
+        if obj.has_coloring:
+            passport(obj.to_tricolored())
+    else:
+        for name in COLORING_VIEWS:
+            getattr(obj, name)
+        passport(obj)
+        dessin = obj.base
+    for name in DESSIN_VIEWS:
+        getattr(dessin, name)
+    for kind in CellKind:
+        dessin.cells(kind)
+
+
+def _reachable_arrays(value, seen):
+    """Every ndarray reachable from ``value`` through instance dicts,
+    dicts, tuples and lists."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _reachable_arrays(item, seen)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _reachable_arrays(item, seen)
+    elif hasattr(value, "__dict__") and not isinstance(value, type):
+        yield from _reachable_arrays(vars(value), seen)
+
+
+@pytest.mark.parametrize("copier", [
+    lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"])
+@pytest.mark.parametrize("build", COPIED.values(), ids=COPIED.keys())
+def test_copies_are_their_arrays_read_only(build, copier):
+    """A tricolored dessin or a document pickles and copies as its
+    defining arrays: the bytes do not change once its cached views are
+    built, and the copy is equal and reaches only read-only arrays."""
+    obj = build()
+    fresh = pickle.dumps(obj)
+    _read_every_view(obj)
+    assert pickle.dumps(obj) == fresh
+    c = copier(obj)
+    assert c == obj
+    _read_every_view(c)
+    assert pickle.dumps(c) == fresh
+    arrays = list(_reachable_arrays(c, set()))
+    assert arrays
+    assert not [a for a in arrays if a.flags.writeable]
 
 
 class TestValidateTricoloringMatchesLoops:
