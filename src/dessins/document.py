@@ -225,6 +225,11 @@ def _from_parts(d: Dessin, m: MetricData | None,
     computed stays with it.  Only the fit of ``m`` to ``d`` is checked."""
     if m is not None and metric_violations(d, m):
         raise ValueError("metric does not fit the dessin")
+    return _held(d, m, colors)
+
+
+def _held(d: Dessin, m: MetricData | None, colors) -> DessinDocument:
+    """The document holding ``d``, ``m`` and ``colors``, checking none."""
     doc = object.__new__(DessinDocument)
     doc.__dict__.update(zip(["_" + key for key in _COLOR_KEYS], colors),
                         _dessin=d, n_darts=d.n_darts, _metric=m)
@@ -232,10 +237,12 @@ def _from_parts(d: Dessin, m: MetricData | None,
 
 
 def _unpickled(d: Dessin, m: MetricData | None, *colors) -> DessinDocument:
-    """The document of :meth:`DessinDocument.__reduce__`, rebuilt through
-    :func:`_from_parts` with its code arrays made read-only."""
-    return _from_parts(d, m, [None if arr is None else _frozen(arr)
-                              for arr in colors])
+    """The document of :meth:`DessinDocument.__reduce__` with its code
+    arrays made read-only.  The fit of ``m`` is not checked: as from the
+    constructor and :func:`parse`, a metric that does not fit comes back
+    for ``dessins validate`` to report."""
+    return _held(d, m, [None if arr is None else _frozen(arr)
+                        for arr in colors])
 
 
 def from_dessin(d: Dessin, m: MetricData | None = None) -> DessinDocument:

@@ -155,9 +155,9 @@ def list_summed_scaled_integral(a: float, b: float, t: complex,
                                 n: int) -> complex:
     """The package's quadrature kernel (csmap._scaled_integral) written
     with each panel a closure that appends its value and error to
-    per-call lists, which ``sum`` adds up at the end: the reference the
-    kernel must match bit for bit.  The Gauss rules and the error class
-    are the package's own."""
+    per-call lists, added up left to right from 0 at the end: the
+    reference the kernel must match bit for bit.  The Gauss rules and
+    the error class are the package's own."""
     import numpy as np
 
     from dessins.csmap import NonConvergenceError, _node_pair
@@ -185,8 +185,12 @@ def list_summed_scaled_integral(a: float, b: float, t: complex,
         nodes = lo + (hi - lo) * s
         panel(w, w2, nodes, hi - lo, nodes ** (a - 1.0))
         lo = hi
-    total = sum(values)
-    err = sum(errors)
+    # left to right from 0, as sum() adds before Python 3.12: from 3.12
+    # on, sum() of floats is compensated, which the kernel is not
+    total = err = 0
+    for value, error in zip(values, errors):
+        total = total + value
+        err = err + error
     if err <= 1e-12 * max(abs(total), 1e-300):
         return total
     rel_err = err / max(abs(total), 1e-300)

@@ -311,6 +311,8 @@ COPIED = {
     "barycentric": _refined_cover,
     "document-constructor": lambda: DessinDocument(
         4, [1, 0, 3, 2], [2, 3, 0, 1], [1.0] * 4, [1.5] * 4),
+    "document-unfit-metric": lambda: DessinDocument(
+        4, [1, 0, 3, 2], [2, 3, 0, 1], [1.0, 2.0, 1.0, 1.0], [1.5] * 4),
     "parsed-tricolored": lambda: parse(
         from_tricolored(_grid_diagonal()).serialize()),
     "parsed-metric": _parsed_grid_metric,
