@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +42,11 @@ class CellIndex:
     id: int
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or numpy integer, not a (numpy) bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _index(value, name: str, count: int) -> int:
     """``value`` as an id in 0..count-1 of a ``name`` ("dart" or a cell
     kind): an int or numpy integer, or a :class:`CellIndex` of that
@@ -53,8 +58,7 @@ def _index(value, name: str, count: int) -> int:
             if value.kind != name:
                 raise ValueError(f"expected a {name} cell, got {value.kind}")
             return _index(value.id, name, count)
-        # bool and numpy bool are not numpy integers
-        if not isinstance(value, np.integer):
+        if not _is_integer(value):
             raise ValueError(f"{name} {value!r} is not an integer")
         value = int(value)
     if not 0 <= value < count:
@@ -189,7 +193,7 @@ def _image_array(name: str, images, n: int) -> np.ndarray:
     if isinstance(images, np.ndarray):
         images = images.tolist()
     for i, y in enumerate(images):
-        if not isinstance(y, int) or isinstance(y, bool):
+        if not _is_integer(y):
             raise ValueError(f"{name}[{i}] is not an integer")
         if not 0 <= y < n:
             raise ValueError(f"{name}[{i}] = {y} out of range 0..{n - 1}")
@@ -327,14 +331,13 @@ class Dessin:
     rho1: tuple[int, ...] = tuple_view("_r1")
 
     def __init__(self, n_darts: int, rho0, rho1):
-        if (not isinstance(n_darts, int) or isinstance(n_darts, bool)
-                or n_darts <= 0):
+        if not _is_integer(n_darts) or n_darts <= 0:
             raise ValueError("n_darts must be a positive integer")
         rho0, rho1 = (p if isinstance(p, np.ndarray) else tuple(p)
                       for p in (rho0, rho1))
         r0 = _image_array("rho0", rho0, n_darts)
         r1 = _image_array("rho1", rho1, n_darts)
-        object.__setattr__(self, "n_darts", n_darts)
+        object.__setattr__(self, "n_darts", int(n_darts))
         object.__setattr__(self, "_r0", r0)
         object.__setattr__(self, "_r1", r1)
         for name, images in (("rho0", rho0), ("rho1", rho1)):
@@ -431,9 +434,8 @@ class Dessin:
     @cached_property
     def _cell_arrays(self) -> dict[CellKind, Cells]:
         """The arrays of :meth:`cell_arrays`: the vertex cells built by
-        validation, the others per kind on demand.  :func:`_substitute`
-        puts in the vertex lift as a function of no arguments, which the
-        first call for vertices runs."""
+        validation, or lifted by :func:`_substitute` as it builds the
+        dessin, and the others per kind on demand."""
         return {}
 
     def cell_arrays(self, kind: CellKind) -> Cells:
@@ -448,8 +450,6 @@ class Dessin:
             else:
                 minima = _cycle_minima(getattr(self, _GENERATOR[kind]))
             cells = self._cell_arrays[kind] = _cells_of(minima)
-        elif callable(cells):
-            cells = self._cell_arrays[kind] = cells()
         return cells
 
     @cached_property
@@ -679,40 +679,31 @@ def from_rho1_rho2(rho1, rho2) -> Dessin:
     return Dessin(len(rho1), _frozen(rho0), rho1)
 
 
-def _lifted_cells(d: Dessin, k: int, column, sources) -> Cells:
-    """The vertex cells of a substitution of the valid ``d``: new dart
-    k*e + i lies on the lift of the vertex, edge or face ``column[i]`` =
-    (kind, source) of ``d`` that holds source(e).  A cell's smallest
-    dart is a gather of the input's smallest darts for source e, else
-    one minimum over the input's darts, so no orbit of the output is
-    walked.  Faces are not lifted: their 3- and 4-cycles take the
-    generic kernel in a few rounds, while a long vertex cycle takes a
-    doubling round per doubling of its length."""
+def _lifted_cells(d: Dessin, k: int, column, ids) -> Cells:
+    """The vertex cells of a substitution of the valid ``d``, built with
+    it: new dart k*e + i lies on the lift of the cell ``ids[c][e]`` of
+    ``d``, c = ``column[i]`` = (kind, source), which holds source(e).  A
+    cell's smallest dart is a gather of the input's smallest darts for
+    source e, else one minimum over the input's darts, so no orbit of
+    the output is walked.  Faces are not lifted: their 3- and 4-cycles
+    take the generic kernel in a few rounds, while a long vertex cycle
+    takes a doubling round per doubling of its length."""
     n = d.n_darts
-    labels = []
     least = {}  # per kind, the smallest dart of each of its cells
     for i, (kind, src) in enumerate(column):
         cells = d.cell_arrays(kind)
-        x = cells.id[sources[src]]
         if src == "e":
             first = cells.smallest
         else:
             first = np.full(len(cells.smallest), n)
-            np.minimum.at(first, x, _darts(n))
-        labels.append(x)
+            np.minimum.at(first, ids[kind, src], _darts(n))
         first = k * first + i
         least[kind] = (np.minimum(least[kind], first) if kind in least
                        else first)
     minima = np.empty(n * k, np.intp)
-    for i, (kind, _) in enumerate(column):
-        minima[i::k] = least[kind][labels[i]]
+    for i, (kind, src) in enumerate(column):
+        minima[i::k] = least[kind][ids[kind, src]]
     return _cells_of(minima)
-
-
-def _sources(d: Dessin) -> dict[str, np.ndarray]:
-    """The substitution sources of ``d`` as index arrays, by name."""
-    return {"e": _darts(d.n_darts), "rho1": d._r1, "rho2": d._r2,
-            "rho2_inv": d._r1[d._r0]}  # rho2^{-1} = rho1 o rho0
 
 
 class _Substitution(NamedTuple):
@@ -728,27 +719,33 @@ class _Substitution(NamedTuple):
     vertices: tuple
 
 
-def _substitute(d: Dessin, s: _Substitution) -> Dessin:
+def _substitute(d: Dessin, s: _Substitution) -> tuple[Dessin, dict]:
     """The substitution ``s`` of the valid ``d`` (InvalidDessinError
     otherwise), the permutation-triple calculus of Lando & Zvonkin,
     *Graphs on Surfaces and Their Applications* (2004), ch. 1: its tables
     give rho1 and rho2, and rho0 follows from :func:`from_rho1_rho2`.
     The result is valid by construction, so nothing validates it, and
-    its vertex cells are lifted on first use (:func:`_lifted_cells`)."""
+    comes with the cell ids of ``d`` its vertex column reads, per
+    (kind, src), the id array itself at e: its vertex cells are lifted
+    from them at once (:func:`_lifted_cells`); it keeps nothing of ``d``."""
     d.require_valid()
     k = len(s.vertices)
-    sources = _sources(d)
+    sources = {"rho1": d._r1, "rho2": d._r2,
+               "rho2_inv": d._r1[d._r0]}  # rho2^{-1} = rho1 o rho0
     scaled = {src: k * p for src, p in sources.items()}
+    scaled["e"] = k * _darts(d.n_darts)
     r1 = np.empty(d.n_darts * k, np.intp)  # owns its memory: shared
     r2 = np.empty_like(r1)
     for images, table in ((r1, s.rho1), (r2, s.rho2)):
         for i, (src, j) in enumerate(table):
             np.add(scaled[src], j, out=images[i::k])
+    del scaled  # before the lift's scratch
     out = from_rho1_rho2(_frozen(r1), _frozen(r2))
     out.__dict__.update(_violations=(), _r2=r2)
-    out._cell_arrays[CellKind.VERTEX] = partial(
-        _lifted_cells, d, k, s.vertices, sources)
-    return out
+    ids = {(kind, src): d.cell_arrays(kind).id[sources.get(src, slice(None))]
+           for kind, src in dict.fromkeys(s.vertices)}
+    out._cell_arrays[CellKind.VERTEX] = _lifted_cells(d, k, s.vertices, ids)
+    return out, ids
 
 
 def is_isomorphic(d1: Dessin, d2: Dessin) -> bool:

@@ -9,11 +9,19 @@ from typing import Sequence
 import numpy as np
 
 from . import permutations as perms
-from .cartography import (CellKind, Dessin, _permutation_array,
+from .cartography import (CellKind, Dessin, _is_integer, _permutation_array,
                           from_rho1_rho2)
 from .tiling import TricoloredDessin, VertexLabel, tricolored_from_labels
 
 _MAX_TRIES = 1000  # samples drawn before giving up on connectivity
+
+
+def _size(name: str, value) -> int:
+    """``value`` as an int; TypeError, naming ``name``, unless an integer."""
+    if not _is_integer(value):
+        raise TypeError(f"{name} must be an integer, not "
+                        f"{type(value).__name__}")
+    return int(value)
 
 
 def from_face_lists(faces: Sequence[Sequence[int]]) -> Dessin:
@@ -31,7 +39,7 @@ def from_face_lists(faces: Sequence[Sequence[int]]) -> Dessin:
         if len(face) < 2:
             raise ValueError(f"face {f} has fewer than 2 sides")
         for v in face:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            if not _is_integer(v) or v < 0:
                 raise ValueError(f"face {f} contains a bad vertex id {v!r}")
         for i, v in enumerate(face):
             darts.append((v, face[(i + 1) % len(face)]))
@@ -93,6 +101,7 @@ def square_torus_grid(width: int, height: int) -> Dessin:
     """Torus tiled by a width x height grid of squares."""
     if any(isinstance(x, (bool, np.bool_)) for x in (width, height)):
         raise ValueError("grid dimensions must be integers, not bool")
+    width, height = _size("width", width), _size("height", height)
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be positive")
     # square s = y * width + x; its right and upper neighbours, cyclically
@@ -155,6 +164,7 @@ def _connected(what: str, draw) -> Dessin:
 
 def random_origami(n_squares: int, rng: random.Random) -> Dessin:
     """Connected random origami on n_squares squares."""
+    n_squares = _size("n_squares", n_squares)
     if n_squares < 1:
         raise ValueError("need at least one square")
     return _connected("origami", lambda: origami(  # h is drawn, then v
@@ -165,6 +175,7 @@ def random_origami(n_squares: int, rng: random.Random) -> Dessin:
 def random_dessin(n_darts: int, rng: random.Random) -> Dessin:
     """Random valid dessin: a random vertex rotation together with a
     random fixed-point-free pairing, resampled until connected."""
+    n_darts = _size("n_darts", n_darts)
     if n_darts < 2 or n_darts % 2:
         raise ValueError("n_darts must be even and at least 2")
     return _connected("dessin", lambda: Dessin(

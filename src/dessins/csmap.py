@@ -24,8 +24,9 @@ s^(a-1) (1-t*s)^(b-1) ds, whose integrand is evaluated in real arithmetic
 Gauss-Jacobi nodes; when the path passes near w = 1 the reflection
 I(a,b;t) = B(a,b) - I(b,a;1-t) moves the singularity out of the way, and
 for |t| > 1 the s-interval is covered by a short geometric ladder of
-Gauss-Legendre panels away from the scaled branch point.  The ladder is
-fixed: every panel is evaluated at n and 2n nodes, and when the summed
+Gauss-Legendre panels away from the scaled branch point; B(a, b) is
+I(a,b;1/2) + I(b,a;1/2), one panel each.  The ladder is fixed: every
+panel, B's included, is evaluated at n and 2n nodes, and when the summed
 differences exceed 1e-12 of the value, as they do only for a node count
 far below the default, the map raises NonConvergenceError.  Both Gauss
 rules come from one Golub-Welsch eigenproblem in numpy.  A
@@ -325,20 +326,18 @@ def _integral(a: float, b: float, t: complex, n: int) -> complex:
 
 
 @lru_cache(maxsize=256)
-def _beta_cached(a: float, b: float, node_count: int) -> float:
-    def half(x: float, y: float) -> float:
-        # integral_0^(1/2) w^(x-1) (1-w)^(y-1) dw, scaled to [0, 1]
-        s, w, _ = _node_pair(node_count, x)
-        vals = (1.0 - 0.5 * s[:node_count]) ** (y - 1.0)
-        return 0.5 ** x * float(w @ vals)
-
-    return half(a, b) + half(b, a)
+def _beta_cached(a: float, b: float, n: int) -> float:
+    """B(a, b) as the integrals of w^(x-1) (1-w)^(y-1) over [0, 1/2] for
+    (x, y) = (a, b), (b, a): 2^-x times _scaled_integral at t = 1/2."""
+    return (0.5 ** a * _scaled_integral(a, b, 0.5, n)
+            + 0.5 ** b * _scaled_integral(b, a, 0.5, n)).real
 
 
 def complete_beta(a: float, b: float,
                   cfg: QuadratureConfig | None = None) -> float:
     """B(a, b) = I(a, b; 1), split symmetrically at 1/2 so the result is
-    exactly symmetric in (a, b)."""
+    exactly symmetric in (a, b).  Each half is checked as
+    :func:`incomplete_cs_integral` is, with its NonConvergenceError."""
     _require_instance("cfg", cfg, (QuadratureConfig, type(None)))
     cfg = DEFAULT_CONFIG if cfg is None else cfg
     _check_exponents(a, b)

@@ -53,7 +53,7 @@ import numpy as np
 from .cartography import Dessin, _frozen, _require_length, tuple_view
 from .metric import MetricData, metric_array, metric_violations
 from .tiling import (_CODE, _MEMBERS, _TEXT, Color, Shade, TricoloredDessin,
-                     VertexLabel, _code_array, _hold_codes)
+                     VertexLabel, _code_array, _from_codes)
 
 FORMAT_VERSION = "1"
 
@@ -109,21 +109,18 @@ class DessinDocument:
         if any(given) and not all(given):
             raise ValueError("edge_colors, face_shades and vertex_labels "
                              "must be given together")
-        stored = {"_dessin": Dessin(n_darts, rho0, rho1), "n_darts": n_darts,
-                  "_metric": None}
-        if lengths is not None:
-            m = stored["_metric"] = MetricData(lengths, angles)
+        d = Dessin(n_darts, rho0, rho1)
+        m = None if lengths is None else MetricData(lengths, angles)
+        if m is not None:
             for key, values in zip(_METRIC_KEYS, (m._lengths, m._angles)):
                 _require_length(key, values, n_darts)
-        for key, cls, values in zip(_COLOR_KEYS, _COLOR_ENUMS, colors):
-            stored["_" + key] = (None if values is None
-                                 else _code_array(cls, values))
-        for name, value in stored.items():
-            object.__setattr__(self, name, value)
+        self.__dict__.update(vars(_held(d, m, [
+            None if values is None else _code_array(cls, values)
+            for cls, values in zip(_COLOR_ENUMS, colors)])))
 
     def __reduce__(self):  # the arrays only: the views rebuild on use
-        return _unpickled, (self._dessin, self._metric, self._edge_colors,
-                            self._face_shades, self._vertex_labels)
+        return _held, (self._dessin, self._metric, (
+            self._edge_colors, self._face_shades, self._vertex_labels))
 
     @property
     def has_metric(self) -> bool:
@@ -148,10 +145,8 @@ class DessinDocument:
         when the document was built; only their counts are checked here."""
         if not self.has_coloring:
             raise ValueError("document has no coloring block")
-        t = object.__new__(TricoloredDessin)
-        _hold_codes(t, self._dessin, (self._edge_colors, self._face_shades,
-                                      self._vertex_labels))
-        return t
+        return _from_codes(self._dessin, self._edge_colors, self._face_shades,
+                           self._vertex_labels)
 
     def serialize(self) -> str:
         lines = [f"format_version: {self.format_version}".encode(),
@@ -229,20 +224,16 @@ def _from_parts(d: Dessin, m: MetricData | None,
 
 
 def _held(d: Dessin, m: MetricData | None, colors) -> DessinDocument:
-    """The document holding ``d``, ``m`` and ``colors``, checking none."""
+    """The document holding ``d``, ``m`` and the code arrays ``colors``,
+    made read-only, checking none: built, copied or unpickled, a document
+    takes its fields from here, and a metric that does not fit comes
+    back, as from :func:`parse`, for ``dessins validate`` to report."""
     doc = object.__new__(DessinDocument)
-    doc.__dict__.update(zip(["_" + key for key in _COLOR_KEYS], colors),
+    doc.__dict__.update(zip(["_" + key for key in _COLOR_KEYS],
+                            [None if arr is None else _frozen(arr)
+                             for arr in colors]),
                         _dessin=d, n_darts=d.n_darts, _metric=m)
     return doc
-
-
-def _unpickled(d: Dessin, m: MetricData | None, *colors) -> DessinDocument:
-    """The document of :meth:`DessinDocument.__reduce__` with its code
-    arrays made read-only.  The fit of ``m`` is not checked: as from the
-    constructor and :func:`parse`, a metric that does not fit comes back
-    for ``dessins validate`` to report."""
-    return _held(d, m, [None if arr is None else _frozen(arr)
-                        for arr in colors])
 
 
 def from_dessin(d: Dessin, m: MetricData | None = None) -> DessinDocument:

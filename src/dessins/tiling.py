@@ -30,8 +30,8 @@ import numpy as np
 from .cartography import (CellKind, Dessin, Violation, _components, _darts,
                           _faces_of_size, _frozen, _read_only,
                           _require_face_size, _require_instance,
-                          _require_length, _sources, _substitute,
-                          _Substitution, tuple_view)
+                          _require_length, _substitute, _Substitution,
+                          tuple_view)
 
 
 class Color(str, Enum):
@@ -141,9 +141,10 @@ class TricoloredDessin:
     def __init__(self, base, edge_color, face_shade, vertex_label):
         _require_instance("base", base, Dessin)
         base.require_valid()  # an invalid base raises before a bad code
-        _hold_codes(self, base, (_code_array(Color, edge_color),
-                                 _code_array(Shade, face_shade),
-                                 _code_array(VertexLabel, vertex_label)))
+        self.__dict__.update(vars(_from_codes(
+            base, _code_array(Color, edge_color),
+            _code_array(Shade, face_shade),
+            _code_array(VertexLabel, vertex_label))))
 
     def __reduce__(self):  # the arrays only: the views rebuild on use
         return _from_codes, (self.base, self._edge_color, self._face_shade,
@@ -151,28 +152,21 @@ class TricoloredDessin:
 
 
 def _from_codes(base: Dessin, *codes) -> TricoloredDessin:
-    """The tricolored dessin of :meth:`TricoloredDessin.__reduce__`,
-    rebuilt through :func:`_hold_codes` with its code arrays made
-    read-only."""
-    t = object.__new__(TricoloredDessin)
-    _hold_codes(t, base, [_frozen(arr) for arr in codes])
-    return t
-
-
-def _hold_codes(t: TricoloredDessin, base: Dessin, codes) -> None:
-    """Give ``t`` the dessin ``base`` and the code arrays ``codes`` (edge
-    colors, face shades, vertex labels), whose codes are in range: only
-    their lengths are checked, against the cells of ``base``, which
-    raises if it is invalid.  rho1 pairs a valid dessin's darts into its
-    edges."""
+    """The tricolored dessin over ``base`` with the code arrays ``codes``
+    (edge colors, face shades, vertex labels), made read-only, whose
+    codes are in range: only their counts are checked, against the cells
+    of ``base``, which raises if it is invalid.  rho1 pairs a valid
+    dessin's darts into its edges."""
     counts = [base.n_darts // 2] + [
         len(base.cell_arrays(kind).smallest)
         for kind in (CellKind.FACE, CellKind.VERTEX)]
-    object.__setattr__(t, "base", base)
+    t = object.__new__(TricoloredDessin)
+    t.__dict__["base"] = base
     for n, name, arr in zip(counts, ("edge_color", "face_shade",
                                      "vertex_label"), codes):
         _require_length(name, arr, n)
-        object.__setattr__(t, "_" + name, arr)
+        t.__dict__["_" + name] = _frozen(arr)
+    return t
 
 
 def is_square_tiling(d: Dessin) -> bool:
@@ -257,7 +251,7 @@ def refine_2x2(d: Dessin) -> Dessin:
     always corner-bipartite (corners and centers versus midpoints).
     """
     _require_square_tiling(d)
-    return _substitute(d, _REFINE)
+    return _substitute(d, _REFINE)[0]
 
 
 def _edge_ends(d: Dessin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -310,15 +304,13 @@ def _tricolored_substitution(d: Dessin, s: _Substitution,
                              label_of) -> TricoloredDessin:
     """The substitution ``s`` of ``d``, tricolored unchecked: the new
     vertex lifting a cell of ``d`` (``s.vertices``) takes the label code
-    ``label_of`` gives that cell's kind, one code or one per cell."""
+    ``label_of`` gives that cell's kind, one code or one per cell id."""
     k = len(s.vertices)
-    out = _substitute(d, s)
+    out, ids = _substitute(d, s)
     dart_label = np.empty(d.n_darts * k, np.int8)
-    for i, (kind, src) in enumerate(s.vertices):
-        code = label_of[kind]
-        if not isinstance(code, int):
-            code = code[d.cell_arrays(kind).id[_sources(d)[src]]]
-        dart_label[i::k] = code
+    for i, column in enumerate(s.vertices):
+        code = label_of[column[0]]
+        dart_label[i::k] = code if isinstance(code, int) else code[ids[column]]
     return _tricoloring(out, dart_label, _frozen(
         dart_label[out.cell_arrays(CellKind.VERTEX).smallest]))
 

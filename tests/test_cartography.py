@@ -201,6 +201,24 @@ def test_catalog_rejects_bad_input(build, args, message):
         build(*args)
 
 
+# an id or a size may be a numpy integer wherever an int is taken, as a
+# dart or cell argument already could; each call, given np.int64s, builds
+# the dessin it builds from ints
+@pytest.mark.parametrize("build", [
+    lambda i: Dessin(i(4), (1, 0, 3, 2), (2, 3, 0, 1)),
+    lambda i: Dessin(2, [i(1), i(0)], [1, 0]),
+    lambda i: origami([i(0)], [i(0)]),
+    lambda i: square_torus_grid(i(2), 2),
+    lambda i: one_square_torus().relabeled([i(x) for x in (1, 0, 2, 3)]),
+    lambda i: from_face_lists([[i(0), 1, 2], [0, 2, 1]])],
+    ids=["n_darts", "rho0", "origami", "square_torus_grid", "relabeled",
+         "from_face_lists"])
+def test_numpy_integers_are_taken(build):
+    d = build(np.int64)
+    assert d == build(int)
+    assert type(d.n_darts) is int
+
+
 class TestRelationsAndGenus:
     def test_rho2_matches_pointwise_solution(self):
         rng = random.Random(7)

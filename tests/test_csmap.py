@@ -169,6 +169,22 @@ class TestCompleteBeta:
         value = incomplete_cs_integral(MIN_EXPONENT, 0.5, 0.5 - 0.5j)
         assert cmath.isfinite(value)
 
+    # B(a, b) is checked as the ladder is, so a coarse node count raises
+    # wherever it enters: alone, on the reflected branch near t = 1, and
+    # in the normalization of a map; unchecked, the first two were off
+    # by 4.8e-4 and 4.8e-7 relative and the third by 4e-8
+    @pytest.mark.parametrize("call", [
+        lambda: complete_beta(0.25, 0.25, QuadratureConfig(node_count=2)),
+        lambda: incomplete_cs_integral(0.25, 0.25, 0.95 - 0.01j,
+                                       QuadratureConfig(node_count=4)),
+        lambda: cs_map(SQUARE_CELL, 0.999 - 0.001j,
+                       QuadratureConfig(node_count=4))],
+        ids=["complete_beta", "reflected", "cs_map"])
+    def test_coarse_node_count_raises(self, call):
+        with pytest.raises(NonConvergenceError) as info:
+            call()
+        assert info.value.stage == "quadrature"
+
 
 class TestIncompleteIntegral:
     def test_constant_integrand_is_identity(self):

@@ -4,6 +4,7 @@ same data attributes.  An argument of the wrong type raises TypeError
 naming it."""
 
 import pickle
+import random
 
 import pytest
 
@@ -16,7 +17,8 @@ from dessins import (SQUARE_CELL, CsMapSpec, Dessin, Passport,
                      riemann_hurwitz_genus)
 from dessins.belyi import passport
 from dessins.cartography import is_isomorphic
-from dessins.catalog import one_square_torus, square_torus_grid, tetrahedron
+from dessins.catalog import (one_square_torus, random_dessin, random_origami,
+                             square_torus_grid, tetrahedron)
 from dessins.document import DocumentParseError, parse
 from dessins.metric import (chart_transition, cone_angle,
                             equilateral_structure, face_closure_residual,
@@ -132,6 +134,16 @@ WRONG_TYPES = [
      "prefactor must be a Number, not str"),
     (lambda: CsMapSpec(0.25, 0.25, b"1j"),
      "prefactor must be a Number, not bytes"),
+    # a catalog size was compared, or handed to range(), unchecked
+    (lambda: square_torus_grid("2", 2), "width must be an integer, not str"),
+    (lambda: square_torus_grid(None, 2),
+     "width must be an integer, not NoneType"),
+    (lambda: square_torus_grid(2.0, 2), "width must be an integer, not float"),
+    (lambda: random_dessin(4.0, random.Random(0)),
+     "n_darts must be an integer, not float"),
+    # True was taken for one square
+    (lambda: random_origami(True, random.Random(0)),
+     "n_squares must be an integer, not bool"),
 ]
 
 

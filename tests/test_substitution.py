@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -134,7 +135,7 @@ class TestOperatorsMatchOracles:
 class TestSubstitute:
     def test_identity_table_keeps_the_dessin(self):
         d = random_origami(5, random.Random(3))
-        same = _substitute(d, _Substitution(
+        same, _ = _substitute(d, _Substitution(
             (("rho1", 0),), (("rho2", 0),), (("vertex", "e"),)))
         assert same == d
 
@@ -190,6 +191,25 @@ class TestSubstitute:
             assert out.violations() == []
             for kind in CellKind:
                 out.cell_arrays(kind)
+
+
+class TestOutputsHoldNoInput:
+    # an output's vertex cells are lifted as it is built, so it keeps
+    # nothing of its input, even before any of its cells is read
+    @pytest.mark.parametrize("make, operator", [
+        (lambda: square_torus_grid(8, 8), refine_2x2),
+        (lambda: square_torus_grid(8, 8),
+         lambda d: diagonal_subdivision(d, corner_bipartition(d))),
+        (lambda: diagonal_subdivision(*bipartite(square_torus_grid(8, 8))),
+         barycentric_subdivide)],
+        ids=["refine_2x2", "diagonal_subdivision", "barycentric_subdivide"])
+    def test_input_dies_with_the_callers_reference(self, make, operator):
+        source = make()
+        dessin = weakref.ref(getattr(source, "base", source))
+        out = operator(source)
+        del source
+        assert dessin() is None  # while the output lives
+        del out
 
 
 def raised(fn, *args):
