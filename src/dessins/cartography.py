@@ -172,24 +172,25 @@ def _require_length(name: str, values, n: int) -> None:
         raise ValueError(f"{name} has {len(values)} entries, expected {n}")
 
 
-def _image_array(name: str, images, n: int) -> np.ndarray:
+def _image_array(name: str, images, n: int) -> tuple[np.ndarray, bool]:
     """``images``, an integer array or a sequence of ints in 0..n-1, as a
-    read-only index array, shared when it already is one; the per-entry
-    loop runs only to name the first bad entry when the whole-array
-    check fails."""
+    read-only index array, shared when it already is one, and whether
+    ``images`` is a sequence of plain ints; the per-entry loop runs only
+    to name the first bad entry when the whole-array check fails."""
     _require_length(name, images, n)
-    arr = None
+    arr, plain = None, False
     if isinstance(images, np.ndarray):
         if images.dtype.kind in "iu" and images.ndim == 1:
             arr = images
     elif set(map(type, images)) <= {int}:
+        plain = True
         try:
             arr = _frozen(np.fromiter(images, np.intp, n))
         except OverflowError:
             pass
     # an empty array (n = 0) has no minimum, and no entry out of range
     if arr is not None and (not n or arr.min() >= 0 and arr.max() < n):
-        return _read_only(arr, np.intp)
+        return _read_only(arr, np.intp), plain
     if isinstance(images, np.ndarray):
         images = images.tolist()
     for i, y in enumerate(images):
@@ -197,7 +198,7 @@ def _image_array(name: str, images, n: int) -> np.ndarray:
             raise ValueError(f"{name}[{i}] is not an integer")
         if not 0 <= y < n:
             raise ValueError(f"{name}[{i}] = {y} out of range 0..{n - 1}")
-    return _frozen(np.array([int(y) for y in images], dtype=np.intp))
+    return _frozen(np.array([int(y) for y in images], dtype=np.intp)), False
 
 
 def _permutation_array(images, n: int,
@@ -208,7 +209,7 @@ def _permutation_array(images, n: int,
     if not isinstance(images, np.ndarray):
         images = tuple(images)
     try:
-        arr = _image_array("images", images, n)
+        arr = _image_array("images", images, n)[0]
     except ValueError:
         arr = None
     inv = None if arr is None else _inverse_or_none(arr)
@@ -323,7 +324,8 @@ class Dessin:
 
     It stores only the index arrays ``_r0`` and ``_r1``; ``rho0``,
     ``rho1`` and ``rho2`` = rho0^{-1} o rho1^{-1} are tuple views, and a
-    sequence given instead of an integer array is kept as its view.
+    sequence of ints given instead of an integer array is kept as its
+    view.
     """
 
     n_darts: int
@@ -335,13 +337,15 @@ class Dessin:
             raise ValueError("n_darts must be a positive integer")
         rho0, rho1 = (p if isinstance(p, np.ndarray) else tuple(p)
                       for p in (rho0, rho1))
-        r0 = _image_array("rho0", rho0, n_darts)
-        r1 = _image_array("rho1", rho1, n_darts)
+        r0, plain0 = _image_array("rho0", rho0, n_darts)
+        r1, plain1 = _image_array("rho1", rho1, n_darts)
         object.__setattr__(self, "n_darts", int(n_darts))
         object.__setattr__(self, "_r0", r0)
         object.__setattr__(self, "_r1", r1)
-        for name, images in (("rho0", rho0), ("rho1", rho1)):
-            if isinstance(images, tuple):
+        # numpy integers in a sequence are not kept: the view holds ints
+        for name, images, plain in (("rho0", rho0, plain0),
+                                    ("rho1", rho1, plain1)):
+            if plain:
                 self.__dict__[name] = images
 
     def __reduce__(self):  # the arrays only: the caches rebuild on use

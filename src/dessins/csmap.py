@@ -36,8 +36,13 @@ complete_beta; every other function, inversion included, uses n = 48.
 Inversion runs Newton from the expansion of the map at one of the three
 prevertices 0, 1 and infinity (Driscoll & Trefethen, Schwarz-Christoffel
 Mapping, 2002), chosen per point, with each step corrected by Halley's
-factor unless that correction is large; nothing is precomputed for a
-spec beyond its complete beta and its Gauss rules.
+factor unless that correction is large.  Every derivative of the map is
+closed-form, so a step g that lies well inside the radius min(|t|,
+|1-t|) of the map's Taylor series around the iterate t is then refined
+by one Newton iteration on the quintic model of F(t+g) - F(t), in plain
+complex arithmetic: each quadrature evaluation buys a sixth-order step
+instead of Halley's third-order one.  Nothing is precomputed for a spec
+beyond its complete beta and its Gauss rules.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cartography import _require_instance
+from .cartography import _is_integer, _require_instance
 
 # QuadratureConfig.node_count cap: each Gauss rule is an O(n^3) eigensolve
 MAX_NODE_COUNT = 512
@@ -116,10 +121,11 @@ class QuadratureConfig:
     node_count: int = 48
 
     def __post_init__(self):
-        if not isinstance(self.node_count, int) or self.node_count < 2:
+        if not _is_integer(self.node_count) or self.node_count < 2:
             raise ValueError("node_count must be an integer >= 2")
         if self.node_count > MAX_NODE_COUNT:
             raise ValueError(f"node_count must be <= {MAX_NODE_COUNT}")
+        object.__setattr__(self, "node_count", int(self.node_count))
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -425,36 +431,93 @@ _STALL_ITERATIONS = 3
 
 def _newton_step(spec: CsMapSpec, t: complex, residual: complex,
                  beta_ab: float) -> complex:
-    """One Halley-corrected Newton update for cs_map(t) = z (see _halley).
-    Near each of the three corners it runs in a local uniformizing
-    variable w (t^a, (1-t)^b, or t^(a+b-1) at infinity), in which the
-    map F has a simple zero, so corner targets stay well conditioned;
-    k = F''/F' in w is closed-form.  Elsewhere the step in t is clipped."""
+    """One Halley-corrected Newton update for cs_map(t) = z (see _halley),
+    then refined on the map's Taylor model around t (see _refined).
+    Near each of the three corners the Halley step runs in a local
+    uniformizing variable w (t^a, (1-t)^b, or t^(a+b-1) at infinity), in
+    which the map F has a simple zero, so corner targets stay well
+    conditioned; k = F''/F' in w is closed-form.  Elsewhere the step in
+    t is clipped, and a clipped step is not refined.  Each branch hands
+    _refined the Newton step in t, its own Newton step in w over dw/dt,
+    and the distance min(|t|, |1-t|) from t to the nearer finite
+    prevertex, which bounds the model's radius."""
     a, b, pf = spec.a, spec.b, spec.prefactor
-    if abs(t) < 0.2:
+    r0, r1 = abs(t), abs(1.0 - t)
+    if r0 < 0.2:
         u = _pow_lower(t, a)
-        du = pf * (1.0 - t) ** (b - 1.0) / (a * beta_ab)
+        rho = residual / (pf * (1.0 - t) ** (b - 1.0) / (a * beta_ab))
         # t/u = t^(1-a) tends to 0 with t
-        k = (1.0 - b) * (t / u) / (a * (1.0 - t)) if u else 0.0
-        return (u - _halley(residual / du, k)) ** (1.0 / a)
-    if abs(1.0 - t) < 0.2:
+        s = t / u if u else 0.0
+        k = (1.0 - b) * s / (a * (1.0 - t))
+        t_new = (u - _halley(rho, k)) ** (1.0 / a)
+        return _refined(a, b, t, t_new, rho * s / a, r0)
+    if r1 < 0.2:
         v = (1.0 - t) ** b
-        dv = -pf * _pow_lower(t, a - 1.0) / (b * beta_ab)
+        rho = residual / (-pf * _pow_lower(t, a - 1.0) / (b * beta_ab))
         # (1-t)/v = (1-t)^(1-b) tends to 0 with 1 - t
-        k = (1.0 - a) * (1.0 - t) / (b * t * v) if v else 0.0
-        return 1.0 - (v - _halley(residual / dv, k)) ** (1.0 / b)
+        s = (1.0 - t) / v if v else 0.0
+        k = (1.0 - a) * s / (b * t)
+        t_new = 1.0 - (v - _halley(rho, k)) ** (1.0 / b)
+        return _refined(a, b, t, t_new, -rho * s / b, r1)
     c = a + b - 1.0
-    if abs(t) > 3.0 and c < 0.0:
+    if r0 > 3.0 and c < 0.0:
         q = _pow_lower(t, c)
-        dq = pf * _pow_lower(t, 1.0 - b) * (1.0 - t) ** (b - 1.0) \
-            / (c * beta_ab)
+        rho = residual / (pf * _pow_lower(t, 1.0 - b) * (1.0 - t) ** (b - 1.0)
+                          / (c * beta_ab))
         k = (1.0 - b) / (c * q * (1.0 - t))
-        return _from_q(q - _halley(residual / dq, k), c)
-    step = _halley(residual / _derivative(spec, t, beta_ab),
-                   (a - 1.0) / t - (b - 1.0) / (1.0 - t))
+        t_new = _from_q(q - _halley(rho, k), c)
+        return _refined(a, b, t, t_new, rho / (c * q) * t, min(r0, r1))
+    rho = residual / _derivative(spec, t, beta_ab)
+    step = _halley(rho, (a - 1.0) / t - (b - 1.0) / (1.0 - t))
     if abs(step) > 2.0:
-        step *= 2.0 / abs(step)
-    return t - step
+        return t - step * (2.0 / abs(step))
+    return _refined(a, b, t, t - step, rho, min(r0, r1))
+
+
+# _refined runs where the step g is this share of the radius r: below
+# it Halley's step already meets the Newton target, and above it the
+# quintic model's remainder, of order |F'| r |g/r|^6, misses that target,
+# so the refined step would not save the next evaluation
+_MODEL_LOW = 3e-4
+_MODEL_HIGH = 0.01
+
+
+def _refined(a: float, b: float, t: complex, t_new: complex, rho: complex,
+             r: float) -> complex:
+    """t_new, or where its step g = t_new - t has _MODEL_LOW*r < |g| <
+    _MODEL_HIGH*r, t + g after one Newton iteration on the Taylor model
+    M(g) = -rho, with rho = (F(t) - z)/F'(t) the Newton step in t (see
+    _taylor_model).  r is at most the model's radius of convergence."""
+    g = t_new - t
+    if not _MODEL_LOW * r < abs(g) < _MODEL_HIGH * r:
+        return t_new
+    m, dm = _taylor_model(a, b, t, g)
+    return t + (g - (m + rho) / dm)
+
+
+def _taylor_model(a: float, b: float, t: complex,
+                  g: complex) -> tuple[complex, complex]:
+    """The quintic model M(g) = sum_{j<5} c_j g^(j+1)/(j+1) of
+    (F(t+g) - F(t))/F'(t), and its derivative M'(g) = sum_{j<5} c_j g^j.
+    The c_j are the Taylor coefficients of F'(t+g)/F'(t) =
+    (1 + g/t)^(a-1) (1 + g/(t-1))^(b-1): the Cauchy product of two
+    binomial series, which converge for |g| < min(|t|, |1-t|).  Terms
+    are carried as c_j g^j, summed from the smallest."""
+    x, y = g / t, g / (t - 1.0)
+    p1 = (a - 1.0) * x
+    p2 = p1 * (a - 2.0) * x / 2.0
+    p3 = p2 * (a - 3.0) * x / 3.0
+    p4 = p3 * (a - 4.0) * x / 4.0
+    q1 = (b - 1.0) * y
+    q2 = q1 * (b - 2.0) * y / 2.0
+    q3 = q2 * (b - 3.0) * y / 3.0
+    q4 = q3 * (b - 4.0) * y / 4.0
+    c1 = p1 + q1
+    c2 = p2 + p1 * q1 + q2
+    c3 = p3 + p2 * q1 + p1 * q2 + q3
+    c4 = p4 + p3 * q1 + p2 * q2 + p1 * q3 + q4
+    return (g * (c4 / 5.0 + c3 / 4.0 + c2 / 3.0 + c1 / 2.0 + 1.0),
+            c4 + c3 + c2 + c1 + 1.0)
 
 
 def _halley(rho: complex, k: complex) -> complex:
@@ -547,9 +610,12 @@ def invert_cs_map(spec: CsMapSpec, z) -> complex:
     Newton runs once, from one seed: the two-term local inverse at the
     corner whose expansion is expected to land closest to z (see
     _corner_seed); each step is Halley-corrected unless that correction
-    is large (see _newton_step).  No corner giving a finite seed, as for
-    exponents whose powers overflow, is a NonConvergenceError with no
-    evaluations.  Near the image of t = 1 the promise can be out of
+    is large, and a step well inside the radius of the map's Taylor
+    series around the iterate is refined on its quintic model, so one
+    evaluation of the map buys a sixth-order step (see _newton_step).
+    No corner giving a finite seed, as for exponents whose powers
+    overflow, is a NonConvergenceError with no evaluations.  Near the
+    image of t = 1 the promise can be out of
     reach: the solution is 1 - d with |Re d| below the spacing of
     doubles next to 1, and the map magnifies that spacing by about
     |d|^(b-1).  For SQUARE_CELL this holds within about 2e-3 of 1j,

@@ -217,6 +217,8 @@ def test_numpy_integers_are_taken(build):
     d = build(np.int64)
     assert d == build(int)
     assert type(d.n_darts) is int
+    # the public tuples hold ints, so they serialize as JSON
+    assert all(type(x) is int for x in d.rho0 + d.rho1)
 
 
 class TestRelationsAndGenus:
