@@ -24,14 +24,16 @@ s^(a-1) (1-t*s)^(b-1) ds, whose integrand is evaluated in real arithmetic
 Gauss-Jacobi nodes; when the path passes near w = 1 the reflection
 I(a,b;t) = B(a,b) - I(b,a;1-t) moves the singularity out of the way, and
 for |t| > 1 the s-interval is covered by a short geometric ladder of
-Gauss-Legendre panels away from the scaled branch point; B(a, b) is
-I(a,b;1/2) + I(b,a;1/2), one panel each.  The ladder is fixed: every
-panel, B's included, is evaluated at n and 2n nodes, and when the summed
-differences exceed 1e-12 of the value, as they do only for a node count
-far below the default, the map raises NonConvergenceError.  Both Gauss
-rules come from one Golub-Welsch eigenproblem in numpy.  A
-QuadratureConfig sets n for cs_map, incomplete_cs_integral and
-complete_beta; every other function, inversion included, uses n = 48.
+Gauss-Legendre panels away from the scaled branch point.  Every panel
+[lo, hi] runs at its scaled point lo*t on unscaled nodes, so no weight
+or scale exceeds 1; B(a, b) is I(a,b;1/2) + I(b,a;1/2), one panel each.
+The ladder is fixed: every panel, B's included, is evaluated at n and
+2n nodes, and when the summed differences exceed 1e-12 of the value, as
+they do only for a node count far below the default, the map raises
+NonConvergenceError.  Both Gauss rules come from one Golub-Welsch
+eigenproblem in numpy.  A QuadratureConfig sets n for cs_map,
+incomplete_cs_integral and complete_beta; every other function,
+inversion included, uses n = 48.
 
 Inversion runs Newton from the expansion of the map at one of the three
 prevertices 0, 1 and infinity (Driscoll & Trefethen, Schwarz-Christoffel
@@ -131,6 +133,12 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
+def _node_count(cfg: QuadratureConfig | None) -> int:
+    """The node count of ``cfg``, or of DEFAULT_CONFIG for None."""
+    _require_instance("cfg", cfg, (QuadratureConfig, type(None)))
+    return (DEFAULT_CONFIG if cfg is None else cfg).node_count
+
+
 #: smallest exponent: below about 1.2e-16 a - 1 rounds to -1 or next to
 #: it, and the Golub-Welsch matrix of its Gauss rule divides 0 by 0
 MIN_EXPONENT = 1e-15
@@ -218,18 +226,11 @@ def _gauss01(n: int, a: float):
     return s, w
 
 
-_INF = math.inf
-
-
 def _segment_distance_to_one(t: complex) -> float:
-    """Distance from the point 1 to the segment [0, t]."""
-    tt = (t * t.conjugate()).real
-    if tt == _INF:
-        # |t|^2 overflows: divide by |t| twice
-        r = abs(t)
-        u = min(1.0, max(0.0, t.real / r / r))
-    else:
-        u = min(1.0, max(0.0, t.real / tt)) if tt > 0 else 0.0
+    """Distance from the point 1 to the segment [0, t]: |1 - u*t| for
+    u = Re t/|t|/|t| clipped to [0, 1] (|t|^2 itself can overflow)."""
+    r = abs(t)
+    u = min(1.0, max(0.0, t.real / r / r)) if r > 0 else 0.0
     return abs(1.0 - u * t)
 
 
@@ -248,11 +249,15 @@ def _node_pair(n: int, a: float):
 _TARGET_REL_ERROR = 1e-12
 
 
-def _panel(t: complex, b: float, n: int, s, w, w2, scale: float,
+def _panel(p: complex, b: float, n: int, s, w, w2, scale: float,
            weight=None) -> tuple[complex, float]:
-    """One panel of _scaled_integral, its integrand times ``weight`` if
-    given: the 2n-node value and its distance from the n-node value."""
-    x, y = 1.0 - t.real * s, -t.imag * s
+    """One panel of _scaled_integral at its scaled point p, with the
+    integrand (1 - p*s)^(b-1) at the nodes s, times ``weight`` if given:
+    the 2n-node value and its distance from the n-node value.  With
+    x + iy = 1 - p*s, the integrand has modulus hypot(x, y)^(b-1), where
+    x^2 + y^2 could overflow, and argument (b-1)*atan2(y, x): principal,
+    as 1 - p*s meets (-inf, 0] only for t on the cut (1, inf)."""
+    x, y = 1.0 - p.real * s, -p.imag * s
     modulus = np.hypot(x, y) ** (b - 1.0)
     if weight is not None:
         modulus *= weight
@@ -266,28 +271,25 @@ def _scaled_integral(a: float, b: float, t: complex, n: int) -> complex:
     """integral_0^1 s^(a-1) (1 - t*s)^(b-1) ds on a fixed ladder: one
     Gauss-Jacobi panel from 0, which absorbs the weight, up to 1 or, for
     |t| > 1, up to 0.5/|t|, then Gauss-Legendre panels that double in
-    length up to 1.  Each panel runs at n and 2n nodes; the summed
-    differences estimate the error of the summed 2n-node values.  With
-    x + iy = 1 - t*s, the integrand has modulus hypot(x, y)^(b-1), where
-    x^2 + y^2 could overflow, and argument (b-1)*atan2(y, x): principal,
-    as 1 - t*s meets (-inf, 0] only for t on the cut (1, inf)."""
+    length up to 1.  A panel [lo, hi] runs at its scaled point p = lo*t:
+    with s = lo*x it is lo^a times the integral of x^(a-1) (1 - p*x)^(b-1)
+    over x in [0, 1] for the first panel and in [1, hi/lo] for the rest,
+    whose scale (hi - lo)/lo * lo^a and weight x^(a-1) are at most 1.
+    Each panel runs at n and 2n nodes; the summed differences estimate
+    the error of the summed 2n-node values."""
     s, w, w2 = _node_pair(n, a)
     r = abs(t)
     lo = 1.0 if r <= 1.0 else 0.5 / r
-    total, err = _panel(t, b, n, s if lo == 1.0 else lo * s, w, w2, lo ** a)
+    total, err = _panel(lo * t, b, n, s, w, w2, lo ** a)
     total += 0  # summed from 0 as sum() did, so -0.0 parts read 0.0
     if lo < 1.0:
         s, w, w2 = _node_pair(n, 1.0)
     while lo < 1.0:
         hi = min(2.0 * lo, 1.0)
-        nodes = lo + (hi - lo) * s
-        # s^(a-1) < lo^(a-1): past 2^1023 (a < 0.002), weigh 2^1000 s
-        if (1.0 - a) * math.log2(lo) >= -1023.0:
-            scale, weight = hi - lo, nodes ** (a - 1.0)
-        else:
-            scale = (hi - lo) * 2.0 ** (1000.0 * (1.0 - a))
-            weight = (2.0 ** 1000 * nodes) ** (a - 1.0)
-        value, error = _panel(t, b, n, nodes, w, w2, scale, weight)
+        width = (hi - lo) / lo
+        x = 1.0 + width * s
+        value, error = _panel(lo * t, b, n, x, w, w2, width * lo ** a,
+                              x ** (a - 1.0))
         total += value
         err += error
         lo = hi
@@ -314,10 +316,9 @@ def incomplete_cs_integral(a: float, b: float, t,
     2n-node values of the panel ladder differ by more than 1e-12
     relative, as they do for a node count far below the default.
     """
-    _require_instance("cfg", cfg, (QuadratureConfig, type(None)))
-    cfg = DEFAULT_CONFIG if cfg is None else cfg
+    n = _node_count(cfg)
     _check_exponents(a, b)
-    return _integral(a, b, _path_end(t), cfg.node_count)
+    return _integral(a, b, _path_end(t), n)
 
 
 def _integral(a: float, b: float, t: complex, n: int) -> complex:
@@ -344,10 +345,9 @@ def complete_beta(a: float, b: float,
     """B(a, b) = I(a, b; 1), split symmetrically at 1/2 so the result is
     exactly symmetric in (a, b).  Each half is checked as
     :func:`incomplete_cs_integral` is, with its NonConvergenceError."""
-    _require_instance("cfg", cfg, (QuadratureConfig, type(None)))
-    cfg = DEFAULT_CONFIG if cfg is None else cfg
+    n = _node_count(cfg)
     _check_exponents(a, b)
-    return _beta_cached(float(a), float(b), cfg.node_count)
+    return _beta_cached(float(a), float(b), n)
 
 
 def cs_map(spec: CsMapSpec, t, cfg: QuadratureConfig | None = None) -> complex:
@@ -358,8 +358,7 @@ def cs_map(spec: CsMapSpec, t, cfg: QuadratureConfig | None = None) -> complex:
     overflows, and NonConvergenceError for a missed tolerance.
     """
     _require_instance("spec", spec, CsMapSpec)
-    _require_instance("cfg", cfg, (QuadratureConfig, type(None)))
-    n = (DEFAULT_CONFIG if cfg is None else cfg).node_count
+    n = _node_count(cfg)
     return spec.prefactor * _integral(spec.a, spec.b, _path_end(t), n) \
         / _beta_cached(spec.a, spec.b, n)
 
@@ -422,10 +421,9 @@ _SNAP = 1e-12
 _NEWTON_TARGET = 1e-14
 _NEWTON_PROMISE = 1e-10
 _MAX_ITERATIONS = 100
-# a run whose best residual is below this (times the diameter) and has
-# not halved in _STALL_ITERATIONS iterations sits next to the answer at
-# the precision of t itself
-_STALL_RESIDUAL = 1e-4
+# a run whose residual has not halved in this many evaluations in a row
+# has stalled, whether next to the answer at the precision of t itself
+# or lost far from it
 _STALL_ITERATIONS = 3
 
 
@@ -619,9 +617,9 @@ def invert_cs_map(spec: CsMapSpec, z) -> complex:
     reach: the solution is 1 - d with |Re d| below the spacing of
     doubles next to 1, and the map magnifies that spacing by about
     |d|^(b-1).  For SQUARE_CELL this holds within about 2e-3 of 1j,
-    except on the bisector of that corner, where d is imaginary.  Such
-    points raise NonConvergenceError after a few evaluations, once the
-    residual stops improving.
+    except on the bisector of that corner, where d is imaginary.  A
+    failing run ends once three evaluations in a row have not halved its
+    residual, whether it sits there next to its answer or far from it.
     """
     z = _require_finite("z", z)
     tri = image_triangle(spec)
@@ -635,7 +633,6 @@ def invert_cs_map(spec: CsMapSpec, z) -> complex:
     a, b, pf, n = spec.a, spec.b, spec.prefactor, DEFAULT_CONFIG.node_count
     beta_ab = _beta_cached(a, b, n)
     t = _corner_seed(spec, z, tri, beta_ab)
-    stall = _STALL_RESIDUAL * diam
     best_t = None
     best_r = math.inf
     halved_r = math.inf  # the residual when it last halved
@@ -657,7 +654,7 @@ def invert_cs_map(spec: CsMapSpec, z) -> complex:
             since_halved = 0
         else:
             since_halved += 1
-            if halved_r < stall and since_halved >= _STALL_ITERATIONS:
+            if since_halved >= _STALL_ITERATIONS:
                 break
         try:
             t_new = _newton_step(spec, t, value - z, beta_ab)

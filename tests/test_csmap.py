@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dessins.csmap import (
@@ -967,6 +967,23 @@ class TestNewtonExits:
         assert info.value.best_residual == abs(cs_map(SQUARE_CELL, calls[0])
                                                - z)
 
+    @pytest.mark.parametrize("a, b, z, best", [
+        (0.6150469590365196, 0.07210821000725263,
+         0.9349304993314776 - 0.007046221015891797j, 3.536420990392e-4),
+        (0.7226554195439228, 0.05818291400700373,
+         0.9872844821796686 - 0.0002216972290328284j, 1.258306843226e-3),
+        (0.17346361691172446, 0.05944179990785985,
+         0.9641195628959909 - 0.0040954036984085j, 7.419676028153e-4),
+    ])
+    def test_run_far_from_its_answer_stalls_promptly(self, a, b, z, best):
+        # a run stuck far above the promise ends once three evaluations
+        # in a row have not halved its residual, with the best residual
+        # it reached, instead of spending all _MAX_ITERATIONS
+        with pytest.raises(NonConvergenceError, match="stalled") as info:
+            invert_cs_map(CsMapSpec(a, b, 1), z)
+        assert info.value.evaluations <= 5
+        assert info.value.best_residual == pytest.approx(best, rel=1e-9)
+
     def test_no_finite_corner_seed(self):
         # every expansion overflows far outside the image triangle, where
         # invert_cs_map rejects z before seeding, so the seed is asked
@@ -1063,6 +1080,8 @@ def ladder_t(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(SMALL_EXPONENT, SMALL_EXPONENT, ladder_t())
+# reflected to a = 1, b = 1e-15, where the oracle needs extended precision
+@example(1e-15, 1.0, 4.848290980780888e+271 - 4.558636005377481e+270j)
 def test_real_panels_match_the_complex_power(a, b, t):
     """The real-arithmetic integrand of the panel ladder against numpy's
     complex power on the same nodes and weights (oracles), for the
