@@ -35,16 +35,18 @@ eigenproblem in numpy.  A QuadratureConfig sets n for cs_map,
 incomplete_cs_integral and complete_beta; every other function,
 inversion included, uses n = 48.
 
-Inversion runs Newton from the expansion of the map at one of the three
-prevertices 0, 1 and infinity (Driscoll & Trefethen, Schwarz-Christoffel
-Mapping, 2002), chosen per point, with each step corrected by Halley's
-factor unless that correction is large.  Every derivative of the map is
-closed-form, so a step g that lies well inside the radius min(|t|,
-|1-t|) of the map's Taylor series around the iterate t is then refined
-by one Newton iteration on the quintic model of F(t+g) - F(t), in plain
-complex arithmetic: each quadrature evaluation buys a sixth-order step
-instead of Halley's third-order one.  Nothing is precomputed for a spec
-beyond its complete beta and its Gauss rules.
+Inversion returns 0 or 1 for a point within the Newton target of its
+image, and otherwise runs Newton from the expansion of the map at the
+prevertex 0, 1 or infinity (Driscoll & Trefethen, Schwarz-Christoffel
+Mapping, 2002) chosen per point.  Each Halley step runs in the local
+variable of the prevertex nearest the iterate t, infinity once r =
+min(|t|, |1-t|) > 1, and returns to t through the variable's power.  As
+every derivative of the map is closed-form, a step g well inside the
+radius r of the Taylor series around t is then refined by one Newton
+iteration on the quintic model of F(t+g) - F(t), in plain complex
+arithmetic: each quadrature evaluation buys a sixth-order step instead of
+Halley's third-order one.  Nothing is precomputed for a spec beyond its
+complete beta and its Gauss rules.
 """
 
 from __future__ import annotations
@@ -374,16 +376,11 @@ def cs_map_derivative(spec: CsMapSpec, t) -> complex:
     if t == 0 or t == 1:
         raise ValueError(f"derivative is singular at t = {t}")
     try:
-        return _derivative(spec, t, complete_beta(spec.a, spec.b))
+        return spec.prefactor * _pow_lower(t, spec.a - 1.0) \
+            * (1.0 - t) ** (spec.b - 1.0) / complete_beta(spec.a, spec.b)
     except OverflowError:
         raise ValueError(f"derivative at t = {t} overflows the float "
                          "range") from None
-
-
-def _derivative(spec: CsMapSpec, t: complex, beta_ab: float) -> complex:
-    """prefactor * t^(a-1) (1-t)^(b-1) / B(a, b) at a t off 0 and 1."""
-    return spec.prefactor * _pow_lower(t, spec.a - 1.0) \
-        * (1.0 - t) ** (spec.b - 1.0) / beta_ab
 
 
 def image_triangle(spec: CsMapSpec) -> tuple[complex, complex, complex]:
@@ -415,8 +412,7 @@ def _inside_triangle(z: complex, tri, tol: float) -> bool:
     return True
 
 
-# points this share of the diameter from a corner snap to it, and points
-# this far past an edge count as on it: well inside the Newton promise
+# points this share of the diameter past an edge count as on it
 _SNAP = 1e-12
 _NEWTON_TARGET = 1e-14
 _NEWTON_PROMISE = 1e-10
@@ -430,46 +426,41 @@ _STALL_ITERATIONS = 3
 def _newton_step(spec: CsMapSpec, t: complex, residual: complex,
                  beta_ab: float) -> complex:
     """One Halley-corrected Newton update for cs_map(t) = z (see _halley),
-    then refined on the map's Taylor model around t (see _refined).
-    Near each of the three corners the Halley step runs in a local
-    uniformizing variable w (t^a, (1-t)^b, or t^(a+b-1) at infinity), in
-    which the map F has a simple zero, so corner targets stay well
-    conditioned; k = F''/F' in w is closed-form.  Elsewhere the step in
-    t is clipped, and a clipped step is not refined.  Each branch hands
-    _refined the Newton step in t, its own Newton step in w over dw/dt,
-    and the distance min(|t|, |1-t|) from t to the nearer finite
-    prevertex, which bounds the model's radius."""
+    then refined on the map's Taylor model around t (see _refined).  The
+    step runs in the variable of the prevertex nearest t, where the map
+    has a simple zero and F''/F' is closed-form: u = t^a at 0, v =
+    (1-t)^b at 1, or q = t^(a+b-1) at infinity once r = min(|t|, |1-t|)
+    exceeds 1.  Each branch hands _refined the Newton step in t, its own
+    step over the variable's derivative in t, and r, the model's radius."""
     a, b, pf = spec.a, spec.b, spec.prefactor
-    r0, r1 = abs(t), abs(1.0 - t)
-    if r0 < 0.2:
+    r = min(abs(t), abs(1.0 - t))
+    if r > 1.0:
+        c = a + b - 1.0
+        q = _pow_lower(t, c)
+        rho = residual / (pf * _pow_lower(t, 1.0 - b) * (1.0 - t) ** (b - 1.0)
+                          / (c * beta_ab))
+        k = (1.0 - b) / (c * q * (1.0 - t))
+        # t (1 + w)^(1/c), as (q - h)^(1/c) would magnify q's rounding by
+        # 1/|c|: log(1 + w) is log(s) less s's rounding (s - 1 - w)/s
+        w = -_halley(rho, k) / q
+        s = 1.0 + w
+        t_new = t * cmath.exp((cmath.log(s) - (s - 1.0 - w) / s) / c)
+        return _refined(a, b, t, t_new, rho / (c * q) * t, r)
+    if abs(t) <= abs(1.0 - t):
         u = _pow_lower(t, a)
         rho = residual / (pf * (1.0 - t) ** (b - 1.0) / (a * beta_ab))
         # t/u = t^(1-a) tends to 0 with t
         s = t / u if u else 0.0
         k = (1.0 - b) * s / (a * (1.0 - t))
         t_new = (u - _halley(rho, k)) ** (1.0 / a)
-        return _refined(a, b, t, t_new, rho * s / a, r0)
-    if r1 < 0.2:
-        v = (1.0 - t) ** b
-        rho = residual / (-pf * _pow_lower(t, a - 1.0) / (b * beta_ab))
-        # (1-t)/v = (1-t)^(1-b) tends to 0 with 1 - t
-        s = (1.0 - t) / v if v else 0.0
-        k = (1.0 - a) * s / (b * t)
-        t_new = 1.0 - (v - _halley(rho, k)) ** (1.0 / b)
-        return _refined(a, b, t, t_new, -rho * s / b, r1)
-    c = a + b - 1.0
-    if r0 > 3.0 and c < 0.0:
-        q = _pow_lower(t, c)
-        rho = residual / (pf * _pow_lower(t, 1.0 - b) * (1.0 - t) ** (b - 1.0)
-                          / (c * beta_ab))
-        k = (1.0 - b) / (c * q * (1.0 - t))
-        t_new = _from_q(q - _halley(rho, k), c)
-        return _refined(a, b, t, t_new, rho / (c * q) * t, min(r0, r1))
-    rho = residual / _derivative(spec, t, beta_ab)
-    step = _halley(rho, (a - 1.0) / t - (b - 1.0) / (1.0 - t))
-    if abs(step) > 2.0:
-        return t - step * (2.0 / abs(step))
-    return _refined(a, b, t, t - step, rho, min(r0, r1))
+        return _refined(a, b, t, t_new, rho * s / a, r)
+    v = (1.0 - t) ** b
+    rho = residual / (-pf * _pow_lower(t, a - 1.0) / (b * beta_ab))
+    # (1-t)/v = (1-t)^(1-b) tends to 0 with 1 - t
+    s = (1.0 - t) / v if v else 0.0
+    k = (1.0 - a) * s / (b * t)
+    t_new = 1.0 - (v - _halley(rho, k)) ** (1.0 / b)
+    return _refined(a, b, t, t_new, -rho * s / b, r)
 
 
 # _refined runs where the step g is this share of the radius r: below
@@ -525,18 +516,6 @@ def _halley(rho: complex, k: complex) -> complex:
     return rho / (1.0 - h) if abs(h) <= 0.5 else rho
 
 
-def _from_q(q: complex, c: float) -> complex:
-    """t from the variable q = t^c at infinity.  q lives in the sector
-    arg in [0, -c*pi]; invert with the principal log so t lands back in
-    the lower half-plane."""
-    if q == 0:
-        return complex("inf")
-    try:
-        return cmath.exp(cmath.log(q) / c)
-    except OverflowError:
-        return complex("inf")
-
-
 def _corner_seed(spec: CsMapSpec, z: complex, tri,
                  beta_ab: float) -> complex:
     """The local inverse at the corner of the image expected to land
@@ -562,8 +541,8 @@ def _corner_seed(spec: CsMapSpec, z: complex, tri,
                 t, scale = 1.0 - d * (1.0 + k * d) ** (-1.0 / b), k * abs(d)
             else:
                 # the map tends to tri[2] like pf * e^(i*pi*(b-1)) * q / (c*B)
-                t0 = _from_q((z - tri[2]) * c * beta_ab
-                             / (pf * cmath.exp(1j * math.pi * (b - 1.0))), c)
+                t0 = ((z - tri[2]) * c * beta_ab / (
+                    pf * cmath.exp(1j * math.pi * (b - 1.0)))) ** (1.0 / c)
                 k = (1.0 - b) * c / (c - 1.0)
                 t, scale = t0 * (1.0 + k / t0) ** (-1.0 / c), k / abs(t0)
         except (OverflowError, ZeroDivisionError):
@@ -603,33 +582,33 @@ def invert_cs_map(spec: CsMapSpec, z) -> complex:
     Points more than 1e-12 of its diameter outside the closed image
     triangle raise OutsideImageError, a z with an infinite or NaN part
     raises ValueError, and a Newton iteration that does not settle
-    raises NonConvergenceError.
+    raises NonConvergenceError.  A z within the Newton target, 1e-14 *
+    max(1, |z|), of the image of 0 or 1 returns that corner.
 
     Newton runs once, from one seed: the two-term local inverse at the
     corner whose expansion is expected to land closest to z (see
-    _corner_seed); each step is Halley-corrected unless that correction
-    is large, and a step well inside the radius of the map's Taylor
-    series around the iterate is refined on its quintic model, so one
-    evaluation of the map buys a sixth-order step (see _newton_step).
+    _corner_seed).  Each step is a Halley step in the variable of the
+    prevertex nearest the iterate, refined on the map's quintic Taylor
+    model where it is small, so one evaluation of the map buys a
+    sixth-order step (see _newton_step).
     No corner giving a finite seed, as for exponents whose powers
     overflow, is a NonConvergenceError with no evaluations.  Near the
-    image of t = 1 the promise can be out of
-    reach: the solution is 1 - d with |Re d| below the spacing of
-    doubles next to 1, and the map magnifies that spacing by about
-    |d|^(b-1).  For SQUARE_CELL this holds within about 2e-3 of 1j,
-    except on the bisector of that corner, where d is imaginary.  A
-    failing run ends once three evaluations in a row have not halved its
-    residual, whether it sits there next to its answer or far from it.
+    image of t = 1 the promise can be out of reach: the solution is
+    1 - d with |Re d| below the spacing of doubles next to 1, and the
+    map magnifies that spacing by about |d|^(b-1).  For SQUARE_CELL
+    this holds within about 2e-3 of 1j, except on the bisector of that
+    corner, where d is imaginary.  A failing run ends once three
+    evaluations in a row have not halved its residual, whether it sits
+    there next to its answer or far from it.
     """
     z = _require_finite("z", z)
     tri = image_triangle(spec)
     diam = max(abs(tri[1]), abs(tri[2]), abs(tri[1] - tri[2]))  # tri[0] = 0
     if not _inside_triangle(z, tri, _SNAP * diam):
         raise OutsideImageError(f"{z} is outside the image triangle")
-    if abs(z - tri[0]) <= _SNAP * diam:
-        return 0j
-    if abs(z - tri[1]) <= _SNAP * diam:
-        return 1.0 + 0j
+    for corner in (0, 1):  # where the corner is as good as Newton's t
+        if abs(z - tri[corner]) <= _NEWTON_TARGET * max(1.0, abs(z)):
+            return complex(corner)
     a, b, pf, n = spec.a, spec.b, spec.prefactor, DEFAULT_CONFIG.node_count
     beta_ab = _beta_cached(a, b, n)
     t = _corner_seed(spec, z, tri, beta_ab)
@@ -658,7 +637,7 @@ def invert_cs_map(spec: CsMapSpec, z) -> complex:
                 break
         try:
             t_new = _newton_step(spec, t, value - z, beta_ab)
-        except OverflowError:
+        except (OverflowError, ValueError):  # log of s = 0 at infinity
             break
         if not cmath.isfinite(t_new):
             break

@@ -179,11 +179,7 @@ def chart_transition(d: Dessin, m: MetricData, dart: int, word) -> AffineChart:
             step = AffineChart(-1.0 + 0j, complex(m._lengths.item(cur)))
             cur = d._r1.item(cur)
         elif token == R0_INV:
-            # the preimage of cur, found on its vertex cycle
-            prev = cur
-            while d._r0.item(prev) != cur:
-                prev = d._r0.item(prev)
-            cur = prev
+            cur = d._r2.item(d._r1.item(cur))  # rho0^-1 = rho2 o rho1
             step = AffineChart(cmath.exp(-1j * m._angles.item(cur)), 0j)
         else:
             raise ValueError(f"unknown word token {token!r}")

@@ -4,10 +4,13 @@ Everything here is deliberately naive and structured differently from
 the package (peeling sets instead of orbit machinery, table lookup by
 solving the defining relation pointwise, the C library gamma instead of
 quadrature), so agreement between the two is meaningful evidence.
+The one helper besides them, time_limit, bounds a call's wall time.
 """
 
 import math
+import signal
 from collections import deque
+from contextlib import contextmanager
 from fractions import Fraction
 
 
@@ -643,3 +646,20 @@ def metric_data_error(lengths, angles) -> str | None:
         if not 0.0 < x < 2.0 * math.pi:
             return f"angles[{i}] = {x} outside (0, 2*pi)"
     return None
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Fail the enclosed block with TimeoutError once ``seconds`` of
+    wall time have passed, so a non-terminating call cannot hang the
+    suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"call ran longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -11,8 +11,6 @@ import cmath
 import dataclasses
 import math
 import random
-import signal
-from contextlib import contextmanager
 
 import mpmath
 import numpy as np
@@ -42,7 +40,7 @@ from dessins.csmap import (
 )
 import dessins.csmap as csmap_module
 from oracles import (complex_power_scaled_integral, fd_derivative, gamma_beta,
-                     list_summed_scaled_integral)
+                     list_summed_scaled_integral, time_limit)
 
 ALL_SPECS = (SQUARE_CELL, TRIANGLE_COORD, SQUARE_COORD)
 
@@ -415,6 +413,47 @@ class TestInversion:
             assert invert_cs_map(spec, 0j) == 0j
             assert invert_cs_map(spec, spec.prefactor) == 1.0 + 0j
 
+    @pytest.mark.parametrize("z_of", [
+        lambda tri: 5.301061939785505e-06 - 9.470043098466664e-07j,
+        lambda tri: tri[1] + 4e-7 * (tri[2] - tri[1]) / abs(tri[2] - tri[1]),
+    ], ids=["next_to_0", "next_to_1"])
+    def test_no_snap_beyond_the_promise(self, z_of):
+        # with a + b next to 1 the triangle's diameter is 3.2e7, so these
+        # points lie within 1e-12 of it from a corner, yet that corner
+        # misses the residual promise by 5.4e-6 and 4e-7
+        spec = CsMapSpec(0.056270645099858366, 0.9437293531703974, 1)
+        z = z_of(image_triangle(spec))
+        t = invert_cs_map(spec, z)
+        assert t not in (0, 1)
+        assert abs(cs_map(spec, t) - z) <= 1e-10 * max(1.0, abs(z))
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.name)
+    def test_no_snap_beyond_the_newton_target(self, spec):
+        # 1e-11 from the image of 0 the corner would meet the promise,
+        # but Newton's t meets the 1e-14 target
+        tri = image_triangle(spec)
+        z = 1e-11 * (tri[1] + tri[2]) / abs(tri[1] + tri[2])
+        t = invert_cs_map(spec, z)
+        assert t != 0
+        assert abs(cs_map(spec, t) - z) <= 1e-14
+
+    @pytest.mark.parametrize("a, b, t", [
+        (0.5, 0.5 - 1e-6, 1.5 - 1.2j),
+        (0.5, 0.5 - 1e-8, 2.0 - 0.5j),
+        (0.5, 0.5 - 1e-10, 2.0 - 0.5j),
+        (0.8, 0.2 - 1e-8, -1.5 - 1j),
+        (0.2, 0.8 - 1e-10, 1.5 - 1.2j),
+        (0.8, 0.2 - 1e-12, 0.5 - 2j),
+    ])
+    def test_tiny_c_between_the_prevertices(self, a, b, t):
+        # with c = a + b - 1 next to 0, q = t^c rounds next to 1 where
+        # 1 < min(|t|, |1-t|) <= 3, while the map keeps an O(1) slope:
+        # a step back to t through (q - h)^(1/c) magnified that rounding
+        # by 1/|c| and stalled, at residuals from 1e-11 up to 7e-6
+        spec = CsMapSpec(a, b, 1.0)
+        z = cs_map(spec, t)
+        assert abs(cs_map(spec, invert_cs_map(spec, z)) - z) <= 1e-14
+
     def test_outside_image_rejected(self):
         for spec in ALL_SPECS:
             with pytest.raises(OutsideImageError):
@@ -484,23 +523,6 @@ class TestTriangleToSquare:
     def test_outside_triangle_rejected(self):
         with pytest.raises(OutsideImageError):
             triangle_to_square(0.5 + 0.5j)
-
-
-@contextmanager
-def time_limit(seconds: float):
-    """Fail the enclosed block with TimeoutError once ``seconds`` of
-    wall time have passed, so a non-terminating call cannot hang the
-    suite."""
-    def expire(signum, frame):
-        raise TimeoutError(f"call ran longer than {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
@@ -785,37 +807,51 @@ class TestNewtonSeedsAndStalls:
 
 
 def _corner_variable(spec, kind):
-    """A variable w of _newton_step's branch ``kind`` as the pair (w of
-    t, t of w), both with principal powers and logs, and points t of the
-    lower half-plane where that branch runs."""
+    """The variable w of _newton_step's branch ``kind`` ("u" at 0, "v"
+    at 1, "q" at infinity) as the pair (w of t, t of w), both with
+    principal powers and logs."""
     a, b = spec.a, spec.b
     c = a + b - 1.0
-    angles = (0.4, 1.6, 2.8)
     if kind == "u":
-        return ((lambda t: t ** a), (lambda u: u ** (1.0 / a)),
-                [cmath.rect(0.1, -theta) for theta in angles])
+        return (lambda t: t ** a), (lambda u: u ** (1.0 / a))
     if kind == "v":
-        return ((lambda t: (1.0 - t) ** b), (lambda v: 1.0 - v ** (1.0 / b)),
-                [1.0 - cmath.rect(0.1, theta) for theta in angles])
-    if kind == "q":
-        return ((lambda t: cmath.exp(c * cmath.log(t))),
-                (lambda q: cmath.exp(cmath.log(q) / c)),
-                [cmath.rect(5.0, -theta) for theta in angles])
-    return (lambda t: t), (lambda t: t), [0.5 - 0.5j, 1.6 - 0.8j, -0.9 - 0.4j]
+        return (lambda t: (1.0 - t) ** b), (lambda v: 1.0 - v ** (1.0 / b))
+    return ((lambda t: cmath.exp(c * cmath.log(t))),
+            (lambda q: cmath.exp(cmath.log(q) / c)))
+
+
+_ANGLES = (0.4, 1.6, 2.8)
+#: points t of the lower half-plane next to each prevertex, and ("t")
+#: between them
+_REGION_POINTS = {
+    "u": [cmath.rect(0.1, -theta) for theta in _ANGLES],
+    "v": [1.0 - cmath.rect(0.1, theta) for theta in _ANGLES],
+    "q": [cmath.rect(5.0, -theta) for theta in _ANGLES],
+    "t": [0.5 - 0.5j, 1.6 - 0.8j, -0.9 - 0.4j],
+}
+#: points between the prevertices, each with the variable that
+#: _newton_step's rule picks there: the nearer finite prevertex while
+#: min(|t|, |1-t|) <= 1, infinity beyond
+_BETWEEN = [("u", 0.3 - 0.7j), ("u", 0.45 - 0.3j), ("u", -0.4 - 0.6j),
+            ("v", 0.6 - 0.9j), ("v", 1.4 - 0.5j), ("v", 0.55 - 0.2j),
+            ("q", 0.5 - 1.5j), ("q", -1.0 - 1.0j), ("q", 2.2 - 0.3j)]
 
 
 class TestHalleyCurvature:
     """The closed-form curvature k = F''/F' that _newton_step corrects
-    each step with, in each of its four variables, against central
-    differences of the map written in that variable: a wrong k fails
-    here instead of only slowing Newton back to its quadratic rate."""
+    each step with, in each of its three variables, against central
+    differences of the map written in that variable, next to each
+    prevertex and between them, where the branch rule picks the
+    variable: a wrong k or a wrong pick fails here instead of only
+    slowing Newton back to its quadratic rate."""
 
-    @pytest.mark.parametrize("kind", ["u", "v", "q", "t"])
+    @pytest.mark.parametrize("kind", ["u", "v", "q", "between"])
     @pytest.mark.parametrize("spec", ALL_SPECS + (
         CsMapSpec(0.3, 0.45, cmath.exp(0.7j), "custom"),),
         ids=lambda spec: spec.name)
     def test_curvature_matches_differences(self, spec, kind, monkeypatch):
-        w_of, t_of, points = _corner_variable(spec, kind)
+        points = _BETWEEN if kind == "between" else [
+            (kind, t) for t in _REGION_POINTS[kind]]
         beta_ab = complete_beta(spec.a, spec.b)
         halley, seen = csmap_module._halley, []
 
@@ -825,7 +861,8 @@ class TestHalleyCurvature:
 
         monkeypatch.setattr(csmap_module, "_halley", recording)
         h = 1e-4
-        for t in points:
+        for variable, t in points:
+            w_of, t_of = _corner_variable(spec, variable)
             csmap_module._newton_step(spec, t, 1e-9, beta_ab)
             w = w_of(t)
             assert abs(t_of(w) - t) <= 1e-12
@@ -841,19 +878,19 @@ class TestHalleyCurvature:
 class TestTaylorModel:
     """The quintic model that _newton_step refines each step on, F(t+g)
     - F(t) = F'(t) * sum_{j<5} c_j g^(j+1)/(j+1), against differences of
-    the map at t in each branch's region: the remainder is the series'
-    next term, of order |F'(t)| r |g/r|^6 for r = min(|t|, |1-t|), so a
-    wrong coefficient c_j, whose error grows like |g/r|^(j+1), fails
-    here instead of only costing an evaluation.  Below |g| of about
-    10^-2.5 r the remainder drops under the rounding of the map, about
-    3e-16 at these points, which the floor covers."""
+    the map at t next to each prevertex and between them: the remainder
+    is the series' next term, of order |F'(t)| r |g/r|^6 for r =
+    min(|t|, |1-t|), so a wrong coefficient c_j, whose error grows like
+    |g/r|^(j+1), fails here instead of only costing an evaluation.
+    Below |g| of about 10^-2.5 r the remainder drops under the rounding
+    of the map, about 3e-16 at these points, which the floor covers."""
 
     @pytest.mark.parametrize("kind", ["u", "v", "q", "t"])
     @pytest.mark.parametrize("spec", ALL_SPECS + (
         CsMapSpec(0.3, 0.45, cmath.exp(0.7j), "custom"),),
         ids=lambda spec: spec.name)
     def test_model_matches_differences(self, spec, kind):
-        for t in _corner_variable(spec, kind)[2]:
+        for t in _REGION_POINTS[kind]:
             r = min(abs(t), abs(1.0 - t))
             slope, value = cs_map_derivative(spec, t), cs_map(spec, t)
             floor = 1e-15 * max(1.0, abs(value))
@@ -909,32 +946,31 @@ class TestNewtonExits:
     """The ways one Newton run ends without meeting its target."""
 
     def test_t_past_the_float_range_ends_the_run(self, monkeypatch):
-        # with a + b next to 1, t = q^(1/(a+b-1)) from the variable q at
-        # infinity leaves the float range for a small change of q: the
-        # step is infinite and the run stops there
+        # with a + b next to 1, t (1 + w)^(1/(a+b-1)) from the relative
+        # step w in the variable q at infinity leaves the float range for
+        # a small w: its exponential overflows inside the step and the
+        # run stops there
         spec = CsMapSpec(0.25, 0.75 - 1e-6, 1.0)
         z = 0.5 * image_triangle(spec)[2] + 0.25
-        from_q, newton_step = csmap_module._from_q, csmap_module._newton_step
-        overflowed, steps = [], []
-
-        def recording_from_q(q, c):
-            t = from_q(q, c)
-            if q != 0 and not cmath.isfinite(t):
-                overflowed.append(q)
-            return t
+        newton_step, calls, raised = csmap_module._newton_step, [], []
 
         def recording_step(*args):
-            steps.append(newton_step(*args))
-            return steps[-1]
+            calls.append(args)
+            try:
+                return newton_step(*args)
+            except Exception as error:
+                raised.append(error)
+                raise
 
-        monkeypatch.setattr(csmap_module, "_from_q", recording_from_q)
         monkeypatch.setattr(csmap_module, "_newton_step", recording_step)
         with pytest.raises(NonConvergenceError, match="stalled") as info:
             invert_cs_map(spec, z)
-        assert overflowed
-        assert not cmath.isfinite(steps[-1])
+        # the second step, the run's last, is the one that overflowed
+        assert len(raised) == 1
+        assert isinstance(raised[0], OverflowError)
+        assert "math range error" in str(raised[0])
         assert info.value.stage == "newton"
-        assert info.value.evaluations == len(steps)
+        assert info.value.evaluations == len(calls) == 2
 
     def test_overflowing_step_ends_the_run(self):
         # the step at the corner t = 0 raises t^a's update to the power

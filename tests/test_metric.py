@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dessins.cartography import CellIndex, CellKind
+from dessins.cartography import CellIndex, CellKind, Dessin
 from dessins.catalog import (octahedron, one_square_torus, pillow_sphere,
                              random_dessin, random_origami,
                              square_torus_grid, tetrahedron)
@@ -169,6 +169,18 @@ class TestChartTransition:
                 .is_identity()
             assert chart_transition(d, m, dart, [R0, R0_INV]) \
                 .is_identity()
+
+    def test_rho0_inverse_is_one_lookup(self):
+        # rho0^-1 = rho2 o rho1 costs two lookups per token, where a walk
+        # around the vertex cycle would cost its degree, here 200,000
+        n = 200_000
+        d = Dessin(n, np.roll(np.arange(n), -1), np.arange(n) ^ 1)
+        m = MetricData(np.ones(n), np.full(n, 2.0 * math.pi / n))
+        chart_transition(d, m, 0, [R0])  # validates d and m once
+        with oracles.time_limit(0.25):
+            chart = chart_transition(d, m, 0, [R0_INV] * 20)
+        assert abs(chart.a - cmath.exp(-40j * math.pi / n)) <= TOL
+        assert chart.b == 0
 
     def test_group_relators_give_identity_charts(self):
         rng = random.Random(4)
