@@ -38,15 +38,17 @@ inversion included, uses n = 48.
 Inversion returns 0 or 1 for a point within the Newton target of its
 image, and otherwise runs Newton from the expansion of the map at the
 prevertex 0, 1 or infinity (Driscoll & Trefethen, Schwarz-Christoffel
-Mapping, 2002) chosen per point.  Each Halley step runs in the local
-variable of the prevertex nearest the iterate t, infinity once r =
-min(|t|, |1-t|) > 1, and returns to t through the variable's power.  As
-every derivative of the map is closed-form, a step g well inside the
-radius r of the Taylor series around t is then refined by one Newton
-iteration on the quintic model of F(t+g) - F(t), in plain complex
-arithmetic: each quadrature evaluation buys a sixth-order step instead of
-Halley's third-order one.  Nothing is precomputed for a spec beyond its
-complete beta and its Gauss rules.
+Mapping, 2002) chosen per point.  Near 1 and infinity the map is its
+expansion at 0 for a permuted exponent pair (DLMF 15.10), so seed and
+step are written once, in the chart x = t, 1 - t or 1/t of a prevertex
+with exponent e.  Each Halley step runs in x^e at the prevertex nearest
+the iterate t, infinity once r = min(|t|, |1-t|) > 1, and returns to t
+as x (1 + v)^(1/e) for its relative step v.  As every derivative of the
+map is closed-form, a step g well inside the radius r of the Taylor
+series around t is then refined by one Newton iteration on the quintic
+model of F(t+g) - F(t), in plain complex arithmetic: each quadrature
+evaluation buys a sixth-order step instead of Halley's third-order one.
+Nothing is precomputed for a spec beyond its complete beta and its Gauss rules.
 """
 
 from __future__ import annotations
@@ -412,7 +414,8 @@ def _inside_triangle(z: complex, tri, tol: float) -> bool:
     return True
 
 
-# points this share of the diameter past an edge count as on it
+# points within this share of max(1, |z|) past an edge count as on it,
+# 100 times inside the residual promise
 _SNAP = 1e-12
 _NEWTON_TARGET = 1e-14
 _NEWTON_PROMISE = 1e-10
@@ -423,44 +426,46 @@ _MAX_ITERATIONS = 100
 _STALL_ITERATIONS = 3
 
 
+def _prevertices(spec: CsMapSpec) -> tuple[tuple[float, float, complex], ...]:
+    """(e, beta, lead) at the prevertices 0, 1 and infinity: in the chart
+    x = _chart(k, t) of prevertex k the map is tri[k] + lead x^e / (e B)
+    to leading order, and dF/dw = lead (1 - x)^(beta-1) / (e B) for w =
+    x^e."""
+    a, b, pf = spec.a, spec.b, spec.prefactor
+    return ((a, b, pf), (b, a, -pf),
+            (1.0 - (a + b), b, -pf * cmath.exp(1j * math.pi * (b - 1.0))))
+
+
+def _chart(k: int, t: complex) -> complex:
+    """x = t, 1 - t or 1/t at prevertex k; each is its own inverse."""
+    return t if k == 0 else 1.0 - t if k == 1 else 1.0 / t
+
+
 def _newton_step(spec: CsMapSpec, t: complex, residual: complex,
                  beta_ab: float) -> complex:
     """One Halley-corrected Newton update for cs_map(t) = z (see _halley),
-    then refined on the map's Taylor model around t (see _refined).  The
-    step runs in the variable of the prevertex nearest t, where the map
-    has a simple zero and F''/F' is closed-form: u = t^a at 0, v =
-    (1-t)^b at 1, or q = t^(a+b-1) at infinity once r = min(|t|, |1-t|)
-    exceeds 1.  Each branch hands _refined the Newton step in t, its own
-    step over the variable's derivative in t, and r, the model's radius."""
-    a, b, pf = spec.a, spec.b, spec.prefactor
+    refined on the map's Taylor model around t (see _refined).  It runs
+    in w = x^e at the prevertex nearest t, where the map has a simple
+    zero and F''/F' is closed-form: 0 or 1 while r = min(|t|, |1-t|) <=
+    1, infinity beyond.  At infinity w is t^(a+b-1) on the lower branch:
+    the principal power of 1/t = -0.2-0j lies across the cut.  The step
+    returns as x (1 + v)^(1/e) for the relative step v in w, since a
+    power of w itself would magnify w's rounding by 1/|e|; an iterate on
+    0 or 1 divides by zero."""
     r = min(abs(t), abs(1.0 - t))
-    if r > 1.0:
-        c = a + b - 1.0
-        q = _pow_lower(t, c)
-        rho = residual / (pf * _pow_lower(t, 1.0 - b) * (1.0 - t) ** (b - 1.0)
-                          / (c * beta_ab))
-        k = (1.0 - b) / (c * q * (1.0 - t))
-        # t (1 + w)^(1/c), as (q - h)^(1/c) would magnify q's rounding by
-        # 1/|c|: log(1 + w) is log(s) less s's rounding (s - 1 - w)/s
-        w = -_halley(rho, k) / q
-        s = 1.0 + w
-        t_new = t * cmath.exp((cmath.log(s) - (s - 1.0 - w) / s) / c)
-        return _refined(a, b, t, t_new, rho / (c * q) * t, r)
-    if abs(t) <= abs(1.0 - t):
-        u = _pow_lower(t, a)
-        rho = residual / (pf * (1.0 - t) ** (b - 1.0) / (a * beta_ab))
-        # t/u = t^(1-a) tends to 0 with t
-        s = t / u if u else 0.0
-        k = (1.0 - b) * s / (a * (1.0 - t))
-        t_new = (u - _halley(rho, k)) ** (1.0 / a)
-        return _refined(a, b, t, t_new, rho * s / a, r)
-    v = (1.0 - t) ** b
-    rho = residual / (-pf * _pow_lower(t, a - 1.0) / (b * beta_ab))
-    # (1-t)/v = (1-t)^(1-b) tends to 0 with 1 - t
-    s = (1.0 - t) / v if v else 0.0
-    k = (1.0 - a) * s / (b * t)
-    t_new = 1.0 - (v - _halley(rho, k)) ** (1.0 / b)
-    return _refined(a, b, t, t_new, -rho * s / b, r)
+    k = 2 if r > 1.0 else 0 if abs(t) <= abs(1.0 - t) else 1
+    e, beta, lead = _prevertices(spec)[k]
+    x = _chart(k, t)
+    w = _pow_lower(t, -e) if k == 2 else _pow_lower(x, e)
+    rho = residual * e * beta_ab / (lead * (1.0 - x) ** (beta - 1.0))
+    s = x / w
+    v = -_halley(rho, (1.0 - beta) * s / (e * (1.0 - x))) / w
+    # log(1 + v) is log(p) less p's rounding (p - 1 - v)/p
+    p = 1.0 + v
+    x_new = x * cmath.exp((cmath.log(p) - (p - 1.0 - v) / p) / e)
+    dt_dx = 1.0 if k == 0 else -1.0 if k == 1 else -t * t
+    return _refined(spec.a, spec.b, t, _chart(k, x_new), rho * s / e * dt_dx,
+                    r)
 
 
 # _refined runs where the step g is this share of the radius r: below
@@ -520,34 +525,20 @@ def _corner_seed(spec: CsMapSpec, z: complex, tri,
                  beta_ab: float) -> complex:
     """The local inverse at the corner of the image expected to land
     closest to z.  Each corner's seed solves the first two terms of the
-    map's expansion in the uniformizing variable of that corner: t^a at
-    0, (1-t)^b at 1 and t^(a+b-1) at infinity.  The leading solve t0
-    ranks the seeds: the second term is smaller than the first by
-    k*|t0|, k*|1-t0| or k/|t0| for its coefficient k, and the seed with
-    the smallest such share of |z - corner| wins.  A seed that overflows
-    or is not finite is skipped."""
-    a, b, pf = spec.a, spec.b, spec.prefactor
-    c = a + b - 1.0
+    map's expansion in the chart x of its prevertex (see _prevertices):
+    the leading solve x0 of z = tri[k] + lead x^e / (e B), moved by
+    the second term, whose share kappa |x0| of the first ranks the
+    seeds: the smallest such share of |z - tri[k]| wins.  A seed that
+    overflows or is not finite is skipped."""
     best_t, best_error = None, math.inf
-    for corner in range(3):
+    for k, (e, beta, lead) in enumerate(_prevertices(spec)):
+        kappa = e * (1.0 - beta) / (e + 1.0)
         try:
-            if corner == 0:
-                t0 = (z * a * beta_ab / pf) ** (1.0 / a)
-                k = a * (1.0 - b) / (a + 1.0)
-                t, scale = t0 * (1.0 + k * t0) ** (-1.0 / a), k * abs(t0)
-            elif corner == 1:
-                d = ((1.0 - z / pf) * b * beta_ab) ** (1.0 / b)
-                k = b * (1.0 - a) / (b + 1.0)
-                t, scale = 1.0 - d * (1.0 + k * d) ** (-1.0 / b), k * abs(d)
-            else:
-                # the map tends to tri[2] like pf * e^(i*pi*(b-1)) * q / (c*B)
-                t0 = ((z - tri[2]) * c * beta_ab / (
-                    pf * cmath.exp(1j * math.pi * (b - 1.0)))) ** (1.0 / c)
-                k = (1.0 - b) * c / (c - 1.0)
-                t, scale = t0 * (1.0 + k / t0) ** (-1.0 / c), k / abs(t0)
+            x0 = ((z - tri[k]) * e * beta_ab / lead) ** (1.0 / e)
+            t = _chart(k, x0 * (1.0 + kappa * x0) ** (-1.0 / e))
+            error = kappa * abs(x0) * abs(z - tri[k])
         except (OverflowError, ZeroDivisionError):
             continue
-        error = scale * abs(z - tri[corner])
         if cmath.isfinite(t) and error < best_error:
             best_t, best_error = t, error
     if best_t is None:
@@ -579,7 +570,7 @@ def invert_cs_map(spec: CsMapSpec, z) -> complex:
     """Solve cs_map(spec, t) = z for t in the closed lower half-plane.
 
     The returned t satisfies |cs_map(t) - z| <= 1e-10 * max(1, |z|).
-    Points more than 1e-12 of its diameter outside the closed image
+    Points more than 1e-12 * max(1, |z|) outside the closed image
     triangle raise OutsideImageError, a z with an infinite or NaN part
     raises ValueError, and a Newton iteration that does not settle
     raises NonConvergenceError.  A z within the Newton target, 1e-14 *
@@ -603,8 +594,7 @@ def invert_cs_map(spec: CsMapSpec, z) -> complex:
     """
     z = _require_finite("z", z)
     tri = image_triangle(spec)
-    diam = max(abs(tri[1]), abs(tri[2]), abs(tri[1] - tri[2]))  # tri[0] = 0
-    if not _inside_triangle(z, tri, _SNAP * diam):
+    if not _inside_triangle(z, tri, _SNAP * max(1.0, abs(z))):
         raise OutsideImageError(f"{z} is outside the image triangle")
     for corner in (0, 1):  # where the corner is as good as Newton's t
         if abs(z - tri[corner]) <= _NEWTON_TARGET * max(1.0, abs(z)):
@@ -637,7 +627,7 @@ def invert_cs_map(spec: CsMapSpec, z) -> complex:
                 break
         try:
             t_new = _newton_step(spec, t, value - z, beta_ab)
-        except (OverflowError, ValueError):  # log of s = 0 at infinity
+        except (OverflowError, ZeroDivisionError, ValueError):  # x = 0
             break
         if not cmath.isfinite(t_new):
             break

@@ -1,5 +1,8 @@
+import itertools
+import math
 import random
 from enum import IntEnum
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +20,8 @@ from dessins.cartography import (_PREFIX_LEN, CellIndex, CellKind, Dessin,
 from dessins.catalog import (from_face_lists, octahedron, one_square_torus,
                              origami, pillow_sphere, random_dessin,
                              random_origami, square_torus_grid, tetrahedron)
-from dessins.metric import equilateral_structure, square_structure
+from dessins.metric import (cone_angle, equilateral_structure,
+                            square_structure)
 from dessins.tiling import (NonBipartiteError, corner_bipartition,
                             diagonal_subdivision, is_square_tiling,
                             refine_2x2, tricolored_from_labels)
@@ -632,3 +636,45 @@ class TestFacesOfSize:
                 assert str(info.value) == (
                     f"face {bad[0]} has {len(cells[bad[0]])} sides, "
                     f"expected {k}")
+
+
+def _subgroup_counts(n_max: int) -> list[int]:
+    """a_n, the number of index-n subgroups of the free group F_2, by
+    Hall's recursion a_n = n n! - sum_{k<n} (n-k)! a_k (M. Hall, Canad.
+    J. Math. 1, 1949); a_0 is unused."""
+    a = [0]
+    for n in range(1, n_max + 1):
+        a.append(n * math.factorial(n) - sum(
+            math.factorial(n - k) * a[k] for k in range(1, n)))
+    return a
+
+
+@pytest.mark.parametrize("n, class_count", [(1, 1), (2, 2), (3, 4),
+                                            (4, 14), (5, 48)])
+def test_origami_classes_meet_the_mass_formula(n, class_count):
+    """Every origami with n squares is a transitive pair (h, v) in S_n,
+    and isomorphism of its dessin is relabeling of the squares together
+    with the four rotations, so the orbit-counting lemma weighs the
+    classes exactly: the sum of 1/automorphism_count() over them is
+    a_n/(4n).  The classes whose cone angles are all 2 pi, the tori,
+    weigh sigma(n)/(4n), from the sigma(n) sublattices of index n in
+    Z^2.  Over every pair this checks canonical codes, automorphism
+    counts, transitivity, the origami builder and the metric layer."""
+    classes = {}
+    for h in itertools.permutations(range(n)):
+        for v in itertools.permutations(range(n)):
+            d = origami(h, v)
+            if d.is_valid():
+                classes.setdefault(d.canonical_code, d)
+    mass = torus_mass = Fraction(0)
+    for d in classes.values():
+        weight = Fraction(1, d.automorphism_count())
+        mass += weight
+        m = square_structure(d)
+        if all(abs(cone_angle(d, m, i) - 2.0 * math.pi) < 1e-9
+               for i in range(len(d.cells(CellKind.VERTEX)))):
+            torus_mass += weight
+    sigma = sum(k for k in range(1, n + 1) if n % k == 0)
+    assert len(classes) == class_count
+    assert mass == Fraction(_subgroup_counts(n)[n], 4 * n)
+    assert torus_mass == Fraction(sigma, 4 * n)

@@ -427,6 +427,20 @@ class TestInversion:
         assert t not in (0, 1)
         assert abs(cs_map(spec, t) - z) <= 1e-10 * max(1.0, abs(z))
 
+    @pytest.mark.parametrize("z, outside", [
+        (0.5 + 1e-5j, True), (0.5 + 3e-5j, True), (0.5 + 1e-11j, True),
+        (0.5 + 1e-13j, False)])
+    def test_outside_tolerance_scales_with_z(self, z, outside):
+        # 1e-12 of this triangle's diameter, 3.2e7, once took 0.5 + 1e-5j
+        # in and returned t = 4.9e-6 at residual 1e-5, past the promise
+        spec = CsMapSpec(0.056270645099858366, 0.9437293531703974, 1)
+        if outside:
+            with pytest.raises(OutsideImageError):
+                invert_cs_map(spec, z)
+        else:
+            t = invert_cs_map(spec, z)
+            assert abs(cs_map(spec, t) - z) <= 1e-10
+
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.name)
     def test_no_snap_beyond_the_newton_target(self, spec):
         # 1e-11 from the image of 0 the corner would meet the promise,
@@ -875,6 +889,20 @@ class TestHalleyCurvature:
         assert len(seen) == len(points)
 
 
+@pytest.mark.parametrize("t", [-5 + 0j, -3 + 0j, -0.5 + 0j],
+                         ids=["infinity_5", "infinity_3", "corner_0"])
+def test_step_on_the_negative_real_axis(t):
+    """A step from t on the negative real axis, where the map takes the
+    argument -pi, to t* = t (1 + 1e-3) lands on t*.  At infinity 1/t =
+    -0.2-0j also has the argument -pi, so the principal power of 1/t
+    lies across the cut: a step through it misses t* by 9e-3."""
+    target = t * (1.0 + 1e-3)
+    residual = cs_map(TRIANGLE_COORD, t) - cs_map(TRIANGLE_COORD, target)
+    beta_ab = complete_beta(TRIANGLE_COORD.a, TRIANGLE_COORD.b)
+    t_new = csmap_module._newton_step(TRIANGLE_COORD, t, residual, beta_ab)
+    assert abs(t_new - target) <= 1e-12 * abs(target)
+
+
 class TestTaylorModel:
     """The quintic model that _newton_step refines each step on, F(t+g)
     - F(t) = F'(t) * sum_{j<5} c_j g^(j+1)/(j+1), against differences of
@@ -946,10 +974,10 @@ class TestNewtonExits:
     """The ways one Newton run ends without meeting its target."""
 
     def test_t_past_the_float_range_ends_the_run(self, monkeypatch):
-        # with a + b next to 1, t (1 + w)^(1/(a+b-1)) from the relative
-        # step w in the variable q at infinity leaves the float range for
-        # a small w: its exponential overflows inside the step and the
-        # run stops there
+        # with a + b next to 1, x (1 + v)^(1/(1-a-b)) from the relative
+        # step v in the variable at infinity underflows to x = 0 for a
+        # small v, and t = 1/x divides by zero inside the step: the run
+        # stops there
         spec = CsMapSpec(0.25, 0.75 - 1e-6, 1.0)
         z = 0.5 * image_triangle(spec)[2] + 0.25
         newton_step, calls, raised = csmap_module._newton_step, [], []
@@ -965,10 +993,10 @@ class TestNewtonExits:
         monkeypatch.setattr(csmap_module, "_newton_step", recording_step)
         with pytest.raises(NonConvergenceError, match="stalled") as info:
             invert_cs_map(spec, z)
-        # the second step, the run's last, is the one that overflowed
+        # the second step, the run's last, is the one that left the range
         assert len(raised) == 1
-        assert isinstance(raised[0], OverflowError)
-        assert "math range error" in str(raised[0])
+        assert isinstance(raised[0], ZeroDivisionError)
+        assert "complex division by zero" in str(raised[0])
         assert info.value.stage == "newton"
         assert info.value.evaluations == len(calls) == 2
 
