@@ -22,8 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cartography import (CellKind, Dessin, _require_face_size,
-                          _require_instance, _Substitution)
+from .cartography import (CellKind, Dessin, _is_integer,
+                          _require_face_size, _require_instance,
+                          _Substitution)
 from .tiling import TricoloredDessin, _tricolored_substitution
 
 
@@ -135,19 +136,20 @@ INFINITY = _SphereInfinity()
 def barycentric_rational(b0):
     """Evaluate beta = (4/27)(b0^2 - b0 + 1)^3 / (b0^2 (1 - b0)^2).
 
-    Rational inputs (int, Fraction) are evaluated exactly; float and
-    complex inputs in floating point; any other numeric object (e.g. a
-    symbolic expression) is pushed through the same formula unchanged.
-    The poles 0, 1 and the inputs INFINITY and inf map to INFINITY; a
-    float or complex input with a NaN part raises ValueError.
+    Rational inputs (int, numpy integer, Fraction) are evaluated
+    exactly; float and complex inputs, numpy ones included, in double
+    precision; any other numeric object (e.g. a symbolic expression) is
+    pushed through the same formula unchanged.  The poles 0, 1 and the
+    inputs INFINITY and inf map to INFINITY; a float or complex input
+    with a NaN part raises ValueError, and a bool TypeError.
     """
     if b0 is INFINITY:
         return INFINITY
-    if isinstance(b0, bool):
+    if isinstance(b0, (bool, np.bool_)):
         raise TypeError("b0 must be a number")
-    if isinstance(b0, (int, Fraction)):
-        b0 = Fraction(b0)
-    elif isinstance(b0, (float, complex)):
+    if _is_integer(b0):
+        b0 = Fraction(int(b0))
+    elif isinstance(b0, (float, complex, np.floating, np.complexfloating)):
         b0 = complex(b0)
         if cmath.isnan(b0):
             raise ValueError(f"b0 = {b0} has a NaN part")

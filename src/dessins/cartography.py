@@ -218,6 +218,17 @@ def _permutation_array(images, n: int,
     return arr, inv
 
 
+def _assemble(d: Dessin, n: int, r0: np.ndarray, r1: np.ndarray,
+              **known) -> Dessin:
+    """``d`` with ``n_darts`` = ``n`` (an int) and the read-only intp
+    index arrays ``r0`` and ``r1``, in 0..n-1, checking none, and with
+    the cached fields ``known``.  Every dessin takes its fields from
+    here: the constructor after its checks, :func:`_substitute` and
+    :func:`~dessins.document.parse` from arrays already in range."""
+    d.__dict__.update(n_darts=n, _r0=r0, _r1=r1, **known)
+    return d
+
+
 def _cycle_minima(p: np.ndarray) -> np.ndarray:
     """Per element, the smallest element of its cycle under ``p``, by
     pointer doubling: after k rounds m[x] is the minimum over the 2^k
@@ -237,7 +248,7 @@ def _cells_of(m: np.ndarray) -> Cells:
     """Cells from the per-element cycle minima ``m``: the cycles are
     numbered by their minima, scattered into a lookup by dart."""
     darts = _darts(len(m))
-    smallest = np.flatnonzero(m == darts)
+    smallest = (m == darts).nonzero()[0]
     lookup = np.empty(len(m), np.intp)
     lookup[smallest] = darts[:len(smallest)]
     ids = lookup[m]
@@ -339,9 +350,7 @@ class Dessin:
                       for p in (rho0, rho1))
         r0, plain0 = _image_array("rho0", rho0, n_darts)
         r1, plain1 = _image_array("rho1", rho1, n_darts)
-        object.__setattr__(self, "n_darts", int(n_darts))
-        object.__setattr__(self, "_r0", r0)
-        object.__setattr__(self, "_r1", r1)
+        _assemble(self, int(n_darts), r0, r1)
         # numpy integers in a sequence are not kept: the view holds ints
         for name, images, plain in (("rho0", rho0, plain0),
                                     ("rho1", rho1, plain1)):
@@ -727,11 +736,13 @@ def _substitute(d: Dessin, s: _Substitution) -> tuple[Dessin, dict]:
     """The substitution ``s`` of the valid ``d`` (InvalidDessinError
     otherwise), the permutation-triple calculus of Lando & Zvonkin,
     *Graphs on Surfaces and Their Applications* (2004), ch. 1: its tables
-    give rho1 and rho2, and rho0 follows from :func:`from_rho1_rho2`.
-    The result is valid by construction, so nothing validates it, and
-    comes with the cell ids of ``d`` its vertex column reads, per
-    (kind, src), the id array itself at e: its vertex cells are lifted
-    from them at once (:func:`_lifted_cells`); it keeps nothing of ``d``."""
+    give rho1 and rho2, and rho0 = rho1 o rho2^{-1} is scattered in
+    place, each slot written once since rho2 is a permutation.  The
+    result is valid by construction, so it is assembled from its arrays
+    unchecked (:func:`_assemble`) and never validated.  It comes with
+    the cell ids of ``d`` its vertex column reads, per (kind, src), the
+    id array itself at e: its vertex cells are lifted from them at once
+    (:func:`_lifted_cells`); it keeps nothing of ``d``."""
     d.require_valid()
     k = len(s.vertices)
     sources = {"rho1": d._r1, "rho2": d._r2,
@@ -744,8 +755,10 @@ def _substitute(d: Dessin, s: _Substitution) -> tuple[Dessin, dict]:
         for i, (src, j) in enumerate(table):
             np.add(scaled[src], j, out=images[i::k])
     del scaled  # before the lift's scratch
-    out = from_rho1_rho2(_frozen(r1), _frozen(r2))
-    out.__dict__.update(_violations=(), _r2=r2)
+    r0 = np.empty_like(r1)
+    r0[r2] = r1  # rho0 = rho1 o rho2^{-1}: r2 is a permutation
+    out = _assemble(object.__new__(Dessin), len(r1), _frozen(r0),
+                    _frozen(r1), _r2=_frozen(r2), _violations=())
     ids = {(kind, src): d.cell_arrays(kind).id[sources.get(src, slice(None))]
            for kind, src in dict.fromkeys(s.vertices)}
     out._cell_arrays[CellKind.VERTEX] = _lifted_cells(d, k, s.vertices, ids)

@@ -34,14 +34,17 @@ are given and share their arrays, checking only that a metric fits.
 Image and enum lines have one writer, :func:`_joined`: each token is a
 row of a uint8 table padded to the longest token plus a space, and the
 line is the kept bytes of the table.  Image tables are filled one digit
-place at a time, enum tables gathered from a code -> text table.
+place at a time, in the narrowest unsigned type that holds the largest
+image, enum tables gathered from a code -> text table.
 :func:`parse` reads an image line with numpy when it is ASCII digits and
 single spaces.  It reads an enum line by the first byte of each token,
 and keeps those codes when writing them gives back the line byte for
 byte.  Any other line goes through the per-token loop, which names the
 first bad entry.  A metric line goes through
 :func:`~dessins.metric.metric_array`, and a value it rejects is a parse
-error at that line, with its message.
+error at that line, with its message.  Each image and coloring array is
+checked once, at its line: the document and its dessin are assembled
+from them unchecked, and the dessin is validated on first use.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartography import Dessin, _frozen, _require_length, tuple_view
+from .cartography import (Dessin, _assemble, _frozen, _require_length,
+                          tuple_view)
 from .metric import MetricData, metric_array, metric_violations
 from .tiling import (_CODE, _MEMBERS, _TEXT, Color, Shade, TricoloredDessin,
                      VertexLabel, _code_array, _from_codes)
@@ -173,13 +177,15 @@ def _joined(rows: np.ndarray, keep: np.ndarray) -> bytes:
 def _int_text(images: np.ndarray) -> bytes:
     """The entries of ``images`` (non-negative) in decimal, separated by
     single spaces: a table of each entry's digits right-aligned, filled
-    one digit place at a time, keeping no leading zeros."""
+    one digit place at a time in the narrowest unsigned type that holds
+    the largest entry, keeping no leading zeros."""
     top = int(images.max())
     width = len(str(top))
     rows = np.empty((len(images), width + 1), np.uint8)
     keep = np.ones(rows.shape, bool)
     rows[:, width] = ord(" ")
-    rest = images.astype(np.uint32 if top < 2 ** 32 else np.uint64)
+    rest = images.astype(np.uint16 if top < 2 ** 16 else
+                         np.uint32 if top < 2 ** 32 else np.uint64)
     for k in range(width - 1, -1, -1):
         quotient = rest // 10
         rows[:, k] = rest - 10 * quotient + ord("0")
@@ -314,7 +320,8 @@ def _parse_codes(raw: str, line: int, key: str, enum_cls) -> np.ndarray:
         # text gives -1, the last text, whose first byte differs
         _, _, first_byte_code = _ENUM_TABLES[enum_cls]
         chars = np.frombuffer(data, np.uint8)
-        starts = np.r_[0, np.flatnonzero(chars[:-1] == ord(" ")) + 1]
+        starts = np.concatenate(
+            ([0], (chars[:-1] == ord(" ")).nonzero()[0] + 1))
         codes = first_byte_code[chars[starts]]
         if _enum_text(enum_cls, codes) == data:
             return _frozen(codes)
@@ -391,6 +398,9 @@ def parse(text: str) -> DessinDocument:
             _parse_codes(entries[key][1], entries[key][0], key, cls)
             for key, cls in zip(_COLOR_KEYS, _COLOR_ENUMS))
 
-    return DessinDocument(n, rho0, rho1, lengths, angles,
-                          edge_colors, face_shades, vertex_labels)
+    # each array was checked at its line; the dessin is validated on
+    # first use
+    return _held(_assemble(object.__new__(Dessin), n, rho0, rho1),
+                 None if lengths is None else MetricData(lengths, angles),
+                 (edge_colors, face_shades, vertex_labels))
 

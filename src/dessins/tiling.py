@@ -321,9 +321,9 @@ def _tricoloring(base: Dessin, dart_label, vertex_label) -> TricoloredDessin:
     color is read at its edge's smallest dart x (x < rho1 x) and each
     shade at its triangle's (x < rho2 x, rho2^2 x): no cells are built."""
     darts, r1, r2 = _darts(base.n_darts), base._r1, base._r2
-    x = np.flatnonzero(r1 > darts)
+    x = (r1 > darts).nonzero()[0]
     colors = _COLOR_OF_CODE_SUM[dart_label[x] + dart_label[r1[x]]]
-    x = np.flatnonzero((r2 > darts) & (r2[r2] > darts))
+    x = ((r2 > darts) & (r2[r2] > darts)).nonzero()[0]
     # three distinct labels read zero -> one -> infinity exactly when
     # the second follows the first in the cycle; white is shade code 1
     shades = (dart_label[r2[x]] - dart_label[x]) % 3 == 1

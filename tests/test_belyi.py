@@ -199,8 +199,32 @@ class TestRationalMap:
         assert barycentric_rational(complex(0.5, float("-inf"))) is INFINITY
 
     def test_bool_rejected(self):
-        with pytest.raises(TypeError):
-            barycentric_rational(True)
+        for b0 in (True, np.bool_(True), np.bool_(False)):
+            with pytest.raises(TypeError, match="b0 must be a number"):
+                barycentric_rational(b0)
+
+    @pytest.mark.parametrize("b0", [
+        np.int8(100), np.uint8(200), np.int16(-7), np.int64(2),
+        np.uint64(2 ** 64 - 1)])
+    def test_numpy_integers_are_exact(self, b0):
+        # no wraparound in the scalar's own width, and an exact value
+        got = barycentric_rational(b0)
+        assert type(got) is Fraction
+        assert got == barycentric_rational(int(b0)) \
+            == oracles.rational_map_exact(Fraction(int(b0)))
+
+    @pytest.mark.parametrize("b0", [
+        np.float32(1e-30), np.float32(0.3), np.float64(-2.5),
+        np.float16(0.75), np.complex64(0.5 + 0.2j), np.complex128(2 - 1j)])
+    def test_numpy_floats_run_in_double(self, b0):
+        # float32 would underflow b0^2 at 1e-30 and return INFINITY
+        assert barycentric_rational(b0) == barycentric_rational(complex(b0))
+
+    def test_numpy_nan_and_poles(self):
+        with pytest.raises(ValueError, match="NaN"):
+            barycentric_rational(np.float32("nan"))
+        assert barycentric_rational(np.float32(0)) is INFINITY
+        assert barycentric_rational(np.int32(1)) is INFINITY
 
     def test_decimal_input(self):
         # Decimal has an is_zero() method, which is not a vanishing flag

@@ -678,3 +678,33 @@ def test_origami_classes_meet_the_mass_formula(n, class_count):
     assert len(classes) == class_count
     assert mass == Fraction(_subgroup_counts(n)[n], 4 * n)
     assert torus_mass == Fraction(sigma, 4 * n)
+
+
+def test_is_isomorphic_agrees_with_the_start_codes():
+    """On seeded pairs of distinct valid origamis of two to four
+    squares, each with a random relabeling, ``is_isomorphic`` answers as
+    the smallest codes over all start darts compare, negative answers
+    included, and ``automorphism_count`` is the number of starts that
+    reach the smallest code."""
+    rng = random.Random(18)
+    answers = set()
+    for n in range(2, 5):  # one square makes a single origami
+        for _ in range(20):
+            pair = []
+            while len(pair) < 2:
+                d = origami(perms.random_permutation(n, rng),
+                            perms.random_permutation(n, rng))
+                if d.is_valid() and all(d != e for e in pair):
+                    pair.append(d)
+            group = [e for d in pair for e in (d, d.relabeled(
+                perms.random_permutation(d.n_darts, rng)))]
+            smallest = []
+            for d in group:
+                codes = oracles.start_codes(d.rho0, d.rho1)
+                smallest.append(min(codes))
+                assert d.automorphism_count() == codes.count(min(codes))
+            for (d1, c1), (d2, c2) in itertools.combinations(
+                    zip(group, smallest), 2):
+                assert is_isomorphic(d1, d2) == (c1 == c2)
+                answers.add(c1 == c2)
+    assert answers == {True, False}

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dessins import catalog
+from dessins import catalog, cli
 from dessins import document as document_module
 from dessins import metric as metric_module
 from dessins import tiling as tiling_module
@@ -240,11 +240,26 @@ class TestParseErrors:
         assert str(self.error(text)) == (
             "line 6: face_shades[1]: 'grey' is not one of black, white")
 
-    def test_free_edge_fixture_parses_but_fails_validation(self):
-        # structural defects are a validation concern, not a parse error
-        d_doc = parse((FIXTURES / "free_edge.dessin").read_text())
-        codes = [v.code for v in d_doc.to_dessin().violations()]
-        assert "rho1-fixed-point" in codes
+    @pytest.mark.parametrize("text, expected", [
+        ((FIXTURES / "free_edge.dessin").read_text(),
+         ["rho1-fixed-point: rho1 has fixed point at dart 0",
+          "rho1-not-involution: rho1 squared moves dart 1"]),
+        (make_text(rho0="1 1 3 0"),
+         ["rho0-not-bijection: rho0 is not a bijection"]),
+        (make_text(rho0="1 0 3 2", rho1="1 0 3 2"),
+         ["not-transitive: dart 2 is not reachable from dart 0"]),
+    ], ids=["free_edge", "rho0_not_bijective", "two_components"])
+    def test_structural_defects_parse_and_fail_validation(
+            self, capsys, tmp_path, text, expected):
+        # structural defects are a validation concern, not a parse error:
+        # a parsed dessin is validated on first use, in the library and
+        # in `dessins validate`, with the same report
+        d = parse(text).to_dessin()
+        assert [str(v) for v in d.violations()] == expected
+        path = tmp_path / "defect.dessin"
+        path.write_text(text)
+        assert cli.main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines() == expected
 
 
 @st.composite
@@ -321,14 +336,29 @@ class TestSerialization:
         assert hashlib.sha256(data).hexdigest() == (
             "6d0bea4ce4b0332bcdc5b617f7e051a459d0a9e68f0d4919ba10a422a3808144")
 
+    def test_serialize_cover_bytes_at_benchmark_size(self):
+        # the largest document of the subdivide_pipeline benchmark, whose
+        # images are written in uint16 digits
+        grid = catalog.square_torus_grid(16, 32)
+        cover = barycentric_subdivide(
+            diagonal_subdivision(grid, corner_bipartition(grid)))
+        assert cover.base.n_darts == 36864
+        data = from_tricolored(cover).serialize().encode()
+        assert len(data) == 617866
+        assert hashlib.sha256(data).hexdigest() == (
+            "20ebe14cdb82ec7be423323339f82236aa99186e25e832433e7010ddfc3c6a73")
+
     @pytest.mark.parametrize("values", [
         [0], [9], [10], [0, 9, 10, 0],
         [10 ** k - 1 for k in range(1, 11)] + [10 ** k for k in range(10)],
+        [65535, 0, 7],
+        [65536, 0, 10],
         [2 ** 32 - 1, 0, 7],
         [2 ** 32, 0, 10 ** 18, 10 ** 18 - 1, 5],
     ])
     def test_int_text(self, values):
-        # uint32 digits up to 2**32 - 1, uint64 above
+        # uint16 digits up to 2**16 - 1, uint32 up to 2**32 - 1, uint64
+        # above
         assert _int_text(np.array(values, dtype=np.intp)) == (
             " ".join(map(str, values)).encode())
 

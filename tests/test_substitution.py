@@ -3,6 +3,7 @@ the dart-by-dart oracles in ``oracles.py``: equal outputs dart for dart,
 equal cell numbering, and equal errors and violation lists."""
 
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -456,14 +457,22 @@ class TestQuotientShapes:
 
 
 def assert_lifted_cells(d):
-    """``d`` is valid, with the rho2 and cells of a dessin built afresh
-    from its arrays."""
-    fresh = Dessin(d.n_darts, d._r0, d._r1)
+    """``d``, an operator output assembled from its arrays unchecked, is
+    valid and is what the checked constructor builds from its tuples: an
+    int ``n_darts``, read-only intp index arrays, the same rho2 and
+    cells, and a pickle round trip."""
+    fresh = Dessin(d.n_darts, d.rho0, d.rho1)
+    assert type(d.n_darts) is int
+    assert d == fresh
+    for name in ("_r0", "_r1", "_r2"):
+        arr = getattr(d, name)
+        assert arr.dtype == np.intp and not arr.flags.writeable, name
     assert d.violations() == fresh.violations() == []
     assert np.array_equal(d._r2, fresh._r2)
     for kind in CellKind:
         for got, want in zip(d.cell_arrays(kind), fresh.cell_arrays(kind)):
             assert np.array_equal(got, want), kind
+    assert pickle.loads(pickle.dumps(d)) == d
 
 
 def assert_tricoloring_as_checked(t):
