@@ -657,12 +657,10 @@ class Dessin:
 
 
 def _faces_of_size(d: Dessin, k: int) -> bool:
-    """Whether every face of the valid ``d`` has ``k`` sides, read off its
-    face cells when built.  Otherwise rho2^k = id with no rho2^j, 0 < j <
-    k, fixing a dart: k - 1 gathers and k compares, and no cells."""
+    """Whether every face of the valid ``d`` has ``k`` sides: rho2^k = id
+    with no rho2^j, 0 < j < k, fixing a dart.  k - 1 gathers and k
+    compares, and no cells are read or built."""
     d.require_valid()
-    if CellKind.FACE in d._cell_arrays:
-        return bool((d.cell_arrays(CellKind.FACE).size == k).all())
     darts, power = _darts(d.n_darts), d._r2
     for _ in range(k - 1):
         if (power == darts).any():

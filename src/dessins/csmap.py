@@ -44,9 +44,9 @@ step are written once, in the chart x = t, 1 - t or 1/t of a prevertex
 with exponent e.  Each Halley step runs in x^e at the prevertex nearest
 the iterate t, infinity once r = min(|t|, |1-t|) > 1, and returns to t
 as x (1 + v)^(1/e) for its relative step v.  As every derivative of the
-map is closed-form, a step g well inside the radius r of the Taylor
-series around t is then refined by one Newton iteration on the quintic
-model of F(t+g) - F(t), in plain complex arithmetic: each quadrature
+map is closed-form, a nonzero step g below r/100, r the radius of the
+Taylor series around t, is then refined by one Newton iteration on the
+quintic model of F(t+g) - F(t), in plain complex arithmetic: each
 evaluation buys a sixth-order step instead of Halley's third-order one.
 Nothing is precomputed for a spec beyond its complete beta and its Gauss rules.
 """
@@ -148,17 +148,21 @@ def _node_count(cfg: QuadratureConfig | None) -> int:
 MIN_EXPONENT = 1e-15
 
 
-def _check_exponents(a: float, b: float) -> None:
+def _check_exponents(a: float, b: float) -> tuple[float, float]:
+    """(a, b) as Python floats, each a Python or numpy integer or float,
+    not a bool, in [MIN_EXPONENT, 1]."""
     for name, x in (("a", a), ("b", b)):
-        if (not isinstance(x, (int, float)) or isinstance(x, bool)
-                or not MIN_EXPONENT <= x <= 1.0):
+        if (not isinstance(x, (int, float, np.integer, np.floating))
+                or isinstance(x, bool) or not MIN_EXPONENT <= x <= 1.0):
             raise ValueError(
                 f"exponent {name} must lie in [{MIN_EXPONENT}, 1]")
+    return float(a), float(b)
 
 
 @dataclass(frozen=True)
 class CsMapSpec:
-    """Exponent pair and unimodular prefactor of a coordinate map."""
+    """Exponent pair and unimodular prefactor of a coordinate map, held
+    as Python floats and a complex, so every map runs in double precision."""
 
     a: float
     b: float
@@ -166,13 +170,16 @@ class CsMapSpec:
     name: str = "custom"
 
     def __post_init__(self):
-        _check_exponents(self.a, self.b)
+        a, b = _check_exponents(self.a, self.b)
         _require_instance("prefactor", self.prefactor, numbers.Number)
-        if self.a == 1.0:
+        prefactor = complex(self.prefactor)
+        if a == 1.0:
             raise ValueError("exponent a must lie below 1")
         # negated, so a NaN modulus fails too
-        if not abs(abs(complex(self.prefactor)) - 1.0) <= 1e-12:
+        if not abs(abs(prefactor) - 1.0) <= 1e-12:
             raise ValueError("prefactor must have modulus 1")
+        for field, value in (("a", a), ("b", b), ("prefactor", prefactor)):
+            object.__setattr__(self, field, value)
 
 
 #: unit square cell coordinate: angles pi/4, pi/4, pi/2
@@ -321,7 +328,7 @@ def incomplete_cs_integral(a: float, b: float, t,
     relative, as they do for a node count far below the default.
     """
     n = _node_count(cfg)
-    _check_exponents(a, b)
+    a, b = _check_exponents(a, b)
     return _integral(a, b, _path_end(t), n)
 
 
@@ -350,8 +357,7 @@ def complete_beta(a: float, b: float,
     exactly symmetric in (a, b).  Each half is checked as
     :func:`incomplete_cs_integral` is, with its NonConvergenceError."""
     n = _node_count(cfg)
-    _check_exponents(a, b)
-    return _beta_cached(float(a), float(b), n)
+    return _beta_cached(*_check_exponents(a, b), n)
 
 
 def cs_map(spec: CsMapSpec, t, cfg: QuadratureConfig | None = None) -> complex:
@@ -468,22 +474,20 @@ def _newton_step(spec: CsMapSpec, t: complex, residual: complex,
                     r)
 
 
-# _refined runs where the step g is this share of the radius r: below
-# it Halley's step already meets the Newton target, and above it the
-# quintic model's remainder, of order |F'| r |g/r|^6, misses that target,
-# so the refined step would not save the next evaluation
-_MODEL_LOW = 3e-4
+# _refined runs where the step g is below this share of the radius r:
+# above it the quintic model's remainder, of order |F'| r |g/r|^6, misses
+# the Newton target, so the refined step would not save an evaluation
 _MODEL_HIGH = 0.01
 
 
 def _refined(a: float, b: float, t: complex, t_new: complex, rho: complex,
              r: float) -> complex:
-    """t_new, or where its step g = t_new - t has _MODEL_LOW*r < |g| <
-    _MODEL_HIGH*r, t + g after one Newton iteration on the Taylor model
-    M(g) = -rho, with rho = (F(t) - z)/F'(t) the Newton step in t (see
-    _taylor_model).  r is at most the model's radius of convergence."""
+    """t_new, or where its step g = t_new - t has 0 < |g| < _MODEL_HIGH*r
+    (a step that rounds to nothing ends the run), t + g after one Newton
+    iteration on the Taylor model M(g) = -rho, rho = (F(t) - z)/F'(t) the
+    Newton step in t (see _taylor_model), whose radius is at least r."""
     g = t_new - t
-    if not _MODEL_LOW * r < abs(g) < _MODEL_HIGH * r:
+    if not 0.0 < abs(g) < _MODEL_HIGH * r:
         return t_new
     m, dm = _taylor_model(a, b, t, g)
     return t + (g - (m + rho) / dm)
@@ -571,9 +575,10 @@ def invert_cs_map(spec: CsMapSpec, z) -> complex:
 
     The returned t satisfies |cs_map(t) - z| <= 1e-10 * max(1, |z|).
     Points more than 1e-12 * max(1, |z|) outside the closed image
-    triangle raise OutsideImageError, a z with an infinite or NaN part
-    raises ValueError, and a Newton iteration that does not settle
-    raises NonConvergenceError.  A z within the Newton target, 1e-14 *
+    triangle raise OutsideImageError, a z with an infinite or NaN part or
+    a spec whose image is no triangle (:func:`image_triangle`) raises
+    ValueError, and a Newton iteration that does not settle raises
+    NonConvergenceError.  A z within the Newton target, 1e-14 *
     max(1, |z|), of the image of 0 or 1 returns that corner.
 
     Newton runs once, from one seed: the two-term local inverse at the

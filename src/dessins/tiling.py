@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -96,20 +95,11 @@ class NotSquareTilingError(ValueError):
 
 class NonBipartiteError(ValueError):
     """The corner graph admits no 2-coloring; ``witness`` is an odd
-    closed walk (vertex ids, first equal to last).
-
-    The witness may be given as a function of no arguments instead: it
-    is then called when the witness or the message is first read, so a
-    caller that only catches the error does not pay for the walk."""
+    closed walk (vertex ids, first equal to last)."""
 
     def __init__(self, witness):
         super().__init__()
-        self._witness = witness
-
-    @cached_property
-    def witness(self) -> list[int]:
-        w = self._witness
-        return list(w() if callable(w) else w)
+        self.witness = list(witness)
 
     def __str__(self) -> str:
         return f"corner graph has an odd closed walk through {self.witness}"
@@ -151,21 +141,30 @@ class TricoloredDessin:
                              self._vertex_label)
 
 
+_CODINGS = ("edge_color", "face_shade", "vertex_label")
+
+
 def _from_codes(base: Dessin, *codes) -> TricoloredDessin:
-    """The tricolored dessin over ``base`` with the code arrays ``codes``
-    (edge colors, face shades, vertex labels), made read-only, whose
-    codes are in range: only their counts are checked, against the cells
-    of ``base``, which raises if it is invalid.  rho1 pairs a valid
-    dessin's darts into its edges."""
+    """:func:`_held_codes` after checking only the counts of ``codes``,
+    whose codes are in range, against the cells of ``base``, which raises
+    if it is invalid.  rho1 pairs a valid dessin's darts into its edges."""
     counts = [base.n_darts // 2] + [
         len(base.cell_arrays(kind).smallest)
         for kind in (CellKind.FACE, CellKind.VERTEX)]
-    t = object.__new__(TricoloredDessin)
-    t.__dict__["base"] = base
-    for n, name, arr in zip(counts, ("edge_color", "face_shade",
-                                     "vertex_label"), codes):
+    for n, name, arr in zip(counts, _CODINGS, codes):
         _require_length(name, arr, n)
-        t.__dict__["_" + name] = _frozen(arr)
+    return _held_codes(base, *codes)
+
+
+def _held_codes(base: Dessin, *codes) -> TricoloredDessin:
+    """The tricolored dessin over ``base`` holding the code arrays
+    ``codes`` (edge colors, face shades, vertex labels), made read-only,
+    checking none: every tricolored dessin takes its fields from here,
+    after the count checks of :func:`_from_codes` or, for an operator's
+    output, unchecked (:func:`_tricoloring`)."""
+    t = object.__new__(TricoloredDessin)
+    t.__dict__.update(zip(["_" + name for name in _CODINGS],
+                          map(_frozen, codes)), base=base)
     return t
 
 
@@ -198,7 +197,7 @@ def corner_bipartition(d: Dessin) -> tuple[VertexLabel, ...]:
     lab = _components(2 * n_vertices, np.concatenate([2 * u, 2 * u + 1]),
                       np.concatenate([2 * v + 1, 2 * v]))
     if lab[1] == 0:
-        raise NonBipartiteError(lambda: _odd_walk(n_vertices, u, v))
+        raise NonBipartiteError(_odd_walk(n_vertices, u, v))
     return tuple(map(_MEMBERS[VertexLabel].__getitem__,
                      (lab[::2] != 0).tolist()))
 
@@ -282,7 +281,6 @@ def diagonal_subdivision(d: Dessin, labels) -> TricoloredDessin:
     labeled infinity, and colors and shades follow the canonical rule.
     """
     _require_instance("d", d, Dessin)
-    d.cell_arrays(CellKind.FACE)  # the lift reads them, so the check does
     _require_square_tiling(d)
     codes = _code_array(VertexLabel, labels)
     verts = d.cell_arrays(CellKind.VERTEX)
@@ -311,8 +309,8 @@ def _tricolored_substitution(d: Dessin, s: _Substitution,
     for i, column in enumerate(s.vertices):
         code = label_of[column[0]]
         dart_label[i::k] = code if isinstance(code, int) else code[ids[column]]
-    return _tricoloring(out, dart_label, _frozen(
-        dart_label[out.cell_arrays(CellKind.VERTEX).smallest]))
+    return _tricoloring(
+        out, dart_label, dart_label[out.cell_arrays(CellKind.VERTEX).smallest])
 
 
 def _tricoloring(base: Dessin, dart_label, vertex_label) -> TricoloredDessin:
@@ -327,11 +325,7 @@ def _tricoloring(base: Dessin, dart_label, vertex_label) -> TricoloredDessin:
     # three distinct labels read zero -> one -> infinity exactly when
     # the second follows the first in the cycle; white is shade code 1
     shades = (dart_label[r2[x]] - dart_label[x]) % 3 == 1
-    t = object.__new__(TricoloredDessin)
-    t.__dict__.update(base=base, _edge_color=_frozen(colors),
-                      _face_shade=_frozen(shades.astype(np.int8)),
-                      _vertex_label=vertex_label)
-    return t
+    return _held_codes(base, colors, shades.astype(np.int8), vertex_label)
 
 
 def tricolored_from_labels(base: Dessin, vertex_label) -> TricoloredDessin:

@@ -567,8 +567,8 @@ class TestFacesOfSize:
     @given(face_kernel_inputs())
     @settings(max_examples=80, deadline=None, derandomize=True)
     def test_matches_face_cells(self, d):
-        """The rho2 test before the face cells exist, and the read of
-        them after, agree with the cells for sizes 1..6."""
+        """The rho2 test agrees with the face cells for sizes 1..6,
+        builds none, and reads the same once they are built."""
         assert CellKind.FACE not in d._cell_arrays
         before = [_faces_of_size(d, k) for k in range(1, 7)]
         assert CellKind.FACE not in d._cell_arrays  # the test built none

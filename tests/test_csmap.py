@@ -71,6 +71,47 @@ class TestConfigAndSpec:
         assert cfg == QuadratureConfig()
         assert type(cfg.node_count) is int
 
+    @pytest.mark.parametrize("a, b, prefactor", [
+        (0.25, 0.25, np.complex64(1j)),
+        (np.float32(0.25), 0.25, 1),
+        (0.25, np.int64(1), 1),
+    ], ids=["complex64-prefactor", "float32-a", "int64-b"])
+    def test_numpy_scalars_are_held_as_python_numbers(self, a, b,
+                                                      prefactor):
+        # a complex64 prefactor once ran the map in single precision, and
+        # a numpy exponent was rejected as out of range
+        spec = CsMapSpec(a, b, prefactor)
+        plain = CsMapSpec(float(a), float(b), complex(prefactor))
+        assert spec == plain
+        assert [type(spec.a), type(spec.b), type(spec.prefactor)] == \
+            [float, float, complex]
+        value = cs_map(spec, 0.3 - 0.2j)
+        assert type(value) is complex
+        assert value == cs_map(plain, 0.3 - 0.2j)
+
+    def test_complex64_prefactor_keeps_the_residual_promise(self):
+        spec = CsMapSpec(0.25, 0.25, np.complex64(1j))
+        z = cs_map(SQUARE_CELL, 0.3 - 0.2j)
+        t = invert_cs_map(spec, z)
+        assert type(t) is complex
+        assert abs(cs_map(SQUARE_CELL, t) - z) <= 1e-10
+
+    @pytest.mark.parametrize("call, plain", [
+        (lambda: complete_beta(np.float32(0.25), 0.25),
+         lambda: complete_beta(0.25, 0.25)),
+        (lambda: incomplete_cs_integral(0.25, np.int64(1), 0.5),
+         lambda: incomplete_cs_integral(0.25, 1, 0.5)),
+    ], ids=["complete_beta", "incomplete_cs_integral"])
+    def test_numpy_exponents_are_taken(self, call, plain):
+        assert call() == plain()
+
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_bool_exponent_rejected(self, flag):
+        with pytest.raises(ValueError, match="exponent a must lie in"):
+            CsMapSpec(flag, 0.25, 1)
+        with pytest.raises(ValueError, match="exponent b must lie in"):
+            complete_beta(0.25, flag)
+
     def test_node_count_capped(self):
         # the cap bounds one rule build to a dense 2n-node eigenproblem;
         # at the cap a map still evaluates and agrees with the default
@@ -1033,11 +1074,11 @@ class TestNewtonExits:
 
     @pytest.mark.parametrize("a, b, z, best", [
         (0.6150469590365196, 0.07210821000725263,
-         0.9349304993314776 - 0.007046221015891797j, 3.536420990392e-4),
+         0.9349304993314776 - 0.007046221015891797j, 3.534284604532e-4),
         (0.7226554195439228, 0.05818291400700373,
-         0.9872844821796686 - 0.0002216972290328284j, 1.258306843226e-3),
+         0.9872844821796686 - 0.0002216972290328284j, 9.794491506214e-4),
         (0.17346361691172446, 0.05944179990785985,
-         0.9641195628959909 - 0.0040954036984085j, 7.419676028153e-4),
+         0.9641195628959909 - 0.0040954036984085j, 7.322457347532e-4),
     ])
     def test_run_far_from_its_answer_stalls_promptly(self, a, b, z, best):
         # a run stuck far above the promise ends once three evaluations
@@ -1047,6 +1088,20 @@ class TestNewtonExits:
             invert_cs_map(CsMapSpec(a, b, 1), z)
         assert info.value.evaluations <= 5
         assert info.value.best_residual == pytest.approx(best, rel=1e-9)
+
+    @pytest.mark.parametrize("spec, z", [
+        (TRIANGLE_COORD, 0.5755351305869709 - 0.19440463041959188j),
+        (SQUARE_CELL, 0.1528990021842418 + 0.22629247610392159j),
+    ], ids=["triangle_coord", "square_cell"])
+    def test_short_step_is_refined(self, spec, z, monkeypatch):
+        # the first step is below 3e-4 of the Taylor radius; refined on
+        # the model it meets the Newton target, so the second evaluation
+        # is the last, where Halley's step alone took a third
+        calls = counting_evaluations(monkeypatch)
+        t = invert_cs_map(spec, z)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert abs(cs_map(spec, t) - z) <= 1e-14
 
     def test_no_finite_corner_seed(self):
         # every expansion overflows far outside the image triangle, where

@@ -101,9 +101,9 @@ class TestCornerBipartition:
         for u, v in zip(walk, walk[1:]):
             assert frozenset((u, v)) in adjacent
 
-    def test_witness_is_found_on_first_read(self, monkeypatch):
-        """A caller that only catches the error runs no walk search; the
-        witness and message are those of the error built from the walk."""
+    def test_witness_is_found_once_per_raise(self, monkeypatch):
+        """The error is raised holding its walk, searched once; reading
+        the witness and the message searches no more."""
         calls = []
 
         def counted(*args):
@@ -114,8 +114,9 @@ class TestCornerBipartition:
         monkeypatch.setattr(tiling, "_odd_walk", counted)
         with pytest.raises(NonBipartiteError) as info:
             corner_bipartition(square_torus_grid(7, 9))
-        assert not calls
+        assert len(calls) == 1
         exc = info.value
+        assert exc.witness == [0, 1, 4, 6, 8, 10, 12, 0]
         assert str(exc) == ("corner graph has an odd closed walk through "
                             "[0, 1, 4, 6, 8, 10, 12, 0]")
         assert str(exc) == str(NonBipartiteError(exc.witness))
