@@ -31,16 +31,17 @@ coloring block is int8 codes (the codes of :mod:`dessins.tiling`).
 :func:`from_dessin` and :func:`from_tricolored` hold the objects they
 are given and share their arrays, checking only that a metric fits.
 
-Image and enum lines have one writer, :func:`_joined`: each token is a
-row of a uint8 table padded to the longest token plus a space, and the
-line is the kept bytes of the table.  Image tables are filled one digit
-place at a time, in the narrowest unsigned type that holds the largest
-image, enum tables gathered from a code -> text table.
-:func:`parse` reads an image line with numpy when it is ASCII digits and
-single spaces.  It reads an enum line by the first byte of each token,
-and keeps those codes when writing them gives back the line byte for
-byte.  Any other line goes through the per-token loop, which names the
-first bad entry.  A metric line goes through
+Image and enum lines have one writer, :func:`_joined`: each token and
+its space is a row of a uint8 table whose unused places hold NUL, and
+the line is the table's other bytes, decoded once; ``serialize`` joins
+the lines and their keys into the one full-size string.  Image tables
+are filled one digit place at a time, in the narrowest unsigned type
+that holds the largest image, enum tables gathered from a fixed-width
+bytes array of the texts.  :func:`parse` reads an image line with numpy
+when it is ASCII digits and single spaces.  It reads an enum line by the
+first byte of each token, and keeps those codes when writing them gives
+back the line.  Any other line goes through the per-token loop, which
+names the first bad entry.  A metric line goes through
 :func:`~dessins.metric.metric_array`, and a value it rejects is a parse
 error at that line, with its message.  Each image and coloring array is
 checked once, at its line: the document and its dessin are assembled
@@ -49,6 +50,7 @@ from them unchecked, and the dessin is validated on first use.
 
 from __future__ import annotations
 
+import codecs
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,70 +155,65 @@ class DessinDocument:
                            self._vertex_labels)
 
     def serialize(self) -> str:
-        lines = [f"format_version: {self.format_version}".encode(),
-                 f"n_darts: {self.n_darts}".encode(),
-                 b"rho0: " + _int_text(self._dessin._r0),
-                 b"rho1: " + _int_text(self._dessin._r1)]
+        parts = [f"format_version: {self.format_version}\n"
+                 f"n_darts: {self.n_darts}\nrho0: ",
+                 _int_text(self._dessin._r0), "\nrho1: ",
+                 _int_text(self._dessin._r1), "\n"]
         if self.has_metric:
             for key in _METRIC_KEYS:
                 values = getattr(self._metric, "_" + key).tolist()
-                lines.append(f"{key}: {' '.join(map(repr, values))}".encode())
+                parts += (f"{key}: ", " ".join(map(repr, values)), "\n")
         if self.has_coloring:
             for key, cls in zip(_COLOR_KEYS, _COLOR_ENUMS):
-                lines.append(f"{key}: ".encode()
-                             + _enum_text(cls, getattr(self, "_" + key)))
-        return (b"\n".join(lines) + b"\n").decode("ascii")
+                parts += (f"{key}: ",
+                          _enum_text(cls, getattr(self, "_" + key)), "\n")
+        return "".join(parts)
 
 
-def _joined(rows: np.ndarray, keep: np.ndarray) -> bytes:
-    """The kept bytes of the row-major ``(n, width + 1)`` uint8 table
-    ``rows``, one token and a space per row, without the last space."""
-    return rows[keep][:-1].tobytes()
+def _joined(table: np.ndarray) -> str:
+    """The non-NUL bytes of the uint8 array ``table``, one token and a
+    space per row, without the last space, decoded once."""
+    data = table.ravel()
+    return codecs.ascii_decode(data[data != 0][:-1])[0]
 
 
-def _int_text(images: np.ndarray) -> bytes:
+def _int_text(images: np.ndarray) -> str:
     """The entries of ``images`` (non-negative) in decimal, separated by
     single spaces: a table of each entry's digits right-aligned, filled
     one digit place at a time in the narrowest unsigned type that holds
-    the largest entry, keeping no leading zeros."""
+    the largest entry, with NUL in the leading places."""
     top = int(images.max())
     width = len(str(top))
     rows = np.empty((len(images), width + 1), np.uint8)
-    keep = np.ones(rows.shape, bool)
     rows[:, width] = ord(" ")
     rest = images.astype(np.uint16 if top < 2 ** 16 else
                          np.uint32 if top < 2 ** 32 else np.uint64)
     for k in range(width - 1, -1, -1):
         quotient = rest // 10
-        rows[:, k] = rest - 10 * quotient + ord("0")
+        digit = rest - 10 * quotient + ord("0")
+        rows[:, k] = digit if k == width - 1 else digit * (rest > 0)
         rest = quotient
-        if k:
-            np.greater(rest, 0, out=keep[:, k - 1])
-    return _joined(rows, keep)
+    return _joined(rows)
 
 
 def _enum_tables(texts: tuple[str, ...]):
-    """Per code of an enum, its text padded to the longest plus a space
-    and which of those bytes to keep; and per byte, the code of the text
-    starting with it, -1 for none.  The texts of each enum differ in
-    their first letter (b/g/r, b/w, z/o/i); were two to share one, the
-    rewrite check of _parse_codes would send lines with one to the loop."""
-    width = max(map(len, texts))
-    rows = np.array([list(f"{text:<{width}} ".encode("ascii"))
-                     for text in texts], np.uint8)
-    keep = rows != ord(" ")
-    keep[:, width] = True
+    """Per code of an enum, its text and a space, NUL-padded to the
+    longest; and per byte, the code of the text starting with it, -1 for
+    none.  The texts of each enum differ in their first letter (b/g/r,
+    b/w, z/o/i); were two to share one, the rewrite check of
+    _parse_codes would send lines with one to the loop."""
+    tokens = np.array([f"{text} ".encode("ascii") for text in texts])
     first_byte_code = np.full(256, -1, np.int8)
     first_byte_code[[ord(text[0]) for text in texts]] = range(len(texts))
-    return rows, keep, first_byte_code
+    return tokens, first_byte_code
 
 
 _ENUM_TABLES = {cls: _enum_tables(_TEXT[cls]) for cls in _COLOR_ENUMS}
 
 
-def _enum_text(enum_cls, codes: np.ndarray) -> bytes:
-    rows, keep, _ = _ENUM_TABLES[enum_cls]
-    return _joined(np.take(rows, codes, axis=0), np.take(keep, codes, axis=0))
+def _enum_text(enum_cls, codes: np.ndarray) -> str:
+    tokens, _ = _ENUM_TABLES[enum_cls]
+    return _joined(tokens[codes].view(np.uint8))
 
 
 def _from_parts(d: Dessin, m: MetricData | None,
@@ -316,14 +313,14 @@ def _parse_codes(raw: str, line: int, key: str, enum_cls) -> np.ndarray:
     data = raw.encode()
     if data:
         # each token's code from its first byte, taken only when the
-        # codes write ``raw`` back byte for byte; a first byte of no
+        # codes write ``raw`` back exactly; a first byte of no
         # text gives -1, the last text, whose first byte differs
-        _, _, first_byte_code = _ENUM_TABLES[enum_cls]
+        _, first_byte_code = _ENUM_TABLES[enum_cls]
         chars = np.frombuffer(data, np.uint8)
         starts = np.concatenate(
             ([0], (chars[:-1] == ord(" ")).nonzero()[0] + 1))
         codes = first_byte_code[chars[starts]]
-        if _enum_text(enum_cls, codes) == data:
+        if _enum_text(enum_cls, codes) == raw:
             return _frozen(codes)
     # any other line: the codes of its tokens, or the first bad token
     code = _CODE[enum_cls]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dessins import catalog, cli
@@ -22,6 +22,7 @@ from dessins.document import (
     DessinDocument,
     DocumentParseError,
     FORMAT_VERSION,
+    _enum_text,
     _int_text,
     from_dessin,
     from_tricolored,
@@ -360,7 +361,51 @@ class TestSerialization:
         # uint16 digits up to 2**16 - 1, uint32 up to 2**32 - 1, uint64
         # above
         assert _int_text(np.array(values, dtype=np.intp)) == (
-            " ".join(map(str, values)).encode())
+            " ".join(map(str, values)))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from((
+        0, 9, 10, 2 ** 16 - 1, 2 ** 16, 2 ** 32 - 1, 2 ** 32, 10 ** 18 - 1,
+        10 ** 18, np.iinfo(np.intp).max)).flatmap(
+            lambda top: st.lists(st.integers(0, top), min_size=1,
+                                 max_size=40)))
+    @example([0])
+    @example([0, 0, 0])
+    def test_int_text_writes_each_entry_in_decimal(self, values):
+        # the leading places of the digit table hold NUL, the last one
+        # of each entry its units digit
+        assert _int_text(np.array(values, dtype=np.intp)) == (
+            " ".join(map(str, values)))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from((Color, Shade, VertexLabel)).flatmap(
+        lambda cls: st.tuples(st.just(cls), st.lists(
+            st.integers(0, len(cls) - 1), min_size=1, max_size=40))))
+    def test_enum_text_writes_each_member_text(self, drawn):
+        cls, codes = drawn
+        members = list(cls)
+        assert _enum_text(cls, np.array(codes, np.int8)) == (
+            " ".join(members[c].value for c in codes))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_cover_documents_round_trip(self, seed, with_metric):
+        # the chain of the subdivide and barycentric commands, through
+        # the refinement when the corner graph is odd
+        rng = random.Random(seed)
+        d = catalog.random_origami(rng.randint(1, 16), rng)
+        try:
+            labels = corner_bipartition(d)
+        except NonBipartiteError:
+            d = refine_2x2(d)
+            labels = corner_bipartition(d)
+        cover = barycentric_subdivide(diagonal_subdivision(d, labels))
+        d_doc = from_tricolored(
+            cover, equilateral_structure(cover.base) if with_metric else None)
+        text = d_doc.serialize()
+        again = parse(text)
+        assert again.serialize() == text
+        assert again == d_doc
 
     def test_metric_must_fit(self):
         dessin = catalog.tetrahedron()
